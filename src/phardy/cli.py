@@ -185,48 +185,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-_LEMMA_NAMES = ("g_bounds", "gpm", "ak_lower", "binom_upper", "g_linear",
-                "pairwise", "ef", "decomposition", "n1")
-
-
-def _run_lemma(name: str, pairs, x_grid) -> pm.GridCheckReport:
-    if name == "g_bounds":
-        return pm.merge_reports("g-bound chain",
-                                (pm.check_g_bounds(pr, x_grid) for pr in pairs))
-    if name == "gpm":
-        return pm.merge_reports("even-part bound",
-                                (pm.check_lemma_gpm(pr, x_grid) for pr in pairs))
-    if name == "ak_lower":
-        return pm.merge_reports("coefficient floor",
-                                (pm.check_lemma_ak_lower(pr) for pr in pairs))
-    if name == "binom_upper":
-        return pm.merge_reports("binomial-coefficient cap",
-                                (pm.check_lemma_binom_upper(pr) for pr in pairs))
-    if name == "g_linear":
-        return pm.merge_reports("linear cap",
-                                (pm.check_lemma_g_linear(pr, x_grid) for pr in pairs))
-    if name == "pairwise":
-        qualifying = [pr for pr in pairs
-                      if pm._between_odd_and_even(pr.p_float())]
-        if not qualifying:
-            raise UsageError(
-                "pairwise positivity needs at least one p between an odd "
-                "and an even integer")
-        return pm.merge_reports(
-            "paired positivity (qualifying p only)",
-            (pm.check_pairwise_positivity(pr, x_grid) for pr in qualifying))
-    if name == "ef":
-        return pm.merge_reports("positivity of E + F",
-                                (pm.check_EF_positive(pr, x_grid) for pr in pairs))
-    if name == "decomposition":
-        return pm.merge_reports(
-            "bracket decomposition",
-            (pm.check_decomposition_identity(pr, x_grid) for pr in pairs))
-    if name == "n1":
-        return pm.check_n1_case()
-    raise UsageError(f"unknown lemma {name!r}; choose from {_LEMMA_NAMES}")
-
-
 def cmd_lemmas(args) -> int:
     if args.p is not None:
         p_values = [_parse_p(args.p)]
@@ -243,11 +201,9 @@ def cmd_lemmas(args) -> int:
             raise UsageError(f"x-grid {args.x_grid!r} has no points in (0, 1/2]")
     else:
         x_values = list(pm.DEFAULT_X_GRID)
-    names = [args.only] if args.only else list(_LEMMA_NAMES)
+    names = [args.only] if args.only else list(pm.LEMMAS)
     pairs = [ExponentPair(p) for p in p_values]
-    reports = {}
-    for name in names:
-        reports[name] = _run_lemma(name, pairs, x_values)
+    reports = {name: pm.run_lemma(name, pairs, x_values) for name in names}
     config = {"subcommand": "lemmas",
               "p": args.p, "p_grid": args.p_grid, "x_grid": args.x_grid,
               "only": args.only}
@@ -341,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--p", default=None, help="single exponent")
     l.add_argument("--p-grid", default=None, metavar="START:STOP:STEP")
     l.add_argument("--x-grid", default=None, metavar="START:STOP:STEP")
-    l.add_argument("--only", default=None, choices=_LEMMA_NAMES,
+    l.add_argument("--only", default=None, choices=tuple(pm.LEMMAS),
                    help="run a single check")
     l.set_defaults(handler=cmd_lemmas)
 

@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
@@ -106,39 +108,57 @@ def _a_exact(pair: ExponentPair, order: int) -> tuple:
         for k in range(1, order + 1)])
 
 
-@lru_cache(maxsize=None)
-def _a_floats(pair: ExponentPair, order: int) -> tuple:
-    if pair.is_rational:
-        return tuple(float(c) for c in _a_exact(pair, order))
-    return tuple(float(c) for c in g_series(pair, order).a)
+def _arithmetic(precision_bits: int):
+    """The arithmetic of one working precision: doubles up to 53 bits, mpf above.
+
+    Returns (context, number, unit): the context to evaluate in, the
+    conversion of x, p and coefficients into the arithmetic, and the unit
+    roundoff every rounding allowance is a multiple of (2^-bits for doubles,
+    2^(1-bits) for mpf).  The double path stays out of mp.workprec, whose
+    entry costs as much as a whole double evaluation of g.
+    """
+    if precision_bits <= 53:
+        return nullcontext(), float, 2.0 ** (-precision_bits)
+    return mp.workprec(precision_bits), _to_mpf, mpf(2) ** (1 - precision_bits)
+
+
+def _to_mpf(x) -> mpf:
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
+
+
+def _p_value(pair: ExponentPair, precision_bits: int):
+    return pair.p_float() if precision_bits <= 53 else pair.p_mpf(precision_bits)
 
 
 @lru_cache(maxsize=None)
-def _a_mpfs(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
-    with mp.workprec(precision_bits):
-        if pair.is_rational:
-            return tuple(mpf(c.numerator) / c.denominator
-                         for c in _a_exact(pair, order))
-        return tuple(+c for c in g_series(pair, order).a)
+def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
+    """The a_k table in the arithmetic of precision_bits."""
+    context, number, _ = _arithmetic(precision_bits)
+    with context:
+        return tuple(number(c) for c in g_series(pair, order).a)
 
 
 @lru_cache(maxsize=None)
-def _e_binom_floats(pair: ExponentPair, order: int) -> tuple:
+def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k."""
-    out = [0.0] * (order + 1)
+    out = [0] * (order + 1)
     if pair.is_rational:
         p = pair.p_exact
         inv_q = pair.inv_q_exact
         for k in range(3, order + 1, 2):
-            out[k] = float(-2 * p * binom_general_rational(inv_q, k + 1))
+            out[k] = -2 * p * binom_general_rational(inv_q, k + 1)
     else:
         bits = pair.precision_bits
         with mp.workprec(bits):
             p = pair.p_mpf(bits)
             inv_q = pair.inv_q_mpf(bits)
             for k in range(3, order + 1, 2):
-                out[k] = float(-2 * p * binom_general_real(inv_q, k + 1, bits))
-    return tuple(out)
+                out[k] = -2 * p * binom_general_real(inv_q, k + 1, bits)
+    context, number, _ = _arithmetic(precision_bits)
+    with context:
+        return tuple(number(c) for c in out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +172,15 @@ def _check_x(x) -> float:
     return xf
 
 
+def _below_one(g_minus_hi, pair: ExponentPair, x):
+    """The upper bound g(-x) + tail, which the bracket-power sums need below 1."""
+    if not g_minus_hi < 1:
+        raise AgreementError(
+            f"g(-x) + tail = {g_minus_hi} is not below 1 at p={pair.p_float()}, "
+            f"x={float(x)}")
+    return g_minus_hi
+
+
 def eval_g(pair: ExponentPair, x, sign: int, order: int = DEFAULT_ORDER,
            precision_bits: int = 53) -> SeriesValue:
     """Truncated g(sign*x) with a geometric tail bound.
@@ -161,31 +190,21 @@ def eval_g(pair: ExponentPair, x, sign: int, order: int = DEFAULT_ORDER,
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    xf = _check_x(x)
-    if precision_bits <= 53:
-        a = _a_floats(pair, order)
-        acc = 0.0
+    _check_x(x)
+    a = _a_table(pair, order, precision_bits)
+    context, number, unit = _arithmetic(precision_bits)
+    with context:
+        x = number(x)
+        acc = 0
         for k in range(order, 0, -1):
             c = a[k] if (sign < 0 or k % 2 == 0) else -a[k]
-            acc = acc * xf + c
-        value = acc * xf
-        tail = a[order] * xf ** (order + 1) / (1 - xf)
+            acc = acc * x + c
+        value = acc * x
+        tail = a[order] * x ** (order + 1) / (1 - x)
         # Horner partials stay below 1 + |acc|; the final multiply scales
         # everything by x, so the rounding allowance carries the same factor.
-        tail += 8 * (order + 1) * 2.0 ** (-precision_bits) * (1 + abs(acc)) * xf
+        tail += 8 * (order + 1) * unit * (1 + abs(acc)) * x
         return SeriesValue(value, tail)
-    a = _a_mpfs(pair, order, precision_bits)
-    with mp.workprec(precision_bits):
-        xm = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        acc = mpf(0)
-        for k in range(order, 0, -1):
-            c = a[k] if (sign < 0 or k % 2 == 0) else -a[k]
-            acc = acc * xm + c
-        value = acc * xm
-        tail = a[order] * xm ** (order + 1) / (1 - xm)
-        tail += (8 * (order + 1) * mpf(2) ** (1 - precision_bits)
-                 * (1 + abs(acc)) * xm)
-        return SeriesValue(+value, +tail)
 
 
 def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
@@ -196,46 +215,33 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     binomial coefficients; disagreement beyond tolerance is a hard error.
     The returned value is the a_k form.
     """
-    xf = _check_x(x)
-    if precision_bits <= 53:
-        a = _a_floats(pair, order)
-        pf = pair.p_float()
-        x2 = xf * xf
-        acc = 0.0
+    _check_x(x)
+    a = _a_table(pair, order, precision_bits)
+    e_bin = _e_binom_table(pair, order, precision_bits)
+    context, number, unit = _arithmetic(precision_bits)
+    with context:
+        x = number(x)
+        p = _p_value(pair, precision_bits)
+        x2 = x * x
         top = order if order % 2 == 1 else order - 1
+        acc = 0
+        acc_b = 0
         for k in range(top, 2, -2):
             acc = acc * x2 + a[k]
-        value = 2 * (pf - 1) * acc * xf ** 3
-        tail = 2 * (pf - 1) * a[order] * xf ** (order + 1) / (1 - xf)
-        eps = 2.0 ** (-precision_bits)
-        # Everything is scaled by x^3 at the end, so rounding is too.
-        round_slack = (8 * (order + 2) * eps * (1 + abs(acc))
-                       * max(1.0, 2 * (pf - 1)) * xf ** 3)
-        e_bin = _e_binom_floats(pair, order)
-        acc_b = 0.0
-        for k in range(top, 2, -2):
             acc_b = acc_b * x2 + e_bin[k]
-        value_b = acc_b * xf ** 3
-        agree_tol = (64 * (order + 2) * eps * (1 + abs(acc) + abs(acc_b))
-                     * xf ** 3 + 1e-12 * abs(value))
+        value = 2 * (p - 1) * acc * x ** 3
+        tail = 2 * (p - 1) * a[order] * x ** (order + 1) / (1 - x)
+        # Everything is scaled by x^3 at the end, so rounding is too.
+        tail += (8 * (order + 2) * unit * (1 + abs(acc))
+                 * max(1, 2 * (p - 1)) * x ** 3)
+        value_b = acc_b * x ** 3
+        agree_tol = (64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b))
+                     * x ** 3 + 1e-12 * abs(value))
         if abs(value - value_b) > agree_tol:
             raise AgreementError(
-                f"E formulas disagree at p={pf}, x={xf}: {value} vs {value_b}")
-        return SeriesValue(value, tail + round_slack)
-    a = _a_mpfs(pair, order, precision_bits)
-    with mp.workprec(precision_bits):
-        xm = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        pm = pair.p_mpf(precision_bits)
-        x2 = xm * xm
-        acc = mpf(0)
-        top = order if order % 2 == 1 else order - 1
-        for k in range(top, 2, -2):
-            acc = acc * x2 + a[k]
-        value = 2 * (pm - 1) * acc * xm ** 3
-        tail = 2 * (pm - 1) * a[order] * xm ** (order + 1) / (1 - xm)
-        tail += (8 * (order + 2) * mpf(2) ** (1 - precision_bits)
-                 * (1 + abs(acc)) * max(mpf(1), 2 * (pm - 1)) * xm ** 3)
-        return SeriesValue(+value, +tail)
+                f"E formulas disagree at p={pair.p_float()}, x={float(x)}: "
+                f"{value} vs {value_b}")
+        return SeriesValue(value, tail)
 
 
 def eval_F(pair: ExponentPair, x, outer_terms: int = DEFAULT_OUTER_TERMS,
@@ -247,83 +253,45 @@ def eval_F(pair: ExponentPair, x, outer_terms: int = DEFAULT_OUTER_TERMS,
     once past p when the generic-coefficient bound (q-1)/4 * g(-x)^n drops
     below 2^(-precision).  The reported tail combines the geometric outer
     bound (valid past p by the binomial-coefficient lemma) with the
-    propagated inner truncation error.
+    propagated inner truncation error.  A bound g(-x) + tail not below 1
+    raises AgreementError: the outer series would not converge.
     """
     if outer_terms < 2:
         raise ValueError(f"outer_terms must be at least 2, got {outer_terms}")
-    xf = _check_x(x)
-    if precision_bits > 53:
-        return _eval_F_mpf(pair, x, outer_terms, series_order, precision_bits)
-    pf = pair.p_float()
-    qf = pair.q_float()
-    g_minus = eval_g(pair, x, -1, series_order, precision_bits)
-    g_plus = eval_g(pair, x, +1, series_order, precision_bits)
-    gm_hi = min(g_minus.value + g_minus.tail_bound, 0.999999)
-    inner_tau = g_minus.tail_bound + g_plus.tail_bound
-    eps = 2.0 ** (-precision_bits)
-    cut_threshold = 2.0 ** (-precision_bits)
-    cap = max(outer_terms, math.ceil(pf) + 1)
-    acc = 0.0
-    round_slack = 0.0
-    inner_err = 0.0
-    binom = (pf - 1) * (pf - 2) / 2  # binom(p-1, 2)
-    pow_m = g_minus.value * g_minus.value
-    pow_p = g_plus.value * g_plus.value
-    pow_hi = gm_hi * gm_hi
-    n = 2
-    while n <= cap:
-        term = binom * (pow_m - pow_p)
-        acc += term
-        round_slack += (n + 4) * eps * (abs(binom) * (abs(pow_m) + abs(pow_p)))
-        inner_err += abs(binom) * n * pow_hi / gm_hi * inner_tau
-        if n > pf and (qf - 1) / 4 * pow_hi < cut_threshold:
-            break
-        n += 1
-        binom *= (pf - n) / n  # binom(p-1, n)
-        pow_m *= g_minus.value
-        pow_p *= g_plus.value
-        pow_hi *= gm_hi
-    n_stop = n
-    outer_tail = (qf - 1) / 2 * gm_hi ** (n_stop + 1) / (1 - gm_hi)
-    round_slack += 8 * eps * abs(acc)
-    return SeriesValue(acc, outer_tail + inner_err + round_slack)
-
-
-def _eval_F_mpf(pair, x, outer_terms, series_order, precision_bits):
-    with mp.workprec(precision_bits):
-        xm = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        pm = pair.p_mpf(precision_bits)
-        qm = pair.q_mpf(precision_bits)
-        g_minus = eval_g(pair, xm, -1, series_order, precision_bits)
-        g_plus = eval_g(pair, xm, +1, series_order, precision_bits)
-        gm_hi = g_minus.value + g_minus.tail_bound
+    _check_x(x)
+    context, number, unit = _arithmetic(precision_bits)
+    with context:
+        x = number(x)
+        p = _p_value(pair, precision_bits)
+        q = p / (p - 1)
+        g_minus = eval_g(pair, x, -1, series_order, precision_bits)
+        g_plus = eval_g(pair, x, +1, series_order, precision_bits)
+        gm_hi = _below_one(g_minus.value + g_minus.tail_bound, pair, x)
         inner_tau = g_minus.tail_bound + g_plus.tail_bound
-        eps = mpf(2) ** (1 - precision_bits)
-        cut_threshold = mpf(2) ** (-precision_bits)
-        cap = max(outer_terms, math.ceil(float(pm)) + 1)
-        acc = mpf(0)
-        round_slack = mpf(0)
-        inner_err = mpf(0)
-        binom = (pm - 1) * (pm - 2) / 2
-        pow_m = g_minus.value ** 2
-        pow_p = g_plus.value ** 2
-        pow_hi = gm_hi ** 2
+        cut_threshold = number(2) ** (-precision_bits)
+        cap = max(outer_terms, math.ceil(float(p)) + 1)
+        acc = 0
+        round_slack = 0
+        inner_err = 0
+        binom = (p - 1) * (p - 2) / 2  # binom(p-1, 2)
+        pow_m = g_minus.value * g_minus.value
+        pow_p = g_plus.value * g_plus.value
+        pow_hi = gm_hi * gm_hi
         n = 2
         while n <= cap:
-            term = binom * (pow_m - pow_p)
-            acc += term
-            round_slack += (n + 4) * eps * (abs(binom) * (abs(pow_m) + abs(pow_p)))
+            acc += binom * (pow_m - pow_p)
+            round_slack += (n + 4) * unit * (abs(binom) * (abs(pow_m) + abs(pow_p)))
             inner_err += abs(binom) * n * pow_hi / gm_hi * inner_tau
-            if n > pm and (qm - 1) / 4 * pow_hi < cut_threshold:
+            if n > p and (q - 1) / 4 * pow_hi < cut_threshold:
                 break
             n += 1
-            binom *= (pm - n) / n
+            binom *= (p - n) / n  # binom(p-1, n)
             pow_m *= g_minus.value
             pow_p *= g_plus.value
             pow_hi *= gm_hi
-        outer_tail = (qm - 1) / 2 * pow_hi * gm_hi / (1 - gm_hi)
-        round_slack += 8 * eps * abs(acc)
-        return SeriesValue(+acc, +(outer_tail + inner_err + round_slack))
+        outer_tail = (q - 1) / 2 * pow_hi * gm_hi / (1 - gm_hi)
+        round_slack += 8 * unit * abs(acc)
+        return SeriesValue(acc, outer_tail + inner_err + round_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +390,14 @@ def check_lemma_ak_lower(pair: ExponentPair, k_max: int = DEFAULT_ORDER) -> Grid
     Exact rational comparison on the rational path.
     """
     points = []
-    if pair.is_rational:
-        a = _a_exact(pair, k_max)
-        p = pair.p_exact
+    a = g_series(pair, k_max).a
+    exact = pair.is_rational
+    with nullcontext() if exact else mp.workprec(pair.precision_bits):
+        p = pair.p_exact if exact else pair.p_mpf(pair.precision_bits)
         for k in range(2, k_max + 1):
-            bound = Fraction(1, 1) / (p * k * (k + 1))
-            margin = a[k] - bound
-            points.append((float(margin), float(p), float(k),
+            bound = 1 / (p * k * (k + 1))
+            points.append((float(a[k] - bound), float(p), float(k),
                            float(a[k]), float(bound)))
-    else:
-        bits = pair.precision_bits
-        a = g_series(pair, k_max).a
-        with mp.workprec(bits):
-            p = pair.p_mpf(bits)
-            for k in range(2, k_max + 1):
-                bound = 1 / (p * k * (k + 1))
-                points.append((float(a[k] - bound), float(p), float(k),
-                               float(a[k]), float(bound)))
     return _build_report(
         "coefficient floor: a_k >= 1/(p k (k+1)) for 2 <= k <= k_max (exact)",
         {"p": [pair.p_float()], "k_min": 2, "k_max": k_max}, points)
@@ -448,26 +407,18 @@ def check_lemma_binom_upper(pair: ExponentPair, k_range=range(2, 41)) -> GridChe
     """|binom(p-1, k)| <= (q-1)/4 for integer k > p; exact on the rational path."""
     points = []
     pf = pair.p_float()
-    if pair.is_rational:
-        p = pair.p_exact
-        bound = (p / (p - 1) - 1) / 4    # (q-1)/4 = 1/(4(p-1))
+    exact = pair.is_rational
+    bits = pair.precision_bits
+    with nullcontext() if exact else mp.workprec(bits):
+        p = pair.p_exact if exact else pair.p_mpf(bits)
+        bound = 1 / (4 * (p - 1))    # (q-1)/4
         for k in k_range:
             if not k > p:
                 continue
-            value = abs(binom_general_rational(p - 1, k))
+            value = abs(binom_general_rational(p - 1, k) if exact
+                        else binom_general_real(p - 1, k, bits))
             points.append((float(bound - value), pf, float(k),
                            float(value), float(bound)))
-    else:
-        bits = pair.precision_bits
-        with mp.workprec(bits):
-            p = pair.p_mpf(bits)
-            bound = 1 / (4 * (p - 1))
-            for k in k_range:
-                if not k > p:
-                    continue
-                value = abs(binom_general_real(p - 1, k, bits))
-                points.append((float(bound - value), pf, float(k),
-                               float(value), float(bound)))
     if not points:
         raise ValueError(f"k_range contains no k > p for p={pf}")
     return _build_report(
@@ -515,7 +466,7 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
         xf = float(x)
         gm, tm = eval_g(pair, x, -1, order, precision_bits)
         gp, tp = eval_g(pair, x, +1, order, precision_bits)
-        gm_hi = min(gm + tm, 0.999999)
+        gm_hi = _below_one(gm + tm, pair, x)
         tau = tm + tp
         worst_here = None
         for n in range(1, n_max + 1, 2):
@@ -574,8 +525,7 @@ def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
         pm1 = pair.p_mpf(precision_bits) - 1
         s = pair.inv_q_mpf(precision_bits)
         for x in x_grid:
-            xm = mpf(x) if not isinstance(x, Fraction) else \
-                mpf(x.numerator) / x.denominator
+            xm = _to_mpf(x)
             lhs = eval_w_closed_x(pair, xm, precision_bits)
             e = eval_E(pair, xm, order, precision_bits)
             f = eval_F(pair, xm, outer_terms, order, precision_bits)
@@ -654,42 +604,66 @@ def _between_odd_and_even(p: Fraction | float) -> bool:
     return 2 * k - 1 <= pf <= 2 * k
 
 
-def run_default_suite(p_grid=DEFAULT_P_GRID, x_grid=DEFAULT_X_GRID,
-                      order: int = DEFAULT_ORDER,
-                      precision_bits: int = 53) -> dict:
-    """All lemma and identity checks over the default grids.
+class Lemma(NamedTuple):
+    """One entry of the lemma suite.
 
-    Returns a mapping of check name to merged GridCheckReport.  The paired
-    positivity check only applies where its hypothesis (p between an odd and
-    an even integer) holds, so its grid is the qualifying subset.
+    ``check(pair, x_grid)`` runs the predicate for one exponent and
+    ``applies(p)`` is its hypothesis on p; the suite merges the per-p
+    reports under ``description``.  A lemma without a per-p check (the n = 1
+    special value) runs once on its own p-grid and describes itself.
+    """
+
+    description: str | None
+    check: Callable | None
+    applies: Callable = lambda p: True
+
+
+# The checks are looked up by their module-global names at call time, so
+# that a wrapper installed on a check (a tracer, a test double) sees every
+# suite run.
+LEMMAS = {
+    "g_bounds": Lemma("g-bound chain",
+                      lambda pair, xs: check_g_bounds(pair, xs)),
+    "gpm": Lemma("even-part bound",
+                 lambda pair, xs: check_lemma_gpm(pair, xs)),
+    "ak_lower": Lemma("coefficient floor",
+                      lambda pair, xs: check_lemma_ak_lower(pair)),
+    "binom_upper": Lemma("binomial-coefficient cap",
+                         lambda pair, xs: check_lemma_binom_upper(pair)),
+    "g_linear": Lemma("linear cap",
+                      lambda pair, xs: check_lemma_g_linear(pair, xs)),
+    "pairwise": Lemma("paired positivity (qualifying p only)",
+                      lambda pair, xs: check_pairwise_positivity(pair, xs),
+                      _between_odd_and_even),
+    "ef": Lemma("positivity of E + F",
+                lambda pair, xs: check_EF_positive(pair, xs)),
+    "decomposition": Lemma("bracket decomposition",
+                           lambda pair, xs: check_decomposition_identity(pair, xs)),
+    "n1": Lemma(None, None),
+}
+
+
+def run_lemma(name: str, pairs, x_grid) -> GridCheckReport:
+    """One lemma of :data:`LEMMAS` over the pairs satisfying its hypothesis."""
+    lemma = LEMMAS[name]
+    if lemma.check is None:
+        return check_n1_case()
+    qualifying = [pair for pair in pairs if lemma.applies(pair.p_float())]
+    if not qualifying:
+        raise ValueError(
+            "pairwise positivity needs at least one p between an odd "
+            "and an even integer")
+    return merge_reports(lemma.description,
+                         (lemma.check(pair, x_grid) for pair in qualifying))
+
+
+def run_default_suite(p_grid=DEFAULT_P_GRID, x_grid=DEFAULT_X_GRID) -> dict:
+    """Every lemma of :data:`LEMMAS` over the given grids.
+
+    Returns a mapping of lemma name to merged GridCheckReport, as the
+    ``lemmas`` subcommand reports it.  The paired positivity check only
+    applies where its hypothesis (p between an odd and an even integer)
+    holds, so its grid is the qualifying subset.
     """
     pairs = [ExponentPair(p) for p in p_grid]
-    suite = {}
-    suite["g_bounds"] = merge_reports(
-        "g-bound chain over the default grid",
-        (check_g_bounds(pair, x_grid, order, precision_bits) for pair in pairs))
-    suite["gpm"] = merge_reports(
-        "even-part bound over the default grid",
-        (check_lemma_gpm(pair, x_grid, order, precision_bits) for pair in pairs))
-    suite["ak_lower"] = merge_reports(
-        "coefficient floor over the default grid",
-        (check_lemma_ak_lower(pair, order) for pair in pairs))
-    suite["binom_upper"] = merge_reports(
-        "binomial-coefficient cap over the default grid",
-        (check_lemma_binom_upper(pair) for pair in pairs))
-    suite["g_linear"] = merge_reports(
-        "linear cap over the default grid",
-        (check_lemma_g_linear(pair, x_grid, order, precision_bits) for pair in pairs))
-    suite["pairwise"] = merge_reports(
-        "paired positivity over the qualifying subset of the default grid",
-        (check_pairwise_positivity(pair, x_grid, 15, order, precision_bits)
-         for pair in pairs if _between_odd_and_even(pair.p_float())))
-    suite["ef_positive"] = merge_reports(
-        "positivity of E + F over the default grid",
-        (check_EF_positive(pair, x_grid, order, DEFAULT_OUTER_TERMS,
-                           precision_bits) for pair in pairs))
-    suite["decomposition"] = merge_reports(
-        "bracket decomposition over the default grid",
-        (check_decomposition_identity(pair, x_grid) for pair in pairs))
-    suite["n1_case"] = check_n1_case()
-    return suite
+    return {name: run_lemma(name, pairs, x_grid) for name in LEMMAS}

@@ -14,7 +14,6 @@ with backtracking works uniformly across the whole p-range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -342,7 +341,3 @@ def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
         "all_pass": all_pass,
         "improved_slack_below_classical": comparisons_ok,
     }
-
-
-def report_to_json(report: InequalityReport) -> str:
-    return json.dumps(report.to_json_dict())

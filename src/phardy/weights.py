@@ -17,6 +17,7 @@ import enum
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -31,36 +32,33 @@ class WeightKind(enum.Enum):
 def eval_w_closed_x(pair: ExponentPair, x, precision_bits: int) -> mpf:
     """The weight as a function of x = 1/n, evaluated at fixed precision.
 
-    Valid on (0, 1/2] and at x = 1; raw mpf result at the caller's precision.
+    Valid on (0, 1/2] and at x = 1 (n = 1, where mpmath takes 0^(1/q) as 0);
+    raw mpf result at the caller's precision.  Every improved-weight value
+    of the package comes from here.
     """
     with mp.workprec(precision_bits):
         xm = mpf(x) if not hasattr(x, "numerator") else \
             mpf(x.numerator) / x.denominator
-        s = pair.inv_q_mpf(precision_bits)
-        pm1 = pair.p_mpf(precision_bits) - 1
+        p = pair.p_mpf(precision_bits)
+        pm1 = p - 1
+        s = pm1 / p                      # 1/q, as pair.inv_q_mpf rounds it
         plus = (1 - (1 - xm) ** s) ** pm1
         minus = ((1 + xm) ** s - 1) ** pm1
         return plus - minus
 
 
-def eval_w(pair: ExponentPair, n: int, target_digits: int) -> PrecReal:
-    """Improved weight at index n, correct to target_digits decimal digits.
+def _w_classical(pair: ExponentPair, n: int, precision_bits: int) -> mpf:
+    with mp.workprec(precision_bits):
+        p = pair.p_mpf(precision_bits)
+        return ((p - 1) / p) ** p / mpf(n) ** p
 
-    n = 1 routes to the closed special form to avoid evaluating the
-    degenerate first bracket (0 raised to a fractional power).
-    """
+
+def eval_w(pair: ExponentPair, n: int, target_digits: int) -> PrecReal:
+    """Improved weight at index n, correct to target_digits decimal digits."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        return eval_w1_closed(pair, target_digits)
     bits = required_precision(pair, n, target_digits)
-    with mp.workprec(bits):
-        x = mpf(1) / n
-        s = pair.inv_q_mpf(bits)
-        pm1 = pair.p_mpf(bits) - 1
-        plus = (1 - (1 - x) ** s) ** pm1
-        minus = ((1 + x) ** s - 1) ** pm1
-        return PrecReal(plus - minus, bits)
+    return PrecReal(eval_w_closed_x(pair, Fraction(1, n), bits), bits)
 
 
 def eval_w_classical(pair: ExponentPair, n: int, target_digits: int) -> PrecReal:
@@ -68,18 +66,13 @@ def eval_w_classical(pair: ExponentPair, n: int, target_digits: int) -> PrecReal
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     bits = required_precision(pair, n, target_digits)
-    with mp.workprec(bits):
-        p = pair.p_mpf(bits)
-        return PrecReal(((p - 1) / p) ** p / mpf(n) ** p, bits)
+    return PrecReal(_w_classical(pair, n, bits), bits)
 
 
 def eval_w1_closed(pair: ExponentPair, target_digits: int) -> PrecReal:
     """Special value at n = 1: 1 - (2^(1-1/p) - 1)^(p-1)."""
     bits = required_precision(pair, 1, target_digits)
-    with mp.workprec(bits):
-        s = pair.inv_q_mpf(bits)          # 1 - 1/p = 1/q
-        pm1 = pair.p_mpf(bits) - 1
-        return PrecReal(1 - (2 ** s - 1) ** pm1, bits)
+    return PrecReal(eval_w_closed_x(pair, 1, bits), bits)
 
 
 @dataclass(frozen=True)
@@ -152,29 +145,20 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
         threshold = mpf(10) ** (-(target_digits - 2))
     rows = []
     for n in range(n_min, n_max + 1):
+        w_imp = eval_w_closed_x(pair, Fraction(1, n), bits)
+        w_cls = _w_classical(pair, n, bits)
         with mp.workprec(bits):
-            if n == 1:
-                s = pair.inv_q_mpf(bits)
-                pm1 = pair.p_mpf(bits) - 1
-                w_imp = 1 - (2 ** s - 1) ** pm1
-            else:
-                x = mpf(1) / n
-                s = pair.inv_q_mpf(bits)
-                pm1 = pair.p_mpf(bits) - 1
-                w_imp = (1 - (1 - x) ** s) ** pm1 - ((1 + x) ** s - 1) ** pm1
-            p = pair.p_mpf(bits)
-            w_cls = ((p - 1) / p) ** p / mpf(n) ** p
             excess = (w_imp - w_cls) / w_cls
-            if not w_imp > 0:
-                raise ArithmeticError(
-                    f"improved weight not positive at n={n}: {w_imp}")
-            rows.append(WeightRow(
-                n=n,
-                w_improved=PrecReal(w_imp, bits),
-                w_classical=PrecReal(w_cls, bits),
-                ratio_minus_one=PrecReal(excess, bits),
-                verified_positive=bool(excess > threshold),
-            ))
+        if not w_imp > 0:
+            raise ArithmeticError(
+                f"improved weight not positive at n={n}: {w_imp}")
+        rows.append(WeightRow(
+            n=n,
+            w_improved=PrecReal(w_imp, bits),
+            w_classical=PrecReal(w_cls, bits),
+            ratio_minus_one=PrecReal(excess, bits),
+            verified_positive=bool(excess > threshold),
+        ))
     return WeightTable(pair=pair, rows=rows, precision_bits=bits,
                        target_digits=target_digits)
 

@@ -1,10 +1,13 @@
 """Subcommand behavior, exit codes, and reproducible output."""
 
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from phardy.cli import main
+from phardy import proof_machinery as pm
+from phardy.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +139,22 @@ class TestLemmasCommand:
                                "--p", "5/2")
         assert code == 2
         assert "odd" in err
+
+    def test_cli_and_default_suite_share_one_registry(self, capsys):
+        code, out, _ = run_cli(capsys, "lemmas", "--p-grid", "1.5:2.5:1",
+                               "--x-grid", "0.05:0.5:0.05")
+        assert code == 0
+        cli_reports = json.loads(out)["reports"]
+        suite = pm.run_default_suite(
+            p_grid=[Fraction(3, 2), Fraction(5, 2)],
+            x_grid=[Fraction(k, 20) for k in range(1, 11)])
+        subcommands = next(a for a in build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        only = next(a for a in subcommands.choices["lemmas"]._actions
+                    if a.dest == "only")
+        assert list(suite) == list(cli_reports) == list(only.choices)
+        for name, report in suite.items():
+            assert cli_reports[name] == json.loads(report.to_json()), name
 
 
 class TestRayleighCommand:

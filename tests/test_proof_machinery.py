@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 
 from phardy import proof_machinery as pm
 from phardy.numerics import ExponentPair
+from phardy.series import SeriesValue
 
 F = Fraction
 
@@ -114,6 +115,19 @@ class TestEvalE:
         value, _ = pm.eval_E(pair, 1e-4)
         assert value / 1e-12 == pytest.approx(2 * (float(p) - 1) * a3, rel=1e-6)
 
+    @pytest.mark.parametrize("bits", [53, 113])
+    def test_cross_check_runs_at_every_precision(self, monkeypatch, bits):
+        honest = pm._e_binom_table
+
+        def corrupted(pair, order, precision_bits):
+            table = list(honest(pair, order, precision_bits))
+            table[3] *= 1 + 1e-6
+            return tuple(table)
+
+        monkeypatch.setattr(pm, "_e_binom_table", corrupted)
+        with pytest.raises(pm.AgreementError):
+            pm.eval_E(ExponentPair(F(5, 2)), 0.3, precision_bits=bits)
+
 
 class TestEvalF:
     def test_identically_zero_for_p2(self):
@@ -155,6 +169,17 @@ class TestEvalF:
     def test_outer_terms_validation(self):
         with pytest.raises(ValueError):
             pm.eval_F(ExponentPair(2), 0.2, outer_terms=1)
+
+    def test_g_minus_bound_at_one_is_an_error(self, monkeypatch):
+        # The bracket-power sums need g(-x) + tail < 1; no silent clamp.
+        monkeypatch.setattr(pm, "eval_g",
+                            lambda *args, **kwargs: SeriesValue(0.99, 0.02))
+        pair = ExponentPair(F(7, 2))
+        for bits in (53, 113):
+            with pytest.raises(pm.AgreementError):
+                pm.eval_F(pair, 0.3, precision_bits=bits)
+        with pytest.raises(pm.AgreementError):
+            pm.check_pairwise_positivity(pair, [0.3])
 
 
 class TestGridChecks:
