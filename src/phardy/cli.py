@@ -23,9 +23,9 @@ from .numerics import ExponentPair, required_precision, rational_to_str
 from .series import (
     DEFAULT_ORDER,
     InvariantViolation,
-    correction_positivity_report,
     expand_correction,
     expand_w_integer_p,
+    nonpositive_even_positions,
 )
 from .verify import minimize_rayleigh, run_hardy_trials
 from .weights import WeightKind, compare_weights, eval_w
@@ -115,10 +115,8 @@ def cmd_series(args) -> int:
     config = {"subcommand": "series", "p": str(p), "order": args.order,
               "correction": bool(args.correction), "format": args.format}
     if args.correction:
-        pair = ExponentPair(p)
-        series = expand_correction(pair, args.order)
+        series = expand_correction(ExponentPair(p), args.order)
         coeffs = [rational_to_str(c) for c in series.coeffs]
-        positivity = correction_positivity_report(pair, args.order)
         if args.format == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -127,10 +125,11 @@ def cmd_series(args) -> int:
                 writer.writerow([k, c])
             _emit(buf.getvalue(), args.out)
         else:
+            negatives = nonpositive_even_positions(series)
             _emit(_json_report(config, {
                 "coefficients": coeffs,
-                "all_even_positive": positivity["all_even_positive"],
-                "nonpositive_positions": positivity["nonpositive_positions"],
+                "all_even_positive": not negatives,
+                "nonpositive_positions": negatives,
             }), args.out)
         # Positivity for non-integer p is a conjecture: reported, not gated.
         return EXIT_OK

@@ -27,6 +27,11 @@ MAX_TARGET_DIGITS = 1_000_000
 
 _LOG2_10 = math.log2(10)
 
+# Entries kept by each cache keyed on an ExponentPair.  A run touches a few
+# pairs, orders and precisions, so the bound caps memory in a long-lived
+# process without evicting anything a run reuses.
+PAIR_CACHE_SIZE = 128
+
 
 class PrecisionMismatchError(ValueError):
     """Two PrecReal values of different working precision were combined."""
@@ -245,6 +250,22 @@ def binom_general_rational(alpha: Fraction, k: int) -> Fraction:
     for j in range(k):
         num *= alpha - j
     return num / math.factorial(k)
+
+
+def binom_rational_sequence(alpha: Fraction, k_max: int) -> list:
+    """binom(alpha, k) for k = 0..k_max, exact, by ratio steps.
+
+    binom(alpha, 0) = 1 and binom(alpha, k) = binom(alpha, k-1) * (alpha-k+1)/k,
+    one step per coefficient instead of the k-term product of
+    :func:`binom_general_rational`.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    alpha = Fraction(alpha)
+    out = [Fraction(1)]
+    for k in range(1, k_max + 1):
+        out.append(out[-1] * (alpha - k + 1) / k)
+    return out
 
 
 def binom_general_real(alpha, k: int, precision_bits: int) -> mpf:

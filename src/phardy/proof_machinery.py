@@ -29,9 +29,11 @@ from typing import Callable, NamedTuple
 from mpmath import mp, mpf
 
 from .numerics import (
+    PAIR_CACHE_SIZE,
     ExponentPair,
     binom_general_rational,
     binom_general_real,
+    binom_rational_sequence,
 )
 from .series import SeriesValue
 from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
@@ -99,13 +101,12 @@ def g_series(pair: ExponentPair, order: int) -> GSeries:
     return GSeries(pair=pair, a=coeffs, order=order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _a_exact(pair: ExponentPair, order: int) -> tuple:
     q = pair.q_exact
-    inv_q = pair.inv_q_exact
-    return tuple([Fraction(0)] + [
-        q * abs(binom_general_rational(inv_q, k + 1))
-        for k in range(1, order + 1)])
+    binom = binom_rational_sequence(pair.inv_q_exact, order + 1)
+    return tuple([Fraction(0)] + [q * abs(binom[k + 1])
+                                  for k in range(1, order + 1)])
 
 
 def _arithmetic(precision_bits: int):
@@ -132,7 +133,7 @@ def _p_value(pair: ExponentPair, precision_bits: int):
     return pair.p_float() if precision_bits <= 53 else pair.p_mpf(precision_bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """The a_k table in the arithmetic of precision_bits."""
     context, number, _ = _arithmetic(precision_bits)
@@ -140,9 +141,14 @@ def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
         return tuple(number(c) for c in g_series(pair, order).a)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
-    """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k."""
+    """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k.
+
+    On the rational path each binomial is its own falling-factorial product,
+    not the ratio-step sequence behind the a_k table, so the two routes
+    compute the coefficients differently.
+    """
     out = [0] * (order + 1)
     if pair.is_rational:
         p = pair.p_exact
@@ -235,8 +241,7 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
         tail += (8 * (order + 2) * unit * (1 + abs(acc))
                  * max(1, 2 * (p - 1)) * x ** 3)
         value_b = acc_b * x ** 3
-        agree_tol = (64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b))
-                     * x ** 3 + 1e-12 * abs(value))
+        agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x ** 3
         if abs(value - value_b) > agree_tol:
             raise AgreementError(
                 f"E formulas disagree at p={pair.p_float()}, x={float(x)}: "

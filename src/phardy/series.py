@@ -23,6 +23,7 @@ from .numerics import (
     ExponentPair,
     binom_general_rational,
     binom_general_real,
+    binom_rational_sequence,
     rational_to_str,
 )
 
@@ -130,9 +131,8 @@ def binomial_series(alpha, sign: int, order: int,
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if precision_bits is None:
-        alpha = Fraction(alpha)
-        coeffs = tuple(binom_general_rational(alpha, k) * sign**k
-                       for k in range(order + 1))
+        coeffs = tuple(b * sign**k for k, b in
+                       enumerate(binom_rational_sequence(alpha, order)))
     else:
         coeffs = tuple(binom_general_real(alpha, k, precision_bits) * sign**k
                        for k in range(order + 1))
@@ -157,10 +157,13 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
-    """(1 + h)^alpha as sum_k binom(alpha, k) h^k, for h with zero constant term.
+    """(1 + h)^alpha = sum_k binom(alpha, k) h^k, for h with zero constant term.
 
-    Because h has no constant term, h^k contributes nothing below x^k and the
-    sum over k <= order is the full truncation.  Exact in the exact ring.
+    Computed by Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) in
+    O(order^2) ring operations: f = (1+h)^alpha satisfies
+    (1+h) f' = alpha h' f, so f_0 = 1 and
+    k f_k = sum_{j=1..k} ((alpha+1) j - k) h_j f_{k-j}.
+    Exact in the exact ring.
     """
     if h.coeffs[0] != 0:
         raise ValueError("series_pow_binomial requires a zero constant term")
@@ -168,18 +171,20 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
     if h.order < order:
         raise ValueError(
             f"h must carry coefficients up to the requested order {order}")
-    result = PowerSeries.one(order, h.precision_bits)
-    if h.precision_bits is None:
-        binom = lambda k: binom_general_rational(Fraction(alpha), k)
-    else:
-        binom = lambda k: binom_general_real(alpha, k, h.precision_bits)
-    h_pow = PowerSeries.one(order, h.precision_bits)
-    for k in range(1, order + 1):
-        h_pow = series_mul(h_pow, h)
-        bk = binom(k)
-        if bk != 0:
-            result = result + h_pow.scale(bk)
-    return result
+    bits = h.precision_bits
+    zero, one = _ring_constants(bits)
+    with _ring_context(bits):
+        alpha_1 = (Fraction(alpha) if bits is None else _to_mpf(alpha)) + 1
+        terms = [(j, hj) for j, hj in enumerate(h.coeffs) if j and hj != 0]
+        f = [one]
+        for k in range(1, order + 1):
+            acc = zero
+            for j, hj in terms:
+                if j > k:
+                    break
+                acc += (alpha_1 * j - k) * hj * f[k - j]
+            f.append(acc / k)
+    return PowerSeries(tuple(f), bits)
 
 
 class SeriesValue(NamedTuple):
@@ -328,10 +333,9 @@ def _g_argument_series(pair: ExponentPair, sign: int, order: int,
     """Series of g(sign*x) = q * sum_{k>=1} binom(1/q, k+1) (sign*x)^k."""
     if precision_bits is None:
         q = pair.q_exact
-        inv_q = pair.inv_q_exact
+        binom = binom_rational_sequence(pair.inv_q_exact, order + 1)
         coeffs = [Fraction(0)]
-        coeffs += [q * binom_general_rational(inv_q, k + 1) * sign**k
-                   for k in range(1, order + 1)]
+        coeffs += [q * binom[k + 1] * sign**k for k in range(1, order + 1)]
     else:
         with mp.workprec(precision_bits):
             q = pair.q_mpf(precision_bits)
@@ -399,7 +403,7 @@ def correction_positivity_report(pair: ExponentPair, order: int) -> dict:
     """
     series = expand_correction(pair, order)
     even = {k: series[k] for k in range(2, order + 1, 2)}
-    negatives = {k: v for k, v in even.items() if not v > 0}
+    negatives = nonpositive_even_positions(series)
     return {
         "p": rational_to_str(pair.p_exact) if pair.is_rational
         else mp.nstr(pair.p_mpf(pair.precision_bits), 20),
@@ -407,5 +411,10 @@ def correction_positivity_report(pair: ExponentPair, order: int) -> dict:
         "even_coefficients": {k: rational_to_str(v) if isinstance(v, Fraction)
                               else mp.nstr(v, 20) for k, v in even.items()},
         "all_even_positive": not negatives,
-        "nonpositive_positions": sorted(negatives),
+        "nonpositive_positions": negatives,
     }
+
+
+def nonpositive_even_positions(series: PowerSeries) -> list:
+    """The even positions k >= 2 whose coefficient is not positive, ascending."""
+    return [k for k in range(2, series.order + 1, 2) if not series[k] > 0]

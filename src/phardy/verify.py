@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import ExponentPair
+from .numerics import PAIR_CACHE_SIZE, ExponentPair
 from .weights import WeightKind, weight_values_float
 
 
@@ -79,7 +79,7 @@ class RayleighResult:
     grad_norm: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _weight_array_capacity(pair: ExponentPair, kind: WeightKind, capacity: int):
     arr = np.array(weight_values_float(pair, kind, capacity), dtype=float)
     arr.setflags(write=False)

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from phardy import cli
 from phardy import proof_machinery as pm
+from phardy import series
 from phardy.cli import build_parser, main
+from phardy.numerics import ExponentPair
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +58,27 @@ class TestSeriesCommand:
         assert code == 0
         payload = json.loads(out)
         assert "all_even_positive" in payload
+
+    @pytest.mark.parametrize("p", ["3/2", "7/3"])
+    def test_correction_expands_once(self, capsys, monkeypatch, p):
+        honest = series.expand_correction
+        calls = []
+
+        def counted(pair, order):
+            calls.append(order)
+            return honest(pair, order)
+
+        monkeypatch.setattr(cli, "expand_correction", counted)
+        monkeypatch.setattr(series, "expand_correction", counted)
+        code, out, _ = run_cli(capsys, "series", "--correction", "--p", p,
+                               "--order", "20")
+        assert code == 0
+        assert calls == [20]
+        payload = json.loads(out)
+        report = series.correction_positivity_report(
+            ExponentPair(Fraction(p)), 20)
+        for key in ("all_even_positive", "nonpositive_positions"):
+            assert payload[key] == report[key]
 
 
 class TestWeightCommand:

@@ -15,6 +15,7 @@ from phardy.numerics import (
     PrecisionMismatchError,
     binom_general_rational,
     binom_general_real,
+    binom_rational_sequence,
     rational_from_str,
     rational_to_str,
     required_precision,
@@ -54,6 +55,22 @@ class TestBinomRational:
         assert binom_general_rational(alpha, k) == (
             binom_general_rational(alpha - 1, k)
             + binom_general_rational(alpha - 1, k - 1))
+
+
+class TestBinomRationalSequence:
+    @pytest.mark.parametrize("alpha", [
+        Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3), Fraction(-7, 3),
+        Fraction(5), Fraction(0), Fraction(2, 3), Fraction(101, 100)])
+    def test_matches_falling_factorial_product(self, alpha):
+        assert binom_rational_sequence(alpha, 40) == [
+            binom_general_rational(alpha, k) for k in range(41)]
+
+    def test_k_max_zero(self):
+        assert binom_rational_sequence(Fraction(7, 3), 0) == [1]
+
+    def test_negative_k_max_rejected(self):
+        with pytest.raises(ValueError):
+            binom_rational_sequence(Fraction(1, 2), -1)
 
 
 class TestBinomReal:

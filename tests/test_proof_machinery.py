@@ -115,13 +115,19 @@ class TestEvalE:
         value, _ = pm.eval_E(pair, 1e-4)
         assert value / 1e-12 == pytest.approx(2 * (float(p) - 1) * a3, rel=1e-6)
 
-    @pytest.mark.parametrize("bits", [53, 113])
-    def test_cross_check_runs_at_every_precision(self, monkeypatch, bits):
+    @pytest.mark.parametrize("bits, scale", [
+        pytest.param(53, 1e-6, id="53"),
+        pytest.param(113, 1e-6, id="113"),
+        # Far below double resolution: only a tolerance at the working
+        # precision, with no fixed relative slack, can catch it.
+        pytest.param(113, 1e-13, id="113-rel1e-13"),
+    ])
+    def test_cross_check_runs_at_every_precision(self, monkeypatch, bits, scale):
         honest = pm._e_binom_table
 
         def corrupted(pair, order, precision_bits):
             table = list(honest(pair, order, precision_bits))
-            table[3] *= 1 + 1e-6
+            table[3] *= 1 + scale
             return tuple(table)
 
         monkeypatch.setattr(pm, "_e_binom_table", corrupted)

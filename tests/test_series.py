@@ -1,12 +1,13 @@
 """Power-series plumbing and the exact weight expansions."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from phardy.numerics import ExponentPair
+from phardy.numerics import ExponentPair, binom_general_rational
 from phardy.series import (
     InvariantViolation,
     PowerSeries,
@@ -15,6 +16,7 @@ from phardy.series import (
     correction_positivity_report,
     expand_correction,
     expand_w_integer_p,
+    nonpositive_even_positions,
     plus_bracket_series,
     series_eval,
     series_mul,
@@ -96,6 +98,61 @@ class TestSeriesPowBinomial:
         h = PowerSeries(tuple([F(0), F(1)] + [F(0)] * 9))
         s = series_pow_binomial(h, F(2, 3), 10)
         assert s.coeffs == binomial_series(F(2, 3), +1, 10).coeffs
+
+
+def _binomial_sum(h: PowerSeries, alpha, order: int) -> PowerSeries:
+    """Reference: sum_k binom(alpha, k) h^k with one Cauchy product per k."""
+    result = PowerSeries.one(order)
+    h_pow = PowerSeries.one(order)
+    for k in range(1, order + 1):
+        h_pow = series_mul(h_pow, h)
+        result = result + h_pow.scale(binom_general_rational(alpha, k))
+    return result
+
+
+def _random_h(seed: int, order: int) -> PowerSeries:
+    # Zero constant term; about a third of the other coefficients are zero.
+    rng = random.Random(seed)
+    coeffs = [F(0)] + [F(rng.randint(-9, 9), rng.randint(1, 12))
+                       if rng.random() > 1 / 3 else F(0)
+                       for _ in range(order)]
+    return PowerSeries(tuple(coeffs))
+
+
+MILLER_ALPHAS = [F(7, 3), F(-1, 2), F(2), F(5, 4)]
+MILLER_CASES = list(enumerate([1, 2, 5, 9, 14, 20]))    # (seed, order)
+
+
+class TestMillerRecurrence:
+    """series_pow_binomial against the sum of binomial-weighted powers."""
+
+    @pytest.mark.parametrize("alpha", MILLER_ALPHAS)
+    @pytest.mark.parametrize("seed, order", MILLER_CASES)
+    def test_exact_ring_matches_binomial_sum(self, alpha, seed, order):
+        h = _random_h(seed, order)
+        assert (series_pow_binomial(h, alpha, order).coeffs
+                == _binomial_sum(h, alpha, order).coeffs)
+
+    @pytest.mark.parametrize("alpha", MILLER_ALPHAS)
+    @pytest.mark.parametrize("seed, order", MILLER_CASES)
+    def test_mpf_ring_within_majorant(self, alpha, seed, order):
+        # Each coefficient may err by 2^-(113-16) times the matching
+        # coefficient of the majorant (1 + |h|)^(|alpha| + 1), floored at 1.
+        h = _random_h(seed, order)
+        exact = _binomial_sum(h, alpha, order)
+        h_abs = PowerSeries(tuple(abs(c) for c in h.coeffs))
+        majorant = _binomial_sum(h_abs, abs(alpha) + 1, order)
+        with mp.workprec(113):
+            h_mpf = PowerSeries(
+                tuple(mpf(c.numerator) / c.denominator for c in h.coeffs), 113)
+            alpha_mpf = mpf(alpha.numerator) / alpha.denominator
+        got = series_pow_binomial(h_mpf, alpha_mpf, order)
+        assert got.precision_bits == 113
+        with mp.workprec(400):
+            for k in range(order + 1):
+                error = abs(got[k] - mpf(exact[k].numerator) / exact[k].denominator)
+                limit = max(abs(majorant[k]), 1) * mpf(2) ** -(113 - 16)
+                assert error <= limit, (k, error, limit)
 
 
 class TestWeightExpansion:
@@ -180,6 +237,11 @@ class TestCorrectionSeries:
         pf = pair.p_float()
         assert series[1] == 0 and series[3] == 0
         assert abs(float(series[2]) - (3 * pf - 1) / (8 * pf)) < 1e-12
+
+    def test_nonpositive_even_positions(self):
+        s = PowerSeries((F(0), F(-3), F(-1), F(0), F(2), F(5), F(0)))
+        assert nonpositive_even_positions(s) == [2, 6]
+        assert nonpositive_even_positions(s.truncate(5)) == [2]
 
     def test_positivity_report_is_data_only(self):
         report = correction_positivity_report(ExponentPair(F(3, 2)), 10)
