@@ -4,10 +4,11 @@
 Writing x = 1/n, the weight factors as (x/q)^(p-1) (x/q + E(x) + F(x)): the
 classical weight is the (x/q)^p part, so everything above it is E + F.  E
 collects the odd-order terms of the first bracket power and is positive on
-sight; F is the remainder sum whose sign needs the lemma apparatus.  This
-script evaluates all pieces at sample points, confirms the decomposition
-against the closed form, and runs every lemma bound over a grid, printing
-worst margins.
+sight; F is the remainder over bracket powers n >= 2, summed in closed form
+as h(g(-x)) - h(g(x)) with h(t) = (1+t)^(p-1) - 1 - (p-1)t, and its sign
+needs the lemma apparatus.  This script evaluates all pieces at sample
+points, confirms the decomposition against the closed form, and runs every
+lemma bound over a grid, printing worst margins.
 """
 
 from fractions import Fraction

@@ -6,9 +6,14 @@ The bracket difference of the weight factors as
 
 where g(x) = q * sum_{k>=1} binom(1/q, k+1) x^k collects the higher binomial
 terms, E is the odd part extracted from the first-order bracket term, and F
-is the remainder sum over bracket powers n >= 2.  Every lemma bound feeding
-the positivity of E + F is implemented here as a predicate over (p, x)
-grids, reporting worst margins rather than bare booleans.
+is the remainder over bracket powers n >= 2, evaluated in closed form:
+
+    F(x) = sum_{n>=2} binom(p-1, n) (g(-x)^n - g(x)^n) = h(g(-x)) - h(g(x)),
+    h(t) = (1+t)^(p-1) - 1 - (p-1)t.
+
+Every lemma bound feeding the positivity of E + F is implemented here as a
+predicate over (p, x) grids, reporting worst margins rather than bare
+booleans.
 
 Strictness semantics: a strict inequality is certified as "exceeds the
 combined truncation-plus-rounding tolerance", never as "compares greater in
@@ -39,7 +44,6 @@ from .series import SeriesValue
 from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
 
 DEFAULT_ORDER = 40
-DEFAULT_OUTER_TERMS = 60
 
 # p-grid for the lemma suite: the low-p corner plus quarter points up to 3/2,
 # then half-integer steps through 10 (integer and half-integer points are the
@@ -249,54 +253,55 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
         return SeriesValue(value, tail)
 
 
-def eval_F(pair: ExponentPair, x, outer_terms: int = DEFAULT_OUTER_TERMS,
-           series_order: int = DEFAULT_ORDER,
+def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
            precision_bits: int = 53) -> SeriesValue:
-    """The remainder F(x) = sum_{n>=2} binom(p-1, n) (g(-x)^n - g(x)^n).
+    """The remainder F(x) = h(g(-x)) - h(g(x)), h(t) = (1+t)^(p-1) - 1 - (p-1)t.
 
-    Doubly truncated: each g at series_order, the outer sum cut adaptively
-    once past p when the generic-coefficient bound (q-1)/4 * g(-x)^n drops
-    below 2^(-precision).  The reported tail combines the geometric outer
-    bound (valid past p by the binomial-coefficient lemma) with the
-    propagated inner truncation error.  A bound g(-x) + tail not below 1
-    raises AgreementError: the outer series would not converge.
+    h(t) = expm1(alpha log1p(t)) - alpha t, alpha = p - 1 rounded once, does
+    not cancel for small t; the only truncation is g's, at series_order.
+    Tail bound per h, for the computed g = t with tail tau, in units of
+    _arithmetic (each operation, log1p and expm1 errs by at most 2 units):
+
+    * inner error: h'(s) = alpha((1+s)^(alpha-1) - 1) is monotone, so
+      |h(g) - h(t)| <= max(|h'(lo)|, |h'(hi)|) tau for lo, hi = t -+ tau,
+      widened by 2 units of |t| + tau against rounding.  h'(s) is taken as
+      alpha (expm1(u) - s)/(1+s), u = alpha log1p(s), padded by 16 units of
+      |u| e^|u| + |s| + |expm1(u) - s|;
+    * rounding of h(t): u = alpha log1p(t) is off by 5 units of |u|, which
+      expm1 amplifies by e^|u|; expm1 adds 2 units of |expm1(u)| <= |h| +
+      |alpha t|, alpha t 3 units of itself and the subtraction 1 unit of
+      |h|: in all 8 units of |u| e^|u| + |alpha t| + |h|.  (e^|u| is taken
+      in doubles: it only scales an allowance.)
+
+    The final subtraction adds 4 units of |F|.  h' diverges at t = -1 when
+    p < 2, so 1 + g - tail not positive (either sign) raises AgreementError.
     """
-    if outer_terms < 2:
-        raise ValueError(f"outer_terms must be at least 2, got {outer_terms}")
-    _check_x(x)
     context, number, unit = _arithmetic(precision_bits)
+    log1p, expm1 = ((math.log1p, math.expm1) if precision_bits <= 53
+                    else (mp.log1p, mp.expm1))
     with context:
-        x = number(x)
-        p = _p_value(pair, precision_bits)
-        q = p / (p - 1)
-        g_minus = eval_g(pair, x, -1, series_order, precision_bits)
-        g_plus = eval_g(pair, x, +1, series_order, precision_bits)
-        gm_hi = _below_one(g_minus.value + g_minus.tail_bound, pair, x)
-        inner_tau = g_minus.tail_bound + g_plus.tail_bound
-        cut_threshold = number(2) ** (-precision_bits)
-        cap = max(outer_terms, math.ceil(float(p)) + 1)
-        acc = 0
-        round_slack = 0
-        inner_err = 0
-        binom = (p - 1) * (p - 2) / 2  # binom(p-1, 2)
-        pow_m = g_minus.value * g_minus.value
-        pow_p = g_plus.value * g_plus.value
-        pow_hi = gm_hi * gm_hi
-        n = 2
-        while n <= cap:
-            acc += binom * (pow_m - pow_p)
-            round_slack += (n + 4) * unit * (abs(binom) * (abs(pow_m) + abs(pow_p)))
-            inner_err += abs(binom) * n * pow_hi / gm_hi * inner_tau
-            if n > p and (q - 1) / 4 * pow_hi < cut_threshold:
-                break
-            n += 1
-            binom *= (p - n) / n  # binom(p-1, n)
-            pow_m *= g_minus.value
-            pow_p *= g_plus.value
-            pow_hi *= gm_hi
-        outer_tail = (q - 1) / 2 * pow_hi * gm_hi / (1 - gm_hi)
-        round_slack += 8 * unit * abs(acc)
-        return SeriesValue(acc, outer_tail + inner_err + round_slack)
+        alpha = (number(pair.p_exact - 1) if pair.is_rational
+                 else _p_value(pair, precision_bits) - 1)
+        value = tail = 0
+        for sign in (-1, +1):
+            t, tau = eval_g(pair, x, sign, series_order, precision_bits)
+            reach = tau + 2 * unit * (abs(t) + tau)
+            if not 1 + t - reach > 0:
+                raise AgreementError(
+                    f"1 + g - tail = {1 + t - tau} is not positive at "
+                    f"p={pair.p_float()}, x={float(x)}")
+            u = alpha * log1p(t)
+            h = expm1(u) - alpha * t
+            value -= sign * h
+            tail += 8 * unit * (abs(u) * math.exp(abs(float(u))) + abs(alpha * t) + abs(h))
+            slope = 0
+            for s in (t - reach, t + reach):
+                u = alpha * log1p(s)
+                n = abs(expm1(u) - s)
+                n += 16 * unit * (abs(u) * math.exp(abs(float(u))) + abs(s) + n)
+                slope = max(slope, abs(alpha) * n / (1 + s))
+            tail += slope * tau
+        return SeriesValue(value, tail + 4 * unit * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +464,7 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
     tolerance (the quantity vanishes identically for integer p and n > p).
     """
     pf = pair.p_float()
-    k = math.ceil(pf / 2)
-    if not (2 * k - 1 <= pf <= 2 * k):
+    if not _between_odd_and_even(pf):
         raise ValueError(
             f"p={pf} does not lie between an odd and an even integer")
     if n_max % 2 == 0:
@@ -500,7 +504,6 @@ def _binom_float(alpha: float, k: int) -> float:
 
 def check_EF_positive(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
                       order: int = DEFAULT_ORDER,
-                      outer_terms: int = DEFAULT_OUTER_TERMS,
                       precision_bits: int = 53) -> GridCheckReport:
     """Strict positivity of E(x) + F(x), the heart of the improvement proof."""
     pf = pair.p_float()
@@ -508,7 +511,7 @@ def check_EF_positive(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
     for x in x_grid:
         xf = float(x)
         e = eval_E(pair, x, order, precision_bits)
-        f = eval_F(pair, x, outer_terms, order, precision_bits)
+        f = eval_F(pair, x, order, precision_bits)
         value = e.value + f.value
         tol = e.tail_bound + f.tail_bound
         points.append((value - tol, pf, xf, value, tol))
@@ -519,8 +522,7 @@ def check_EF_positive(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
 
 def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
                                  precision_bits: int = 113,
-                                 order: int = DEFAULT_ORDER,
-                                 outer_terms: int = DEFAULT_OUTER_TERMS) -> GridCheckReport:
+                                 order: int = DEFAULT_ORDER) -> GridCheckReport:
     """Closed-form weight equals (x/q)^(p-1) (x/q + E + F) within tolerance."""
     pf = pair.p_float()
     points = []
@@ -533,7 +535,7 @@ def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
             xm = _to_mpf(x)
             lhs = eval_w_closed_x(pair, xm, precision_bits)
             e = eval_E(pair, xm, order, precision_bits)
-            f = eval_F(pair, xm, outer_terms, order, precision_bits)
+            f = eval_F(pair, xm, order, precision_bits)
             prefactor = (xm / q) ** pm1
             rhs = prefactor * (xm / q + e.value + f.value)
             residual = abs(lhs - rhs)

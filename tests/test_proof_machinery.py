@@ -29,6 +29,18 @@ def g_closed_form(pair, x, sign, bits=200):
         return (q / xm) * ((1 + xm) ** s - 1) - 1
 
 
+def f_closed_form(pair, x, bits=400):
+    """Oracle: F = h(g(-x)) - h(g(x)), h(t) = (1+t)^(p-1) - 1 - (p-1)t."""
+    with mp.workprec(bits):
+        alpha = pair.p_mpf(bits) - 1
+
+        def h(t):
+            return (1 + t) ** alpha - 1 - alpha * t
+
+        return (h(g_closed_form(pair, x, -1, bits))
+                - h(g_closed_form(pair, x, +1, bits)))
+
+
 class TestGSeries:
     def test_p2_coefficients(self):
         gs = pm.g_series(ExponentPair(2), 4)
@@ -156,8 +168,45 @@ class TestEvalF:
             w = (1 - (1 - xm) ** s) ** 2 - ((1 + xm) ** s - 1) ** 2
             e_hi = pm.eval_E(pair, xm, order=60, precision_bits=bits)
             oracle = w / (xm / q) ** 2 - xm / q - e_hi.value
-        value, tail = pm.eval_F(pair, x, outer_terms=80)
+        value, tail = pm.eval_F(pair, x)
         assert abs(value - float(oracle)) <= tail + float(e_hi.tail_bound)
+
+    @pytest.mark.parametrize("bits", [53, 113])
+    @pytest.mark.parametrize("x", [0.001, 0.05, 0.25, 0.5])
+    @pytest.mark.parametrize("p", [F("1.01"), F("1.1"), F(3, 2), F(2), F(3),
+                                   F(7, 2), F(10)])
+    def test_within_tail_of_closed_form_reference(self, p, x, bits):
+        pair = ExponentPair(p)
+        value, tail = pm.eval_F(pair, x, precision_bits=bits)
+        with mp.workprec(400):
+            # At mpmath's default 53 bits this subtraction would round to
+            # about 1e-18 and hide every error below that.
+            error = abs(mpf(value) - f_closed_form(pair, x))
+        assert error <= tail
+
+    @pytest.mark.parametrize("bits", [53, 113])
+    @pytest.mark.parametrize("x, tau", [(0.3, 0.02), (0.5, 0.2)])
+    @pytest.mark.parametrize("shift_minus, shift_plus",
+                             [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_inner_error_propagates(self, monkeypatch, shift_minus, shift_plus,
+                                    x, tau, bits):
+        # Wide g tails: F from g values 0.9 tau off the truth must still
+        # enclose the true F.  At tau = 0.2 the curvature of h matters: |h'|
+        # taken at the computed g alone would not cover the error.
+        pair = ExponentPair(F("1.1"))
+        shifts = {-1: shift_minus, +1: shift_plus}
+
+        def shifted_g(pair, x, sign, order, precision_bits):
+            context, number, _ = pm._arithmetic(precision_bits)
+            with context:
+                g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
+                return SeriesValue(number(g), number(tau))
+
+        monkeypatch.setattr(pm, "eval_g", shifted_g)
+        value, tail = pm.eval_F(pair, x, precision_bits=bits)
+        with mp.workprec(400):
+            error = abs(mpf(value) - f_closed_form(pair, x))
+        assert error <= tail
 
     @pytest.mark.parametrize("p", [3, 4, 5, 8])
     def test_nonnegative_for_integer_p(self, p):
@@ -172,20 +221,20 @@ class TestEvalF:
             value, tail = pm.eval_F(pair, x)
             assert value >= -tail
 
-    def test_outer_terms_validation(self):
-        with pytest.raises(ValueError):
-            pm.eval_F(ExponentPair(2), 0.2, outer_terms=1)
-
     def test_g_minus_bound_at_one_is_an_error(self, monkeypatch):
         # The bracket-power sums need g(-x) + tail < 1; no silent clamp.
         monkeypatch.setattr(pm, "eval_g",
                             lambda *args, **kwargs: SeriesValue(0.99, 0.02))
-        pair = ExponentPair(F(7, 2))
-        for bits in (53, 113):
-            with pytest.raises(pm.AgreementError):
-                pm.eval_F(pair, 0.3, precision_bits=bits)
         with pytest.raises(pm.AgreementError):
-            pm.check_pairwise_positivity(pair, [0.3])
+            pm.check_pairwise_positivity(ExponentPair(F(7, 2)), [0.3])
+
+    @pytest.mark.parametrize("bits", [53, 113])
+    def test_g_bound_at_minus_one_is_an_error(self, monkeypatch, bits):
+        # h'(t) diverges at t = -1 for p < 2, so F needs 1 + g - tail > 0.
+        monkeypatch.setattr(pm, "eval_g",
+                            lambda *args, **kwargs: SeriesValue(-0.99, 0.02))
+        with pytest.raises(pm.AgreementError):
+            pm.eval_F(ExponentPair(F(3, 2)), 0.3, precision_bits=bits)
 
 
 class TestGridChecks:
