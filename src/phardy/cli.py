@@ -220,15 +220,16 @@ def cmd_rayleigh(args) -> int:
     pair = ExponentPair(p)
     kind = WeightKind(args.weight)
     result = minimize_rayleigh(pair, kind, args.N, max_iters=args.max_iters,
-                               tol=args.tol, seed=args.seed)
+                               tol=args.tol)
     config = {"subcommand": "rayleigh", "p": str(p), "weight": args.weight,
-              "N": args.N, "seed": args.seed, "max_iters": args.max_iters,
-              "tol": args.tol}
+              "N": args.N, "max_iters": args.max_iters, "tol": args.tol}
     _emit(_json_report(config, {
         "quotient": result.quotient,
+        "lower_bound": result.lower_bound,
+        "gap": result.gap,
+        "worst_site": result.worst_site,
         "iterations": result.iterations,
         "converged": result.converged,
-        "grad_norm": result.grad_norm,
     }), args.out)
     if args.phi_out:
         with open(args.phi_out, "w", newline="") as handle:
@@ -301,13 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     l.set_defaults(handler=cmd_lemmas)
 
     r = sub.add_parser("rayleigh", parents=[common],
-                       help="minimize the Rayleigh quotient")
+                       help="certified bracket [lower_bound, quotient] for "
+                            "the smallest Rayleigh quotient on {1..N}")
     r.add_argument("--p", required=True)
     r.add_argument("--weight", choices=("improved", "classical"),
                    default="improved")
     r.add_argument("--N", type=int, required=True, help="support size")
-    r.add_argument("--max-iters", type=int, default=20000)
-    r.add_argument("--tol", type=float, default=1e-9)
+    r.add_argument("--max-iters", type=int, default=20000,
+                   help="iteration cap; each iteration is one Newton or "
+                        "inverse-power step (default: 20000)")
+    r.add_argument("--tol", type=float, default=1e-9,
+                   help="stop once the certified gap quotient - lower_bound "
+                        "is at most tol * quotient (reported as converged); "
+                        "exit code 1 if the quotient is below 1 - tol "
+                        "(default: 1e-9)")
     r.add_argument("--phi-out", default=None, metavar="PATH",
                    help="write the minimizer as CSV (n,phi_n)")
     r.set_defaults(handler=cmd_rayleigh)

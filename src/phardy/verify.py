@@ -1,15 +1,40 @@
 """End-to-end verification of the Hardy inequality on compactly supported
-test functions, and a Rayleigh-quotient minimizer that probes the constant
-from above.
+test functions, and a certified bracket for the finite-section constant.
 
 This layer runs in double precision for speed; the weights it consumes are
 tabulated once per (p, kind, N) by the high-precision weight module and
 cached as plain floats.  The quotient
 
-    sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
+    Q(phi) = sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
 
-is scale-invariant and differentiable for p > 1, so a first-order descent
-with backtracking works uniformly across the whole p-range.
+over functions on {1..N} (zero at 0 and N+1) has a smallest value
+lambda_N, the first eigenvalue of the weighted p-Laplacian
+Delta_p u = lambda w u^(p-1) with zero boundary values.  The inequality on
+that support is the statement lambda_N >= 1.
+
+`minimize_rayleigh` brackets lambda_N from both sides:
+
+* Upper end.  Q of any function is >= lambda_N.  Since
+  ||a| - |b|| <= |a - b|, Q(|phi|) <= Q(phi), so the minimizer is the
+  positive ground state, and every iterate here stays positive.
+* Hidden convexity (Diaz-Saa).  In rho = u^p the energy is convex: each
+  edge term |rho_a^(1/p) - rho_b^(1/p)|^p is 1-homogeneous with a rank-1
+  positive semidefinite 2x2 Hessian.  So lambda_N is the minimum of a
+  convex function of rho on the hyperplane sum w rho = 1, whose Hessian is
+  tridiagonal.  Newton's method on it needs one O(N) solve per step.
+* Lower end (ground-state representation, Frank-Seiringer 2008; the
+  paper's supersolution-to-weight transform).  For any u > 0 on {1..N}
+  with zero boundary values, summation by parts and Picone's inequality
+  give sum |D phi|^p >= sum (Delta_p u / u^(p-1)) |phi|^p for every phi, so
+  lambda_N >= min_n Delta_p u(n) / (w(n) u(n)^(p-1)).  At the ground state
+  the ratio is lambda_N at every site, so the bracket closes as the
+  iterates converge.
+
+Both ends are computed in doubles for the float weight table; the lower
+end subtracts an explicit rounding allowance (see `_p_laplacian`).  Where
+the weight is tiny, rounding the iterate alone would move the ratio by
+more than the gap sought, so the solver aims at a ground state with a
+margin of that size built in (see `_newton_step`).
 """
 
 from __future__ import annotations
@@ -72,11 +97,22 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class RayleighResult:
+    """Certified bracket lower_bound <= lambda_N <= quotient.
+
+    `quotient` is the Rayleigh quotient of `minimizer`; `lower_bound` is
+    certified by an iterate u (not always the minimizer, see
+    `minimize_rayleigh`) and `worst_site` is the n where its ratio
+    Delta_p u / (w u^(p-1)) is smallest; `converged` means
+    gap <= tol * quotient.
+    """
+
     quotient: float
     minimizer: CompactFunction
     iterations: int
     converged: bool
-    grad_norm: float
+    lower_bound: float
+    gap: float
+    worst_site: int
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -97,19 +133,26 @@ def _pval(p) -> float:
     return p.p_float() if isinstance(p, ExponentPair) else float(p)
 
 
+def _energy(padded: np.ndarray, pf: float) -> float:
+    return float(np.sum(np.abs(np.diff(padded)) ** pf))
+
+
+def _mass(values: np.ndarray, w: np.ndarray, pf: float) -> float:
+    return float(np.sum(w * np.abs(values) ** pf))
+
+
 def hardy_lhs(phi: CompactFunction, p) -> float:
     """Energy sum |phi(n) - phi(n-1)|^p, n = 1..N+1, zero beyond support."""
     pf = _pval(p)
     if not pf > 1:
         raise ValueError(f"p must exceed 1, got {pf}")
-    d = np.diff(phi.padded())
-    return float(np.sum(np.abs(d) ** pf))
+    return _energy(phi.padded(), pf)
 
 
 def hardy_rhs(phi: CompactFunction, pair: ExponentPair, kind: WeightKind) -> float:
     """Weighted p-norm sum w(n) |phi(n)|^p over the support."""
     w = _weight_array(pair, kind, phi.support_bound)
-    return float(np.sum(w * np.abs(phi.values) ** pair.p_float()))
+    return _mass(phi.values, w, pair.p_float())
 
 
 def check_hardy(phi: CompactFunction, pair: ExponentPair, kind: WeightKind,
@@ -161,8 +204,61 @@ def rayleigh_quotient(phi: CompactFunction, pair: ExponentPair,
     return hardy_lhs(phi, pair) / rhs
 
 
+_UNIT = np.finfo(float).eps / 2     # unit roundoff of doubles
+
+
 def _signed_pow(t: np.ndarray, expo: float) -> np.ndarray:
     return np.sign(t) * np.abs(t) ** expo
+
+
+def _p_laplacian(padded: np.ndarray, pf: float):
+    """Delta_p u(n) = phi_p(a) - phi_p(b) at the interior sites of a padded
+    array, a = u(n) - u(n-1), b = u(n+1) - u(n), phi_p(t) = |t|^(p-2) t;
+    returns the values and a first-order bound on their rounding error.
+
+    Near a ground state the two fluxes share a sign and nearly cancel (at
+    the last site, where the weight is smallest, Delta_p u is about
+    w(N) ~ N^-p times either flux).  Where they share a sign and
+    |a - b| <= m = min(|a|, |b|), the difference is therefore taken as
+
+        sign(a - b) m^(p-1) expm1((p-1) log1p(|a - b| / m)),
+
+    whose rounding error is relative to the result.  With e the unit
+    roundoff and library pow/log1p/expm1 within one ulp (2e), to first
+    order in e:
+
+    * that form: |a - b| (e), the quotient (2e), log1p (2e, and t/(1+t)
+      <= log1p(t) keeps the argument's error from growing), times p - 1
+      (e; p - 1 itself is exact for a double p >= 1), expm1 (2e, and an
+      argument error grows by x e^x / expm1(x) <= 1 + x), m^(p-1) (2e) and
+      the product (e): error <= (10 + 5x) e |result|, x = (p-1) log1p(.);
+    * the plain difference elsewhere: each flux 2e, the subtraction e:
+      error <= e (2 |phi_p(a)| + 2 |phi_p(b)| + |result|);
+    * a difference of two doubles is exact when they share a sign and lie
+      within a factor 2 of each other (Sterbenz) or one is zero; otherwise
+      its error e|a| moves phi_p(a) by (p-1) e |phi_p(a)|, which is added.
+    """
+    q = pf - 1.0
+    d = np.diff(padded)
+    flux = _signed_pow(d, q)
+    a, b = d[:-1], d[1:]
+    lap = flux[:-1] - flux[1:]
+    err = 2 * np.abs(flux[:-1]) + 2 * np.abs(flux[1:]) + np.abs(lap)
+    s = a - b
+    m = np.minimum(np.abs(a), np.abs(b))
+    close = (np.sign(a) == np.sign(b)) & (a != 0) & (np.abs(s) <= m)
+    if np.any(close):
+        m, s = m[close], s[close]
+        x = q * np.log1p(np.abs(s) / m)
+        lap[close] = np.sign(s) * m ** q * np.expm1(x)
+        err[close] = (10 + 5 * x) * np.abs(lap[close])
+    lo, hi = padded[:-1], padded[1:]
+    exact = ((lo == 0) | (hi == 0)
+             | ((np.sign(lo) == np.sign(hi)) & (np.abs(hi) <= 2 * np.abs(lo))
+                & (np.abs(lo) <= 2 * np.abs(hi))))
+    inexact_flux = np.abs(flux) * ~exact
+    err += q * (inexact_flux[:-1] + inexact_flux[1:])
+    return lap, _UNIT * err
 
 
 def rayleigh_gradient(phi: CompactFunction, pair: ExponentPair,
@@ -176,12 +272,10 @@ def rayleigh_gradient(phi: CompactFunction, pair: ExponentPair,
     w = _weight_array(pair, kind, phi.support_bound)
     vals = phi.values
     a = hardy_lhs(phi, pair)
-    b = float(np.sum(w * np.abs(vals) ** pf))
+    b = _mass(vals, w, pf)
     if not b > 0:
         raise ValueError("gradient undefined: weighted p-norm vanishes")
-    d = np.diff(phi.padded())
-    sp = _signed_pow(d, pf - 1)
-    grad_a = pf * (sp[:-1] - sp[1:])
+    grad_a = pf * _p_laplacian(phi.padded(), pf)[0]
     grad_b = pf * w * _signed_pow(vals, pf - 1)
     q = a / b
     return (grad_a - q * grad_b) / b
@@ -195,110 +289,187 @@ def _ground_state_taper(pair: ExponentPair, N: int) -> np.ndarray:
     return u * taper
 
 
-def _ground_state_log_arch(pair: ExponentPair, N: int) -> np.ndarray:
-    # Ground state under a log-scale arch: near-optimizers of Hardy sums
-    # live on logarithmic windows, so this start ends far closer to the
-    # minimizer than any polynomial taper when N is large.
-    n = np.arange(1, N + 1, dtype=float)
-    u = n ** (1.0 - 1.0 / pair.p_float())
-    return u * np.sin(np.pi * np.log(n + 0.5) / np.log(N + 1))
+def _pad(u: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], u, [0.0]))
 
 
-# Iterations without improvement beyond tol before the descent gives up.
-_STALL_LIMIT = 200
+def _quotient(u: np.ndarray, w: np.ndarray, pf: float) -> float:
+    return _energy(_pad(u), pf) / _mass(u, w, pf)
 
 
-def _descend(values: np.ndarray, pair: ExponentPair, kind: WeightKind,
-             max_iters: int, tol: float):
-    """Spectral (Barzilai-Borwein) gradient descent with a nonmonotone
-    backtracking line search, on the unit-denominator sphere.
-
-    Plain steepest descent crawls here (the quotient's landscape near the
-    Hardy constant is extremely ill-conditioned for large N); the BB step
-    keeps the method strictly first-order while fixing the scaling.
+def _certified_lower_bound(u: np.ndarray, w: np.ndarray, pf: float):
+    """min_n Delta_p u(n) / (w(n) u(n)^(p-1)) less twice its first-order
+    rounding bound (`_p_laplacian`'s, plus 4e relative for u^(p-1), the
+    product and the quotient), and the site n where it is attained.  The
+    factor 2 covers the second-order terms.
     """
-    pf = pair.p_float()
-    w = _weight_array(pair, kind, values.size)
+    lap, err = _p_laplacian(_pad(u), pf)
+    den = w * u ** (pf - 1)
+    bound = (lap - 2 * (err + 4 * _UNIT * np.abs(lap))) / den
+    k = int(np.argmin(bound))
+    return float(bound[k]), k + 1
 
-    def normalize(v):
-        b = float(np.sum(w * np.abs(v) ** pf))
-        return v / b ** (1.0 / pf)
 
-    x = normalize(values.astype(float))
-    phi = CompactFunction(x)
-    q = hardy_lhs(phi, pair)          # denominator is 1 after normalization
-    history = [q]
-    best_q, best_iter = q, 0
-    step = 1.0
-    x_prev = g_prev = None
-    iterations = 0
-    converged = False
-    g = rayleigh_gradient(phi, pair, kind)
-    grad_norm = float(np.linalg.norm(g))
-    for iterations in range(1, max_iters + 1):
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= tol * max(1.0, q):
-            converged = True
-            break
-        if x_prev is not None:
-            s = x - x_prev
-            y = g - g_prev
-            sy = float(np.dot(s, y))
-            if sy > 0:
-                step = float(np.dot(s, s)) / sy
-            step = min(max(step, 1e-12), 1e8)
-        reference = max(history[-10:])
-        t = step
-        improved = False
-        while t > 1e-22:
-            cand = normalize(x - t * g)
-            q_cand = hardy_lhs(CompactFunction(cand), pair)
-            if q_cand <= reference - 1e-4 * t * grad_norm ** 2:
-                improved = True
+def _newton_step(u: np.ndarray, w: np.ndarray, pf: float):
+    """Newton step for min E(rho) on sum v rho = 1, rho = u^p, from a u > 0;
+    None unless it is taken in full.
+
+    Written as rho -> rho (1 + e), the Hessian of E is the path Laplacian
+    sum_n c_n (e(n+1) - e(n))^2 with c_n = (p-1)/p |u(n+1) - u(n)|^(p-2)
+    u(n) u(n+1) (a rank-1 term per interior edge; the boundary edges are
+    linear in rho), and the KKT system reduces to L e = r with
+    r = Q v u^p - u Delta_p u and sum v u^p e = 0.  r sums to zero (Euler's
+    relation for the 1-homogeneous E), so the flow across an edge is the
+    partial sum of r on either side of it, taken from the end with less
+    mass so that it carries the smaller rounding error, and e follows by a
+    second partial sum: an O(N) tridiagonal solve with no elimination.
+
+    The weight v is w plus a margin.  Rounding each u(n) by a unit moves
+    Delta_p u(n) by up to s(n) = (p-1) e (|a|^(p-2) (u(n-1) + u(n))
+    + |b|^(p-2) (u(n) + u(n+1))) (a, b the differences at n, floored at
+    e times their endpoint sums), which near the last sites, where
+    w ~ N^-p, far exceeds Q w u^(p-1) times any useful gap.  Aiming at the
+    ground state for v = w + 2 s / (Q u^(p-1)) makes the iterate a
+    supersolution for w with twice that margin at every site, so the
+    certificate is not lost to rounding; the price, about
+    sum (v - w) u^p relative, is a few units of N e in the bound.
+
+    The full step is taken when it stays positive and achieves half the
+    predicted decrease delta^2 / 2 (delta^2 = r.e, the Newton decrement),
+    or when delta^2 is below the rounding of Q, where a line search cannot
+    judge and the step only polishes the lower bound.
+    """
+    padded = _pad(u)
+    q = pf - 1.0
+    diff = np.abs(np.diff(padded))
+    pair_sum = padded[:-1] + padded[1:]
+    slope = np.maximum(diff, _UNIT * pair_sum) ** (q - 1) * pair_sum
+    shift = q * _UNIT * (slope[:-1] + slope[1:])
+    v = w + 2 * shift / (_quotient(u, w, pf) * u ** q)
+    mass = v * u ** pf
+    quotient = _quotient(u, v, pf)
+    resid = quotient * mass - u * _p_laplacian(padded, pf)[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = q / pf * diff[1:-1] ** (pf - 2) * u[:-1] * u[1:]
+        lighter_left = np.cumsum(mass)[:-1] < 0.5 * np.sum(mass)
+        flow = np.where(lighter_left, -np.cumsum(resid)[:-1],
+                        np.cumsum(resid[::-1])[::-1][1:])
+        e = np.concatenate(([0.0], np.cumsum(flow / cond)))
+        e -= np.dot(mass, e) / np.sum(mass)
+        decrement = float(np.dot(resid, e))
+        if not np.min(e) > -1:
+            return None
+        cand = u * (1 + e) ** (1 / pf)
+        if decrement <= (u.size + 2) * _UNIT * quotient:
+            return cand
+        if _quotient(cand, v, pf) <= quotient - decrement / 4:
+            return cand
+    return None
+
+
+def _inverse_power_step(u: np.ndarray, w: np.ndarray, pf: float):
+    """One inverse power step (Biezuner, Ercole & Martins 2009; Hein &
+    Buehler 2010): v with Delta_p v = w u^(p-1), v(0) = v(N+1) = 0.  In
+    exact arithmetic the quotient of v is never above that of u.
+
+    In one dimension the equation integrates.  The flux phi_p(v(n) -
+    v(n-1)) drops by w(n) u(n)^(p-1) across site n, so it equals F - S(n),
+    S the partial sums, and the boundary values fix F through the monotone
+    scalar equation sum_{n=1}^{N+1} phi_p^{-1}(F - S(n)) = 0, solved on
+    [0, S(N+1)] by Newton's method safeguarded with bisection.  The fluxes
+    are scaled to at most 1 before the power 1/(p-1) (v's scale is free),
+    and v sums its increments from the left end up to the peak and from the
+    right end after it, so both ends keep full relative accuracy.
+    """
+    q = pf - 1.0
+    partial = np.concatenate(([0.0], np.cumsum(w * u ** q)))
+    lo, hi = 0.0, float(partial[-1])
+    top = 0.5 * hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            t = top - partial
+            scale = np.max(np.abs(t))
+            t /= scale
+            inc = np.sign(t) * np.abs(t) ** (1 / q)
+            total = float(np.sum(inc))
+            if total == 0:
                 break
-            t *= 0.5
-        if not improved:
-            # No descent direction survives rounding: stationary in floats.
-            converged = True
-            break
-        x_prev, g_prev = x, g
-        x = cand
-        phi = CompactFunction(x)
-        q = q_cand
-        history.append(q)
-        if q < best_q - tol * max(1.0, q):
-            best_q, best_iter = q, iterations
-        elif iterations - best_iter > _STALL_LIMIT:
-            converged = True
-            break
-        g = rayleigh_gradient(phi, pair, kind)
-    return phi, q, iterations, converged, grad_norm
+            if total < 0:
+                lo = top
+            else:
+                hi = top
+            slope = float(np.sum(np.abs(t) ** (1 / q - 1))) / (q * scale)
+            nxt = top - total / slope if np.isfinite(slope) else np.nan
+            if nxt == top:
+                break
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break
+            top = nxt
+    rising = np.cumsum(inc)[:-1]
+    falling = -np.cumsum(inc[::-1])[::-1][1:]
+    return np.where(inc[:-1] > 0, rising, falling)
 
 
 def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
-                      max_iters: int = 20000, tol: float = 1e-9,
-                      seed: int = 0, restarts: int = 2) -> RayleighResult:
-    """Best quotient found by normalized first-order descent.
+                      max_iters: int = 20000,
+                      tol: float = 1e-9) -> RayleighResult:
+    """Certified bracket [lower_bound, quotient] for the smallest Rayleigh
+    quotient lambda_N on support {1..N}.
 
-    Starts from the tapered ground state (the natural near-optimizer), a
-    log-arched ground state, and seeded noise restarts; non-convergence is
-    flagged, never raised.
+    Starts from the tapered ground state n^(1-1/p).  Each iteration tries
+    the Newton step of the convex rho = u^p problem (`_newton_step`) and,
+    where Newton stalls (the full step leaves the positive cone or falls
+    short of half its predicted decrease, as for p > 2, where |Du|^(p-2)
+    vanishes at the peak, or p near 1), an inverse power step
+    (`_inverse_power_step`).  Both are O(N) and keep the iterate positive.
+
+    The bracket is the smallest quotient and the largest certified lower
+    bound (ground-state representation, see the module docstring) over all
+    iterates; both bound lambda_N, and the returned minimizer is the
+    iterate with the smallest quotient.  The loop ends when
+    gap <= tol * quotient (`converged`), after max_iters iterations, or
+    when neither step moves either end of the bracket (stationary in
+    floats).  Newton aims at a ground state with a rounding margin (see
+    `_newton_step`), so the gap closes to about N e relative; it stalls
+    where doubles cannot resolve the ground state, as for p near 1, whose
+    differences near the peak fall below a unit of its values.
+    Non-convergence is flagged, never raised.
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
-    starts = [_ground_state_taper(pair, N), _ground_state_log_arch(pair, N)]
-    for r in range(restarts):
-        rng = np.random.default_rng([seed & 0x7FFFFFFF, r])
-        starts.append(rng.uniform(-1.0, 1.0, size=N)
-                      + _ground_state_taper(pair, N))
-    best = None
-    for values in starts:
-        result = _descend(values, pair, kind, max_iters, tol)
-        if best is None or result[1] < best[1]:
-            best = result
-    phi, q, iterations, converged, grad_norm = best
-    return RayleighResult(quotient=q, minimizer=phi, iterations=iterations,
-                          converged=converged, grad_norm=grad_norm)
+    pf = pair.p_float()
+    w = _weight_array(pair, kind, N)
+    u = _ground_state_taper(pair, N)
+    u = u / _mass(u, w, pf) ** (1 / pf)
+    upper = _quotient(u, w, pf)
+    best = u
+    lower, worst_site = _certified_lower_bound(u, w, pf)
+    iterations = 0
+    while iterations < max_iters and upper - lower > tol * upper:
+        iterations += 1
+        for step in (_newton_step, _inverse_power_step):
+            cand = step(u, w, pf)
+            if cand is None or not np.all(np.isfinite(cand) & (cand > 0)):
+                continue
+            cand = cand / _mass(cand, w, pf) ** (1 / pf)
+            cand_quotient = _quotient(cand, w, pf)
+            cand_lower, cand_site = _certified_lower_bound(cand, w, pf)
+            if cand_quotient < upper or cand_lower > lower:
+                break
+        else:
+            break
+        u = cand
+        if cand_quotient < upper:
+            best, upper = u, cand_quotient
+        if cand_lower > lower:
+            lower, worst_site = cand_lower, cand_site
+    gap = upper - lower
+    return RayleighResult(quotient=upper, minimizer=CompactFunction(best),
+                          iterations=iterations,
+                          converged=bool(gap <= tol * upper),
+                          lower_bound=lower, gap=gap, worst_site=worst_site)
 
 
 def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,

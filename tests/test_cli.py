@@ -194,6 +194,21 @@ class TestRayleighCommand:
         code, _, _ = run_cli(capsys, "rayleigh", "--p", "2", "--N", "1")
         assert code == 2
 
+    def test_reports_certified_bracket(self, capsys):
+        args = ("rayleigh", "--p", "3", "--weight", "improved", "--N", "30",
+                "--max-iters", "2000")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"config", "quotient", "lower_bound", "gap",
+                                "worst_site", "iterations", "converged"}
+        assert payload["converged"]
+        assert payload["lower_bound"] <= payload["quotient"]
+        assert payload["gap"] == payload["quotient"] - payload["lower_bound"]
+        assert payload["gap"] <= 1e-9 * payload["quotient"]
+        assert 1 <= payload["worst_site"] <= 30
+        assert run_cli(capsys, *args)[1] == out
+
     def test_phi_export(self, capsys, tmp_path):
         target = tmp_path / "phi.csv"
         code, _, _ = run_cli(capsys, "rayleigh", "--p", "2", "--weight",

@@ -1,8 +1,7 @@
 """Smoke test: the demos run against the current API.
 
-Demos 01-03 run as subprocesses (about 2 s in total) and must exit 0 with
-output.  Demo 04, the variational probe, takes about half a minute of
-Rayleigh minimizations and is left out of this suite.
+Each demo runs as a subprocess (a few seconds in total) and must exit 0
+with output.
 """
 
 import os
@@ -19,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "01_weight_improvement.py",
     "02_exact_series.py",
     "03_proof_walkthrough.py",
+    "04_variational_probe.py",
 ])
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -2,15 +2,19 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from phardy.numerics import ExponentPair
 from phardy.verify import (
     CompactFunction,
+    _p_laplacian,
+    _weight_array,
     check_hardy,
     hardy_lhs,
     hardy_rhs,
@@ -185,7 +189,6 @@ class TestRayleighGradient:
         values = rng.standard_normal(N)
         phi = CompactFunction(values)
         L = 2 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
-        from phardy.verify import _weight_array
         w = np.asarray(_weight_array(pair, WeightKind.IMPROVED, N))
         a = values @ L @ values
         b = values @ (w * values)
@@ -210,14 +213,14 @@ class TestMinimizeRayleigh:
                 continue
             best = min(best, q)
         result = minimize_rayleigh(pair, WeightKind.CLASSICAL, 2,
-                                   max_iters=2000, seed=1)
+                                   max_iters=2000)
         assert result.quotient == pytest.approx(best, rel=1e-6)
 
     @pytest.mark.parametrize("kind", [WeightKind.CLASSICAL, WeightKind.IMPROVED])
     def test_never_below_one(self, kind):
         for p in (F(3, 2), F(2), F(3)):
             result = minimize_rayleigh(ExponentPair(p), kind, 30,
-                                       max_iters=3000, seed=0)
+                                       max_iters=3000)
             assert result.quotient >= 1 - 1e-9
             assert np.any(result.minimizer.values != 0)
 
@@ -230,13 +233,121 @@ class TestMinimizeRayleigh:
         pair = ExponentPair(2)
         N = 12
         L = 2 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)
-        from phardy.verify import _weight_array
         w = np.asarray(_weight_array(pair, WeightKind.CLASSICAL, N))
         target = sla.eigh(L, np.diag(w), eigvals_only=True,
                           subset_by_index=[0, 0])[0]
         result = minimize_rayleigh(pair, WeightKind.CLASSICAL, N,
-                                   max_iters=4000, seed=0)
+                                   max_iters=4000)
         assert result.quotient == pytest.approx(target, rel=1e-7)
+
+
+@lru_cache(maxsize=None)
+def _bracket(p, kind, N=30):
+    return minimize_rayleigh(ExponentPair(p), kind, N)
+
+
+def _exact_p_laplacian(padded, pf):
+    """Delta_p at 200 bits from the same doubles."""
+    with mp.workprec(200):
+        q = mpf(pf) - 1
+        u = [mpf(float(v)) for v in padded]
+        flux = [mp.sign(b - a) * abs(b - a) ** q for a, b in zip(u, u[1:])]
+        return [flux[i] - flux[i + 1] for i in range(len(flux) - 1)]
+
+
+class TestCertificate:
+    """minimize_rayleigh's bracket: lower_bound <= lambda_N <= quotient."""
+
+    @pytest.mark.parametrize("kind", [WeightKind.IMPROVED,
+                                      WeightKind.CLASSICAL])
+    @pytest.mark.parametrize("N", [2, 10, 100, 1000])
+    def test_p2_brackets_tridiagonal_eigenvalue(self, N, kind):
+        from scipy.linalg import eigh_tridiagonal
+        pair = ExponentPair(2)
+        w = np.asarray(_weight_array(pair, kind, N))
+        root = np.sqrt(w)
+        # lambda_1 of W^(-1/2) tridiag(-1, 2, -1) W^(-1/2); the default
+        # bisection tolerance eps * ||T||_1 is about 3e-9 at N = 1000, so
+        # bisect to full precision instead.
+        lam = eigh_tridiagonal(2 / w, -1 / (root[:-1] * root[1:]),
+                               eigvals_only=True, select="i",
+                               select_range=(0, 0), tol=1e-300)[0]
+        result = minimize_rayleigh(pair, kind, N)
+        slack = 1e-12 * lam     # rounding of the reference itself
+        assert result.lower_bound <= lam + slack
+        assert lam - slack <= result.quotient
+        assert result.quotient - lam <= 1e-9 * lam
+        assert result.gap == result.quotient - result.lower_bound
+        assert result.converged
+
+    @given(p=st.sampled_from([F(3, 2), F(3)]),
+           kind=st.sampled_from([WeightKind.IMPROVED, WeightKind.CLASSICAL]),
+           values=st.lists(st.floats(-1.0, 1.0), min_size=30, max_size=30)
+           .filter(lambda v: max(map(abs, v)) > 1e-3))
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound_below_any_quotient(self, p, kind, values):
+        result = _bracket(p, kind)
+        phi = CompactFunction(values)
+        assert result.lower_bound <= rayleigh_quotient(phi, ExponentPair(p),
+                                                       kind)
+
+    @given(p=st.sampled_from([F(3, 2), F(3)]),
+           kind=st.sampled_from([WeightKind.IMPROVED, WeightKind.CLASSICAL]),
+           scale=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=30, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound_below_quotient_near_minimizer(self, p, kind, scale,
+                                                        noise):
+        result = _bracket(p, kind)
+        values = result.minimizer.values * (1 + scale * np.array(noise))
+        phi = CompactFunction(values)
+        assert result.lower_bound <= rayleigh_quotient(phi, ExponentPair(p),
+                                                       kind)
+
+    @pytest.mark.parametrize("p", [F(11, 10), F(3, 2), F(2), F(3), F(7)])
+    def test_rounding_bound_covers_p_laplacian(self, p):
+        # at a converged minimizer (near-cancelling fluxes) and on
+        # sign-changing random arrays
+        pf = ExponentPair(p).p_float()
+        arrays = [_bracket(p, WeightKind.IMPROVED, 100).minimizer.padded()]
+        for seed in range(5):
+            values = random_compact(seed, 40, "gaussian").values
+            arrays.append(np.concatenate(([0.0], values, [0.0])))
+        for padded in arrays:
+            lap, err = _p_laplacian(padded, pf)
+            exact = _exact_p_laplacian(padded, pf)
+            for value, bound, ref in zip(lap, err, exact):
+                assert abs(mpf(float(value)) - ref) <= bound
+
+    def test_one_iteration_is_not_converged(self):
+        result = minimize_rayleigh(ExponentPair(3), WeightKind.IMPROVED, 100,
+                                   max_iters=1)
+        assert result.iterations == 1
+        assert not result.converged
+        assert result.lower_bound < result.quotient
+
+
+# Quotients of the earlier Barzilai-Borwein descent at max_iters=2000, which
+# stopped there unconverged.
+CAPPED_DESCENT = {
+    (F(11, 10), WeightKind.IMPROVED, 10): 5.250413282840688,
+    (F(11, 10), WeightKind.IMPROVED, 100): 3.707849224798174,
+    (F(11, 10), WeightKind.CLASSICAL, 10): 10.13153174893013,
+    (F(11, 10), WeightKind.CLASSICAL, 100): 6.478228885090202,
+    (F(7), WeightKind.IMPROVED, 10): 1.2248736551455244,
+    (F(7), WeightKind.IMPROVED, 100): 1.2138580564750587,
+    (F(7), WeightKind.CLASSICAL, 10): 2.0317707437524284,
+    (F(7), WeightKind.CLASSICAL, 100): 1.9366980300003587,
+}
+
+
+@pytest.mark.parametrize("p,kind,N", list(CAPPED_DESCENT))
+def test_not_above_capped_descent(p, kind, N):
+    result = minimize_rayleigh(ExponentPair(p), kind, N, max_iters=2000)
+    assert math.isfinite(result.quotient)
+    assert math.isfinite(result.lower_bound)
+    assert result.quotient <= CAPPED_DESCENT[(p, kind, N)] * (1 + 1e-12)
+    assert result.lower_bound <= result.quotient
 
 
 class TestTrials:
