@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -103,8 +104,7 @@ def cmd_weight(args) -> int:
     else:
         config = {"subcommand": "weight", "p": str(p), "n": args.n,
                   "digits": args.digits, "format": args.format}
-        _emit(_json_report(config, {"rows": json.loads(table.to_json())}),
-              args.out)
+        _emit(_json_report(config, {"rows": table.json_rows()}), args.out)
     return EXIT_OK if table.all_verified_positive() else EXIT_CHECK_FAILED
 
 
@@ -154,19 +154,33 @@ def cmd_verify(args) -> int:
     if args.supersolution:
         n_min, n_max = _parse_n_range(args.n)
         digits = args.digits
+        if digits <= 12:
+            raise UsageError(
+                f"--supersolution needs --digits >= 13, got {digits}: the "
+                f"tolerance 10^-(D-12) would be at least 1")
         bits = required_precision(pair, n_max, digits)
         u = ground_state_grid(pair, n_max + 1, bits)
         tolerance = 10.0 ** (-(digits - 12))
-        worst = 0.0
-        for n in range(n_min, n_max + 1):
-            lhs = weight_from_supersolution(u, pair, n, bits)
-            rhs = eval_w(pair, n, digits)
-            worst = max(worst, abs(float(lhs - rhs.value)))
+        indices = range(n_min, n_max + 1)
+        lhs = weight_from_supersolution(u, pair, indices, bits)
+        rhs = eval_w(pair, indices, digits)
+        worst = worst_relative = 0.0
+        for left, right in zip(lhs, rhs):
+            diff = left - right.value
+            worst = max(worst, abs(float(diff)))
+            # w(n) > 0, so a computed 0 has lost every digit: it fails.
+            worst_relative = max(worst_relative,
+                                 abs(float(diff / right.value))
+                                 if right.value else math.inf)
         config = {"subcommand": "verify", "mode": "supersolution",
                   "p": str(p), "n": args.n, "digits": digits}
-        passed = worst < tolerance
+        # |w(n)| < 1, so the relative residual bounds the absolute one; an
+        # absolute test alone would pass a transform that returns 0 wherever
+        # w(n) is below the tolerance.
+        passed = worst_relative < tolerance
         _emit(_json_report(config, {
             "max_residual": worst,
+            "max_relative_residual": worst_relative,
             "tolerance": tolerance,
             "pass": passed,
         }), args.out)

@@ -46,27 +46,41 @@ class GridFunction:
         return GridFunction(f(n) for n in range(support_bound + 1))
 
 
+def _signed_power(t, pm1):
+    """sgn(t) * |t|^(p-1) from p - 1, in the caller's precision context."""
+    if t == 0:
+        return mpf(0)
+    tm = mpf(t)
+    mag = abs(tm) ** pm1
+    return mag if tm > 0 else -mag
+
+
+def _laplacian_at(f: GridFunction, n: int, pm1):
+    if not 1 <= n <= f.support_bound - 1:
+        raise SupportError(
+            f"need both neighbors of {n} inside [0, {f.support_bound}]")
+    return (_signed_power(f(n) - f(n - 1), pm1)
+            + _signed_power(f(n) - f(n + 1), pm1))
+
+
+def _p_minus_one(p, precision_bits: int):
+    pm = p.p_mpf(precision_bits) if isinstance(p, ExponentPair) else mpf(p)
+    return pm - 1
+
+
 def signed_power(t, p, precision_bits: int = 53):
     """sgn(t) * |t|^(p-1), exactly zero at t = 0."""
     if t == 0:
         return mpf(0)
     with mp.workprec(precision_bits):
-        tm = mpf(t)
-        pm = mpf(p) if not isinstance(p, ExponentPair) else p.p_mpf(precision_bits)
-        mag = abs(tm) ** (pm - 1)
-        return mag if tm > 0 else -mag
+        return _signed_power(t, _p_minus_one(p, precision_bits))
 
 
 def apply_p_laplacian(f: GridFunction, n: int, p,
                       precision_bits: int = 53):
     """The operator at interior point n (both neighbors inside support)."""
-    if not 1 <= n <= f.support_bound - 1:
-        raise SupportError(
-            f"need both neighbors of {n} inside [0, {f.support_bound}]")
     with mp.workprec(precision_bits):
-        left = signed_power(f(n) - f(n - 1), p, precision_bits)
-        right = signed_power(f(n) - f(n + 1), p, precision_bits)
-        return left + right
+        return _laplacian_at(f, n, _p_minus_one(p, precision_bits))
 
 
 def hardy_ground_state(pair: ExponentPair, n: int, precision_bits: int = 53):
@@ -89,13 +103,20 @@ def ground_state_grid(pair: ExponentPair, support_bound: int,
     return GridFunction(values)
 
 
-def weight_from_supersolution(u: GridFunction, pair: ExponentPair, n: int,
+def weight_from_supersolution(u: GridFunction, pair: ExponentPair, n,
                               precision_bits: int = 53):
-    """The weight generated by a positive supersolution: lap(u)(n) / u(n)^(p-1)."""
-    un = u(n)
-    if not un > 0:
-        raise ValueError(f"u must be positive at n={n}, got {un}")
+    """The weight generated by a positive supersolution: lap(u)(n) / u(n)^(p-1).
+
+    Given a range of indices instead of one, returns the list of weights,
+    evaluated in one precision context with p - 1 formed once.
+    """
+    indices = n if isinstance(n, range) else (n,)
+    out = []
     with mp.workprec(precision_bits):
-        lap = apply_p_laplacian(u, n, pair.p_mpf(precision_bits), precision_bits)
         pm1 = pair.p_mpf(precision_bits) - 1
-        return lap / mpf(un) ** pm1
+        for k in indices:
+            uk = u(k)
+            if not uk > 0:
+                raise ValueError(f"u must be positive at n={k}, got {uk}")
+            out.append(_laplacian_at(u, k, pm1) / mpf(uk) ** pm1)
+    return out if isinstance(n, range) else out[0]

@@ -18,6 +18,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from mpmath import mp, mpf
 
@@ -29,44 +30,79 @@ class WeightKind(enum.Enum):
     CLASSICAL = "classical"
 
 
+def _improved_values(pair: ExponentPair, xs, precision_bits: int) -> list:
+    """The closed form at each x of xs, in one precision context.
+
+    p, p - 1 and 1/q are formed once; each value rounds exactly as a
+    one-point evaluation at the same precision does.
+    """
+    with mp.workprec(precision_bits):
+        p = pair.p_mpf(precision_bits)
+        pm1 = p - 1
+        s = pm1 / p                      # 1/q, as pair.inv_q_mpf rounds it
+        out = []
+        for x in xs:
+            xm = mpf(x) if not hasattr(x, "numerator") else \
+                mpf(x.numerator) / x.denominator
+            out.append((1 - (1 - xm) ** s) ** pm1 - ((1 + xm) ** s - 1) ** pm1)
+        return out
+
+
+def _classical_values(pair: ExponentPair, ns, precision_bits: int) -> list:
+    """((p-1)/p)^p / n^p at each n of ns, the constant formed once."""
+    with mp.workprec(precision_bits):
+        p = pair.p_mpf(precision_bits)
+        c = ((p - 1) / p) ** p
+        return [c / mpf(n) ** p for n in ns]
+
+
+def _values(pair: ExponentPair, kind: WeightKind, ns, precision_bits: int):
+    if kind is WeightKind.IMPROVED:
+        return _improved_values(pair, [Fraction(1, n) for n in ns],
+                                precision_bits)
+    return _classical_values(pair, ns, precision_bits)
+
+
+def _at_own_precision(pair: ExponentPair, kind: WeightKind, ns,
+                      target_digits: int) -> list:
+    """One PrecReal per n of ns, each at its own ``required_precision``;
+    consecutive indices that share a budget are evaluated together."""
+    out = []
+    for bits, run in groupby(
+            ns, key=lambda n: required_precision(pair, n, target_digits)):
+        out += [PrecReal(value, bits)
+                for value in _values(pair, kind, list(run), bits)]
+    return out
+
+
 def eval_w_closed_x(pair: ExponentPair, x, precision_bits: int) -> mpf:
     """The weight as a function of x = 1/n, evaluated at fixed precision.
 
     Valid on (0, 1/2] and at x = 1 (n = 1, where mpmath takes 0^(1/q) as 0);
     raw mpf result at the caller's precision.  Every improved-weight value
-    of the package comes from here.
+    of the package comes from the same kernel.
     """
-    with mp.workprec(precision_bits):
-        xm = mpf(x) if not hasattr(x, "numerator") else \
-            mpf(x.numerator) / x.denominator
-        p = pair.p_mpf(precision_bits)
-        pm1 = p - 1
-        s = pm1 / p                      # 1/q, as pair.inv_q_mpf rounds it
-        plus = (1 - (1 - xm) ** s) ** pm1
-        minus = ((1 + xm) ** s - 1) ** pm1
-        return plus - minus
+    return _improved_values(pair, (x,), precision_bits)[0]
 
 
-def _w_classical(pair: ExponentPair, n: int, precision_bits: int) -> mpf:
-    with mp.workprec(precision_bits):
-        p = pair.p_mpf(precision_bits)
-        return ((p - 1) / p) ** p / mpf(n) ** p
+def eval_w(pair: ExponentPair, n, target_digits: int):
+    """Improved weight at index n, correct to target_digits decimal digits.
+
+    Given a range of indices instead, returns one PrecReal per index, each
+    at its own ``required_precision``.
+    """
+    if isinstance(n, range):
+        return _at_own_precision(pair, WeightKind.IMPROVED, n, target_digits)
+    return _at_own_precision(pair, WeightKind.IMPROVED, (n,), target_digits)[0]
 
 
-def eval_w(pair: ExponentPair, n: int, target_digits: int) -> PrecReal:
-    """Improved weight at index n, correct to target_digits decimal digits."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    bits = required_precision(pair, n, target_digits)
-    return PrecReal(eval_w_closed_x(pair, Fraction(1, n), bits), bits)
-
-
-def eval_w_classical(pair: ExponentPair, n: int, target_digits: int) -> PrecReal:
-    """Classical weight ((p-1)/p)^p * n^(-p) to target_digits digits."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    bits = required_precision(pair, n, target_digits)
-    return PrecReal(_w_classical(pair, n, bits), bits)
+def eval_w_classical(pair: ExponentPair, n, target_digits: int):
+    """Classical weight ((p-1)/p)^p * n^(-p) to target_digits digits; a range
+    of indices gives a list, as in :func:`eval_w`."""
+    if isinstance(n, range):
+        return _at_own_precision(pair, WeightKind.CLASSICAL, n, target_digits)
+    return _at_own_precision(pair, WeightKind.CLASSICAL, (n,),
+                             target_digits)[0]
 
 
 def eval_w1_closed(pair: ExponentPair, target_digits: int) -> PrecReal:
@@ -101,31 +137,34 @@ class WeightTable:
     def all_verified_positive(self) -> bool:
         return all(row.verified_positive for row in self.rows)
 
+    def _decimal_rows(self) -> list:
+        """(n, w_improved, w_classical, ratio_minus_one) per row, the values
+        as ``PrecReal.to_decimal`` writes them, all in one precision context."""
+        d = self.target_digits
+        with mp.workprec(self.precision_bits):
+            return [(row.n,
+                     mp.nstr(row.w_improved.value, d, strip_zeros=False),
+                     mp.nstr(row.w_classical.value, d, strip_zeros=False),
+                     mp.nstr(row.ratio_minus_one.value, d, strip_zeros=False))
+                    for row in self.rows]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "w_improved", "w_classical", "ratio_minus_one"])
-        d = self.target_digits
-        for row in self.rows:
-            writer.writerow([row.n,
-                             row.w_improved.to_decimal(d),
-                             row.w_classical.to_decimal(d),
-                             row.ratio_minus_one.to_decimal(d)])
+        writer.writerows(self._decimal_rows())
         return buf.getvalue()
 
+    def json_rows(self) -> list:
+        """The rows as JSON-ready dicts: decimal strings and the flag."""
+        return [{"n": n, "w_improved": w, "w_classical": wc,
+                 "ratio_minus_one": ratio,
+                 "verified_positive": row.verified_positive}
+                for (n, w, wc, ratio), row in zip(self._decimal_rows(),
+                                                   self.rows)]
+
     def to_json(self) -> str:
-        d = self.target_digits
-        payload = [
-            {
-                "n": row.n,
-                "w_improved": row.w_improved.to_decimal(d),
-                "w_classical": row.w_classical.to_decimal(d),
-                "ratio_minus_one": row.ratio_minus_one.to_decimal(d),
-                "verified_positive": row.verified_positive,
-            }
-            for row in self.rows
-        ]
-        return json.dumps(payload)
+        return json.dumps(self.json_rows())
 
 
 def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
@@ -135,30 +174,30 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     The relative excess is computed as (w - w_classical)/w_classical with a
     single subtraction at full internal precision; the subtraction is the
     cancellation-prone quantity of interest, so it is never assembled from
-    rounded intermediates.
+    rounded intermediates.  The whole table is one precision context.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     bits = required_precision(pair, n_max, target_digits)
-    # Positivity of the excess is certified only above the precision floor.
-    with mp.workprec(bits):
-        threshold = mpf(10) ** (-(target_digits - 2))
+    ns = range(n_min, n_max + 1)
     rows = []
-    for n in range(n_min, n_max + 1):
-        w_imp = eval_w_closed_x(pair, Fraction(1, n), bits)
-        w_cls = _w_classical(pair, n, bits)
-        with mp.workprec(bits):
+    with mp.workprec(bits):
+        # Positivity of the excess is certified only above the precision floor.
+        threshold = mpf(10) ** (-(target_digits - 2))
+        improved = _values(pair, WeightKind.IMPROVED, ns, bits)
+        classical = _values(pair, WeightKind.CLASSICAL, ns, bits)
+        for n, w_imp, w_cls in zip(ns, improved, classical):
             excess = (w_imp - w_cls) / w_cls
-        if not w_imp > 0:
-            raise ArithmeticError(
-                f"improved weight not positive at n={n}: {w_imp}")
-        rows.append(WeightRow(
-            n=n,
-            w_improved=PrecReal(w_imp, bits),
-            w_classical=PrecReal(w_cls, bits),
-            ratio_minus_one=PrecReal(excess, bits),
-            verified_positive=bool(excess > threshold),
-        ))
+            if not w_imp > 0:
+                raise ArithmeticError(
+                    f"improved weight not positive at n={n}: {w_imp}")
+            rows.append(WeightRow(
+                n=n,
+                w_improved=PrecReal(w_imp, bits),
+                w_classical=PrecReal(w_cls, bits),
+                ratio_minus_one=PrecReal(excess, bits),
+                verified_positive=bool(excess > threshold),
+            ))
     return WeightTable(pair=pair, rows=rows, precision_bits=bits,
                        target_digits=target_digits)
 
@@ -167,12 +206,9 @@ def weight_values_float(pair: ExponentPair, kind: WeightKind, n_max: int,
                         target_digits: int = 20):
     """Double-precision weight samples w(1..n_max) for the variational layer.
 
-    High-precision evaluation happens here once; consumers get plain floats.
+    High-precision evaluation happens here once, each n at its own
+    ``required_precision`` as :func:`eval_w` gives it; consumers get plain
+    floats.
     """
-    table = []
-    for n in range(1, n_max + 1):
-        if kind is WeightKind.IMPROVED:
-            table.append(float(eval_w(pair, n, target_digits)))
-        else:
-            table.append(float(eval_w_classical(pair, n, target_digits)))
-    return table
+    return [float(value) for value in
+            _at_own_precision(pair, kind, range(1, n_max + 1), target_digits)]

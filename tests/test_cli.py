@@ -1,16 +1,20 @@
 """Subcommand behavior, exit codes, and reproducible output."""
 
 import argparse
+import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from phardy import cli
 from phardy import proof_machinery as pm
 from phardy import series
 from phardy.cli import build_parser, main
 from phardy.numerics import ExponentPair
+from phardy.weights import compare_weights
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +136,52 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["max_residual"] < payload["tolerance"]
+        assert payload["max_relative_residual"] < payload["tolerance"]
+        assert list(payload)[-4:] == ["max_residual", "max_relative_residual",
+                                      "tolerance", "pass"]
+
+    def test_supersolution_fails_where_weight_is_below_tolerance(
+            self, capsys, monkeypatch):
+        # At D = 20 the tolerance is 1e-8, far above w(200) = 1.9e-18, so a
+        # transform that returns 0 there has an absolute residual inside the
+        # tolerance; the relative residual catches it.
+        original = cli.weight_from_supersolution
+
+        def zero_at_last(u, pair, n, bits):
+            values = original(u, pair, n, bits)
+            return values[:-1] + [mpf(0)]
+
+        monkeypatch.setattr(cli, "weight_from_supersolution", zero_at_last)
+        code, out, _ = run_cli(capsys, "verify", "--supersolution", "--p",
+                               "15/2", "--n", "1..200", "--digits", "20")
+        payload = json.loads(out)
+        assert payload["max_residual"] < payload["tolerance"]
+        assert payload["max_relative_residual"] == pytest.approx(1.0)
+        assert payload["pass"] is False
+        assert code == 1
+
+    def test_supersolution_fails_on_a_zero_weight(self, capsys, monkeypatch):
+        original = cli.eval_w
+
+        def zero_at_last(pair, n, digits):
+            values = original(pair, n, digits)
+            last = values[-1]
+            return values[:-1] + [type(last)(mpf(0), last.precision_bits)]
+
+        monkeypatch.setattr(cli, "eval_w", zero_at_last)
+        code, out, _ = run_cli(capsys, "verify", "--supersolution", "--p",
+                               "3", "--n", "1..20", "--digits", "20")
+        payload = json.loads(out)
+        assert payload["max_relative_residual"] == float("inf")
+        assert payload["pass"] is False
+        assert code == 1
+
+    @pytest.mark.parametrize("digits", ["12", "5"])
+    def test_supersolution_rejects_tolerance_of_one(self, capsys, digits):
+        code, out, err = run_cli(capsys, "verify", "--supersolution", "--p",
+                                 "2", "--n", "1..5", "--digits", digits)
+        assert code == 2 and not out
+        assert "--digits >= 13" in err
 
 
 class TestLemmasCommand:
@@ -234,3 +284,46 @@ class TestReproducibility:
                                "--format", "csv")
         assert code == 0
         assert target.read_text() == out
+
+
+class TestWeightSerialization:
+    """The table export writes each value as PrecReal.to_decimal does."""
+
+    @staticmethod
+    def expected(p, lo, hi, digits, fmt):
+        table = compare_weights(ExponentPair(Fraction(p)), lo, hi, digits)
+        if fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "w_improved", "w_classical",
+                             "ratio_minus_one"])
+            for row in table.rows:
+                writer.writerow([row.n, row.w_improved.to_decimal(digits),
+                                 row.w_classical.to_decimal(digits),
+                                 row.ratio_minus_one.to_decimal(digits)])
+            return buf.getvalue()
+        rows = [{"n": row.n,
+                 "w_improved": row.w_improved.to_decimal(digits),
+                 "w_classical": row.w_classical.to_decimal(digits),
+                 "ratio_minus_one": row.ratio_minus_one.to_decimal(digits),
+                 "verified_positive": row.verified_positive}
+                for row in table.rows]
+        config = {"subcommand": "weight", "p": str(Fraction(p)),
+                  "n": f"{lo}..{hi}", "digits": digits, "format": "json"}
+        return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("p, lo, hi, digits", [
+        ("1.137", 1, 30, 15), ("5/2", 4, 25, 40), ("27/2", 1, 12, 120),
+        ("3", 90, 100, 25)])
+    def test_stdout_equals_per_row_decimals(self, capsys, p, lo, hi, digits,
+                                            fmt):
+        code, out, _ = run_cli(capsys, "weight", "--p", p, "--n",
+                               f"{lo}..{hi}", "--digits", str(digits),
+                               "--format", fmt)
+        assert code == 0
+        assert out == self.expected(p, lo, hi, digits, fmt)
+
+    def test_to_json_matches_json_rows(self):
+        table = compare_weights(ExponentPair(Fraction(7, 3)), 2, 9, 30)
+        assert table.to_json() == json.dumps(table.json_rows())

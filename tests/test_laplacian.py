@@ -136,3 +136,41 @@ class TestSignStructure:
                           - (u(n + 1) - u(n)) ** pm1)
                 assert abs(apply_p_laplacian(u, n, pair.p_mpf(bits), bits)
                            - direct) < mpf(2) ** -(bits - 8)
+
+
+def _one_point_transform(u, pair, n, bits):
+    # Reference: the transform at one index, p formed for each use.
+    with mp.workprec(bits):
+        p = pair.p_mpf(bits)
+        left = mpf(u(n) - u(n - 1))
+        right = mpf(u(n) - u(n + 1))
+        lap = mpf(0)
+        for t in (left, right):
+            if t != 0:
+                mag = abs(t) ** (mpf(p) - 1)
+                lap += mag if t > 0 else -mag
+        return lap / mpf(u(n)) ** (pair.p_mpf(bits) - 1)
+
+
+class TestBatchedTransform:
+    @pytest.mark.parametrize("p", [F(101, 100), F(3, 2), F(2), F(5, 2),
+                                   F(16, 5), F(27, 2)])
+    def test_range_equals_per_index(self, p):
+        pair = ExponentPair(p)
+        bits = required_precision(pair, 60, 25)
+        u = ground_state_grid(pair, 61, bits)
+        indices = range(4, 61)
+        batch = weight_from_supersolution(u, pair, indices, bits)
+        assert len(batch) == len(indices)
+        for n, value in zip(indices, batch):
+            assert value == weight_from_supersolution(u, pair, n, bits)
+            assert value == _one_point_transform(u, pair, n, bits)
+
+    def test_range_checks_every_index(self):
+        pair = ExponentPair(2)
+        u = ground_state_grid(pair, 5, 64)
+        with pytest.raises(SupportError):
+            weight_from_supersolution(u, pair, range(1, 6), 64)
+        f = GridFunction([0.0, 1.0, 0.0, 2.0])
+        with pytest.raises(ValueError):
+            weight_from_supersolution(f, pair, range(1, 3), 64)

@@ -5,13 +5,18 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from phardy.numerics import ExponentPair, PrecisionInfeasibleError
+from phardy.numerics import (
+    ExponentPair,
+    PrecisionInfeasibleError,
+    required_precision,
+)
 from phardy.weights import (
     WeightKind,
     compare_weights,
     eval_w,
     eval_w1_closed,
     eval_w_classical,
+    eval_w_closed_x,
     weight_values_float,
 )
 
@@ -154,3 +159,79 @@ class TestFloatTable:
         assert values[0] == pytest.approx(2 - 2 ** 0.5, abs=1e-15)
         classical = weight_values_float(pair, WeightKind.CLASSICAL, 4)
         assert classical[3] == pytest.approx(1 / 64, abs=1e-18)
+
+
+# -- The table path against one-point evaluation, bit for bit ---------------
+
+KERNEL_P = [F(101, 100), F(3, 2), F(2), F(5, 2), F(16, 5), F(27, 2)]
+
+
+def _one_point_improved(pair, n, bits):
+    # Reference: the closed form at one point, in its own precision context
+    # with p formed for that point alone.
+    with mp.workprec(bits):
+        xm = mpf(1) / n
+        p = pair.p_mpf(bits)
+        pm1 = p - 1
+        s = pm1 / p
+        return (1 - (1 - xm) ** s) ** pm1 - ((1 + xm) ** s - 1) ** pm1
+
+
+def _one_point_classical(pair, n, bits):
+    with mp.workprec(bits):
+        p = pair.p_mpf(bits)
+        return ((p - 1) / p) ** p / mpf(n) ** p
+
+
+class TestTableKernel:
+    @pytest.mark.parametrize("p", KERNEL_P)
+    def test_compare_weights_rows_equal_one_point(self, p):
+        pair = ExponentPair(p)
+        table = compare_weights(pair, 7, 48, 20)
+        bits = table.precision_bits
+        assert [row.n for row in table.rows] == list(range(7, 49))
+        with mp.workprec(bits):
+            threshold = mpf(10) ** -18
+        for row in table.rows:
+            w = _one_point_improved(pair, row.n, bits)
+            wc = _one_point_classical(pair, row.n, bits)
+            assert row.w_improved.value == w
+            assert row.w_improved.value == eval_w_closed_x(
+                pair, F(1, row.n), bits)
+            assert row.w_classical.value == wc
+            with mp.workprec(bits):
+                excess = (w - wc) / wc
+            assert row.ratio_minus_one.value == excess
+            assert row.verified_positive == bool(excess > threshold)
+            assert {row.w_improved.precision_bits,
+                    row.w_classical.precision_bits,
+                    row.ratio_minus_one.precision_bits} == {bits}
+
+    @pytest.mark.parametrize("p", KERNEL_P)
+    def test_ranges_take_each_index_at_its_own_budget(self, p):
+        pair = ExponentPair(p)
+        indices = range(3, 41)
+        budgets = {required_precision(pair, n, 18) for n in indices}
+        assert len(budgets) > 1          # the range crosses budgets
+        improved = eval_w(pair, indices, 18)
+        classical = eval_w_classical(pair, indices, 18)
+        for n, w, wc in zip(indices, improved, classical, strict=True):
+            bits = required_precision(pair, n, 18)
+            assert w.precision_bits == wc.precision_bits == bits
+            assert w.value == _one_point_improved(pair, n, bits)
+            assert w.value == eval_w(pair, n, 18).value
+            assert wc.value == _one_point_classical(pair, n, bits)
+            assert wc.value == eval_w_classical(pair, n, 18).value
+
+    @pytest.mark.parametrize("p", KERNEL_P)
+    def test_float_table_equals_one_point(self, p):
+        pair = ExponentPair(p)
+        improved = weight_values_float(pair, WeightKind.IMPROVED, 40)
+        classical = weight_values_float(pair, WeightKind.CLASSICAL, 40)
+        assert improved == [float(eval_w(pair, n, 20)) for n in range(1, 41)]
+        assert classical == [float(eval_w_classical(pair, n, 20))
+                             for n in range(1, 41)]
+
+    def test_range_rejects_nonpositive_index(self):
+        with pytest.raises(ValueError):
+            eval_w(ExponentPair(2), range(0, 3), 15)
