@@ -8,7 +8,6 @@ from .numerics import (
     ExponentPair,
     PrecReal,
     binom_general_rational,
-    binom_general_real,
     required_precision,
 )
 from .weights import (

@@ -1,11 +1,13 @@
 """Arbitrary-precision scaffolding: exact rationals, fixed-precision reals,
-generalized binomial coefficients, and the Hölder-conjugate exponent pair.
+exact generalized binomial coefficients, and the Hölder-conjugate exponent
+pair.
 
 Exact rational arithmetic rides on ``fractions.Fraction`` (always stored
-reduced, positive denominator).  High-precision real arithmetic rides on
-mpmath (round-to-nearest), wrapped in :class:`PrecReal` so that every value
-carries its working precision and values of different precisions never get
-compared silently.
+reduced, positive denominator); the exponent p is always such a rational,
+and is rounded only where a weight or bound is evaluated.  High-precision
+real arithmetic rides on mpmath (round-to-nearest), wrapped in
+:class:`PrecReal` so that every value carries its working precision and
+values of different precisions never get compared silently.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class PrecReal:
                 f"cannot combine PrecReal at {self.precision_bits} bits with "
                 f"PrecReal at {other.precision_bits} bits")
 
-    def _wrap(self, raw) -> "PrecReal":
-        with mp.workprec(self.precision_bits):
-            return PrecReal(+raw, self.precision_bits)
-
     def __add__(self, other):
         self._check(other)
         with mp.workprec(self.precision_bits):
@@ -141,61 +139,54 @@ class PrecReal:
         return PrecReal(raw, precision_bits)
 
 
-def _as_fraction(p) -> Fraction:
-    # float input is converted exactly (every float is a binary rational);
-    # strings accept both "a/b" and finite decimals.
-    return Fraction(p)
+def to_mpf(x) -> mpf:
+    """x as an mpf at the current working precision; a Fraction is divided
+    out once, so it rounds once."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
 
 
 class ExponentPair:
     """The Hölder-conjugate pair (p, q) with 1/p + 1/q = 1, p > 1.
 
-    Everything downstream is parameterized by this pair.  When ``p`` is given
-    as an int, Fraction, str, or float it is stored as an exact rational and
-    all derived quantities (q, 1/q) are exact; an mpf input selects the
-    real-valued path at that value's precision.
+    Everything downstream is parameterized by this pair.  p is stored as an
+    exact rational (given as an int, Fraction, str, or float; a float is
+    converted exactly, a string may be "a/b" or a finite decimal), so q and
+    1/q are exact too.  An mpf p is refused with a TypeError; pass ``str(x)``
+    to have its decimal expansion parsed exactly.
     """
 
-    def __init__(self, p, precision_bits: int = 128):
-        if isinstance(p, mpf):
-            self.is_rational = False
-            self.p_exact = None
-            self._p_real = p
-            self.precision_bits = precision_bits
-            if not p > 1:
-                raise ValueError(f"p must exceed 1, got {p}")
-        else:
-            p_frac = _as_fraction(p)
-            if not p_frac > 1:
-                raise ValueError(f"p must exceed 1, got {p_frac}")
-            self.is_rational = True
-            self.p_exact = p_frac
-            self._p_real = None
-            self.precision_bits = precision_bits
+    def __init__(self, p):
+        p_exact = Fraction(p)
+        if not p_exact > 1:
+            raise ValueError(f"p must exceed 1, got {p_exact}")
+        self.p_exact = p_exact
 
-    # -- exact accessors (rational path only) --------------------------------
+    # -- exact accessors -------------------------------------------------------
 
     @property
     def q_exact(self) -> Fraction:
-        """q = p/(p-1), exact; only on the rational path."""
-        if not self.is_rational:
-            raise ValueError("q_exact requires a rational p")
+        """q = p/(p-1), exact."""
         return self.p_exact / (self.p_exact - 1)
 
     @property
     def inv_q_exact(self) -> Fraction:
-        """1/q = (p-1)/p, exact; only on the rational path."""
-        if not self.is_rational:
-            raise ValueError("inv_q_exact requires a rational p")
+        """1/q = (p-1)/p, exact."""
         return (self.p_exact - 1) / self.p_exact
 
-    # -- real accessors (both paths) ------------------------------------------
+    # -- rounded accessors -----------------------------------------------------
 
     def p_mpf(self, precision_bits: int) -> mpf:
+        """p rounded to precision_bits; a p that rounds to 1 is refused, since
+        p - 1 and q would then be 0 and infinite."""
         with mp.workprec(precision_bits):
-            if self.is_rational:
-                return mpf(self.p_exact.numerator) / self.p_exact.denominator
-            return +self._p_real
+            p = to_mpf(self.p_exact)
+        if not p > 1:
+            raise PrecisionInfeasibleError(
+                f"p = {self.p_exact} rounds to 1 at {precision_bits} bits; "
+                f"p - 1 is below the working precision")
+        return p
 
     def q_mpf(self, precision_bits: int) -> mpf:
         with mp.workprec(precision_bits):
@@ -208,33 +199,30 @@ class ExponentPair:
             return (p - 1) / p
 
     def p_float(self) -> float:
-        return float(self.p_exact) if self.is_rational else float(self._p_real)
+        return float(self.p_exact)
 
     def q_float(self) -> float:
         pf = self.p_float()
+        if not pf > 1:
+            raise PrecisionInfeasibleError(
+                f"p = {self.p_exact} rounds to 1 in double precision")
         return pf / (pf - 1.0)
 
     def __repr__(self):
-        if self.is_rational:
-            return f"ExponentPair({self.p_exact})"
-        return f"ExponentPair({self._p_real}, precision_bits={self.precision_bits})"
+        return f"ExponentPair({self.p_exact})"
 
     def __eq__(self, other):
         if not isinstance(other, ExponentPair):
             return NotImplemented
-        if self.is_rational != other.is_rational:
-            return False
-        if self.is_rational:
-            return self.p_exact == other.p_exact
-        return self._p_real == other._p_real
+        return self.p_exact == other.p_exact
 
     def __hash__(self):
-        return hash(self.p_exact if self.is_rational else self._p_real)
+        return hash(self.p_exact)
 
     @staticmethod
-    def parse(text: str, precision_bits: int = 128) -> "ExponentPair":
+    def parse(text: str) -> "ExponentPair":
         """Parse ``"a/b"`` or a decimal string; decimals become exact rationals."""
-        return ExponentPair(rational_from_str(text), precision_bits)
+        return ExponentPair(rational_from_str(text))
 
 
 def binom_general_rational(alpha: Fraction, k: int) -> Fraction:
@@ -266,26 +254,6 @@ def binom_rational_sequence(alpha: Fraction, k_max: int) -> list:
     for k in range(1, k_max + 1):
         out.append(out[-1] * (alpha - k + 1) / k)
     return out
-
-
-def binom_general_real(alpha, k: int, precision_bits: int) -> mpf:
-    """binom(alpha, k) via the falling-factorial product at fixed precision.
-
-    Agrees with :func:`binom_general_rational` to working precision when
-    alpha is rational.
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if precision_bits < 16:
-        raise PrecisionInfeasibleError(
-            f"precision_bits must be at least 16, got {precision_bits}")
-    with mp.workprec(precision_bits):
-        a = mpf(alpha) if not isinstance(alpha, Fraction) \
-            else mpf(alpha.numerator) / alpha.denominator
-        acc = mpf(1)
-        for j in range(k):
-            acc *= a - j
-        return acc / mp.factorial(k)
 
 
 def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -> int:

@@ -37,8 +37,8 @@ from .numerics import (
     PAIR_CACHE_SIZE,
     ExponentPair,
     binom_general_rational,
-    binom_general_real,
     binom_rational_sequence,
+    to_mpf,
 )
 from .series import SeriesValue
 from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
@@ -71,7 +71,7 @@ class AgreementError(RuntimeError):
 class GSeries:
     """Positive coefficients a_k of g(-x) = sum_{k>=1} a_k x^k.
 
-    a_k = q * |binom(1/q, k+1)|; exact rationals on the rational-p path.
+    a_k = q * |binom(1/q, k+1)|, exact rationals.
     Index 0 is a structural zero (the series has no constant term).
     """
 
@@ -79,23 +79,11 @@ class GSeries:
     a: tuple
     order: int
 
-    def coeff(self, k: int):
-        return self.a[k]
-
 
 def g_series(pair: ExponentPair, order: int) -> GSeries:
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    if pair.is_rational:
-        coeffs = _a_exact(pair, order)
-    else:
-        bits = pair.precision_bits
-        with mp.workprec(bits):
-            q = pair.q_mpf(bits)
-            inv_q = pair.inv_q_mpf(bits)
-            coeffs = tuple([mpf(0)] + [
-                q * abs(binom_general_real(inv_q, k + 1, bits))
-                for k in range(1, order + 1)])
+    coeffs = _a_exact(pair, order)
     for k in range(1, order + 1):
         if not coeffs[k] > 0:
             raise AgreementError(f"a_{k} must be positive, got {coeffs[k]}")
@@ -124,13 +112,7 @@ def _arithmetic(precision_bits: int):
     """
     if precision_bits <= 53:
         return nullcontext(), float, 2.0 ** (-precision_bits)
-    return mp.workprec(precision_bits), _to_mpf, mpf(2) ** (1 - precision_bits)
-
-
-def _to_mpf(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+    return mp.workprec(precision_bits), to_mpf, mpf(2) ** (1 - precision_bits)
 
 
 def _p_value(pair: ExponentPair, precision_bits: int):
@@ -149,23 +131,15 @@ def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
 def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k.
 
-    On the rational path each binomial is its own falling-factorial product,
-    not the ratio-step sequence behind the a_k table, so the two routes
-    compute the coefficients differently.
+    Each binomial is its own falling-factorial product, not the ratio-step
+    sequence behind the a_k table, so the two routes compute the
+    coefficients differently.
     """
     out = [0] * (order + 1)
-    if pair.is_rational:
-        p = pair.p_exact
-        inv_q = pair.inv_q_exact
-        for k in range(3, order + 1, 2):
-            out[k] = -2 * p * binom_general_rational(inv_q, k + 1)
-    else:
-        bits = pair.precision_bits
-        with mp.workprec(bits):
-            p = pair.p_mpf(bits)
-            inv_q = pair.inv_q_mpf(bits)
-            for k in range(3, order + 1, 2):
-                out[k] = -2 * p * binom_general_real(inv_q, k + 1, bits)
+    p = pair.p_exact
+    inv_q = pair.inv_q_exact
+    for k in range(3, order + 1, 2):
+        out[k] = -2 * p * binom_general_rational(inv_q, k + 1)
     context, number, _ = _arithmetic(precision_bits)
     with context:
         return tuple(number(c) for c in out)
@@ -280,8 +254,7 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
     log1p, expm1 = ((math.log1p, math.expm1) if precision_bits <= 53
                     else (mp.log1p, mp.expm1))
     with context:
-        alpha = (number(pair.p_exact - 1) if pair.is_rational
-                 else _p_value(pair, precision_bits) - 1)
+        alpha = number(pair.p_exact - 1)
         value = tail = 0
         for sign in (-1, +1):
             t, tau = eval_g(pair, x, sign, series_order, precision_bits)
@@ -397,38 +370,32 @@ def check_lemma_gpm(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
 def check_lemma_ak_lower(pair: ExponentPair, k_max: int = DEFAULT_ORDER) -> GridCheckReport:
     """Coefficient floor a_k >= 1/(p k (k+1)) for k >= 2, strict for finite k.
 
-    Exact rational comparison on the rational path.
+    Exact rational comparison.
     """
     points = []
     a = g_series(pair, k_max).a
-    exact = pair.is_rational
-    with nullcontext() if exact else mp.workprec(pair.precision_bits):
-        p = pair.p_exact if exact else pair.p_mpf(pair.precision_bits)
-        for k in range(2, k_max + 1):
-            bound = 1 / (p * k * (k + 1))
-            points.append((float(a[k] - bound), float(p), float(k),
-                           float(a[k]), float(bound)))
+    p = pair.p_exact
+    for k in range(2, k_max + 1):
+        bound = 1 / (p * k * (k + 1))
+        points.append((float(a[k] - bound), float(p), float(k),
+                       float(a[k]), float(bound)))
     return _build_report(
         "coefficient floor: a_k >= 1/(p k (k+1)) for 2 <= k <= k_max (exact)",
         {"p": [pair.p_float()], "k_min": 2, "k_max": k_max}, points)
 
 
 def check_lemma_binom_upper(pair: ExponentPair, k_range=range(2, 41)) -> GridCheckReport:
-    """|binom(p-1, k)| <= (q-1)/4 for integer k > p; exact on the rational path."""
+    """|binom(p-1, k)| <= (q-1)/4 for integer k > p; exact."""
     points = []
     pf = pair.p_float()
-    exact = pair.is_rational
-    bits = pair.precision_bits
-    with nullcontext() if exact else mp.workprec(bits):
-        p = pair.p_exact if exact else pair.p_mpf(bits)
-        bound = 1 / (4 * (p - 1))    # (q-1)/4
-        for k in k_range:
-            if not k > p:
-                continue
-            value = abs(binom_general_rational(p - 1, k) if exact
-                        else binom_general_real(p - 1, k, bits))
-            points.append((float(bound - value), pf, float(k),
-                           float(value), float(bound)))
+    p = pair.p_exact
+    bound = 1 / (4 * (p - 1))    # (q-1)/4
+    for k in k_range:
+        if not k > p:
+            continue
+        value = abs(binom_general_rational(p - 1, k))
+        points.append((float(bound - value), pf, float(k),
+                       float(value), float(bound)))
     if not points:
         raise ValueError(f"k_range contains no k > p for p={pf}")
     return _build_report(
@@ -532,7 +499,7 @@ def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
         pm1 = pair.p_mpf(precision_bits) - 1
         s = pair.inv_q_mpf(precision_bits)
         for x in x_grid:
-            xm = _to_mpf(x)
+            xm = to_mpf(x)
             lhs = eval_w_closed_x(pair, xm, precision_bits)
             e = eval_E(pair, xm, order, precision_bits)
             f = eval_F(pair, xm, order, precision_bits)

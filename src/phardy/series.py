@@ -1,10 +1,10 @@
 """Truncated formal power series in x (x standing for 1/n) and the exact
 expansion machinery for the improved Hardy weight.
 
-Coefficients live either in the exact rational ring (Fraction) or in a
-fixed-precision real ring (mpf at a declared bit count).  Exactness is the
-point: the integer-p weight expansion and the correction series reproduce
-published coefficient tables as rational identities, with zero tolerance.
+Coefficients are exact rationals (Fraction); only evaluation at a point
+rounds.  Exactness is the point: the integer-p weight expansion and the
+correction series reproduce published coefficient tables as rational
+identities, with zero tolerance.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -22,9 +21,9 @@ from mpmath import mp, mpf
 from .numerics import (
     ExponentPair,
     binom_general_rational,
-    binom_general_real,
     binom_rational_sequence,
     rational_to_str,
+    to_mpf,
 )
 
 DEFAULT_ORDER = 40
@@ -38,20 +37,12 @@ class InvariantViolation(RuntimeError):
     """
 
 
-class RingMismatchError(ValueError):
-    """Operands of a series operation live in different coefficient rings."""
-
-
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series sum_{k=0}^{order} coeffs[k] * x^k.
-
-    ``precision_bits is None`` marks the exact rational ring; otherwise all
-    coefficients are mpf values computed at that precision.
-    """
+    """Truncated power series sum_{k=0}^{order} coeffs[k] * x^k, exact
+    rational coefficients."""
 
     coeffs: tuple
-    precision_bits: int | None = None
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -61,99 +52,58 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_exact(self) -> bool:
-        return self.precision_bits is None
-
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
             return self
-        return PowerSeries(self.coeffs[:order + 1], self.precision_bits)
-
-    def _check_ring(self, other: "PowerSeries") -> None:
-        if self.precision_bits != other.precision_bits:
-            raise RingMismatchError(
-                f"ring mismatch: {self.precision_bits!r} vs {other.precision_bits!r}")
+        return PowerSeries(self.coeffs[:order + 1])
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_ring(other)
         n = min(self.order, other.order)
-        with _ring_context(self.precision_bits):
-            return PowerSeries(
-                tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)),
-                self.precision_bits)
+        return PowerSeries(
+            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_ring(other)
         n = min(self.order, other.order)
-        with _ring_context(self.precision_bits):
-            return PowerSeries(
-                tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)),
-                self.precision_bits)
+        return PowerSeries(
+            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
 
     def scale(self, factor) -> "PowerSeries":
-        with _ring_context(self.precision_bits):
-            return PowerSeries(tuple(c * factor for c in self.coeffs),
-                               self.precision_bits)
+        return PowerSeries(tuple(c * factor for c in self.coeffs))
 
     @staticmethod
-    def one(order: int, precision_bits: int | None = None) -> "PowerSeries":
-        zero, one = _ring_constants(precision_bits)
-        return PowerSeries((one,) + (zero,) * order, precision_bits)
+    def one(order: int) -> "PowerSeries":
+        return PowerSeries((Fraction(1),) + (Fraction(0),) * order)
 
     @staticmethod
-    def zero(order: int, precision_bits: int | None = None) -> "PowerSeries":
-        zero, _ = _ring_constants(precision_bits)
-        return PowerSeries((zero,) * (order + 1), precision_bits)
+    def zero(order: int) -> "PowerSeries":
+        return PowerSeries((Fraction(0),) * (order + 1))
 
 
-def _ring_constants(precision_bits):
-    if precision_bits is None:
-        return Fraction(0), Fraction(1)
-    with mp.workprec(precision_bits):
-        return mpf(0), mpf(1)
-
-
-def _ring_context(precision_bits):
-    # All real-ring arithmetic must run at the ring's declared precision,
-    # never at whatever the ambient mpmath context happens to be.
-    return mp.workprec(precision_bits) if precision_bits else nullcontext()
-
-
-def binomial_series(alpha, sign: int, order: int,
-                    precision_bits: int | None = None) -> PowerSeries:
+def binomial_series(alpha, sign: int, order: int) -> PowerSeries:
     """Series of (1 + sign*x)^alpha: coeffs[k] = binom(alpha, k) * sign^k."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if precision_bits is None:
-        coeffs = tuple(b * sign**k for k, b in
-                       enumerate(binom_rational_sequence(alpha, order)))
-    else:
-        coeffs = tuple(binom_general_real(alpha, k, precision_bits) * sign**k
-                       for k in range(order + 1))
-    return PowerSeries(coeffs, precision_bits)
+    return PowerSeries(tuple(b * sign**k for k, b in
+                             enumerate(binom_rational_sequence(alpha, order))))
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated to the smaller of the two orders."""
-    a._check_ring(b)
     n = min(a.order, b.order)
-    zero, _ = _ring_constants(a.precision_bits)
-    out = [zero] * (n + 1)
-    with _ring_context(a.precision_bits):
-        for i, ai in enumerate(a.coeffs[:n + 1]):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b.coeffs[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-    return PowerSeries(tuple(out), a.precision_bits)
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a.coeffs[:n + 1]):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = b.coeffs[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return PowerSeries(tuple(out))
 
 
 def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
@@ -163,7 +113,7 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
     O(order^2) ring operations: f = (1+h)^alpha satisfies
     (1+h) f' = alpha h' f, so f_0 = 1 and
     k f_k = sum_{j=1..k} ((alpha+1) j - k) h_j f_{k-j}.
-    Exact in the exact ring.
+    Exact.
     """
     if h.coeffs[0] != 0:
         raise ValueError("series_pow_binomial requires a zero constant term")
@@ -171,20 +121,17 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
     if h.order < order:
         raise ValueError(
             f"h must carry coefficients up to the requested order {order}")
-    bits = h.precision_bits
-    zero, one = _ring_constants(bits)
-    with _ring_context(bits):
-        alpha_1 = (Fraction(alpha) if bits is None else _to_mpf(alpha)) + 1
-        terms = [(j, hj) for j, hj in enumerate(h.coeffs) if j and hj != 0]
-        f = [one]
-        for k in range(1, order + 1):
-            acc = zero
-            for j, hj in terms:
-                if j > k:
-                    break
-                acc += (alpha_1 * j - k) * hj * f[k - j]
-            f.append(acc / k)
-    return PowerSeries(tuple(f), bits)
+    alpha_1 = Fraction(alpha) + 1
+    terms = [(j, hj) for j, hj in enumerate(h.coeffs) if j and hj != 0]
+    f = [Fraction(1)]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for j, hj in terms:
+            if j > k:
+                break
+            acc += (alpha_1 * j - k) * hj * f[k - j]
+        f.append(acc / k)
+    return PowerSeries(tuple(f))
 
 
 class SeriesValue(NamedTuple):
@@ -204,28 +151,22 @@ def series_eval(s: PowerSeries, x, precision_bits: int = 53) -> SeriesValue:
     if not 0 <= xf <= 0.5:
         raise ValueError(f"x must lie in [0, 1/2], got {x}")
     with mp.workprec(precision_bits):
-        xm = _to_mpf(x)
+        xm = to_mpf(x)
         acc = mpf(0)
         c_max = mpf(0)
         for c in reversed(s.coeffs):
-            cm = _to_mpf(c)
+            cm = to_mpf(c)
             acc = acc * xm + cm
             c_max = max(c_max, abs(cm))
         if xf == 0 or s.order == 0:
             # A bare constant evaluated at an exact point has no tail.
             tail = mpf(0)
         else:
-            last = abs(_to_mpf(s.coeffs[-1]))
+            last = abs(to_mpf(s.coeffs[-1]))
             tail = last * xm**(s.order + 1) / (1 - xm)
             tail += (8 * (s.order + 2) * mpf(2) ** (1 - precision_bits)
                      * (abs(acc) + c_max))
         return SeriesValue(+acc, +tail)
-
-
-def _to_mpf(c):
-    if isinstance(c, Fraction):
-        return mpf(c.numerator) / c.denominator
-    return mpf(c)
 
 
 @dataclass(frozen=True)
@@ -248,13 +189,13 @@ class WeightExpansion:
 
     def to_series(self) -> PowerSeries:
         """The c-series in x = 1/n (without the x^p prefactor)."""
-        return PowerSeries(tuple(self.c), None)
+        return PowerSeries(tuple(self.c))
 
     def eval_at(self, x, precision_bits: int = 53) -> SeriesValue:
         """Evaluate x^p * (c-series)(x); tail bound scaled the same way."""
         inner = series_eval(self.to_series(), x, precision_bits)
         with mp.workprec(precision_bits):
-            xp = _to_mpf(x) ** self.p
+            xp = to_mpf(x) ** self.p
             return SeriesValue(+(inner.value * xp), +(inner.tail_bound * xp))
 
     def to_json(self) -> str:
@@ -328,71 +269,40 @@ def plus_bracket_series(p: int, order: int) -> PowerSeries:
     return out
 
 
-def _g_argument_series(pair: ExponentPair, sign: int, order: int,
-                       precision_bits: int | None) -> PowerSeries:
+def _g_argument_series(pair: ExponentPair, sign: int, order: int) -> PowerSeries:
     """Series of g(sign*x) = q * sum_{k>=1} binom(1/q, k+1) (sign*x)^k."""
-    if precision_bits is None:
-        q = pair.q_exact
-        binom = binom_rational_sequence(pair.inv_q_exact, order + 1)
-        coeffs = [Fraction(0)]
-        coeffs += [q * binom[k + 1] * sign**k for k in range(1, order + 1)]
-    else:
-        with mp.workprec(precision_bits):
-            q = pair.q_mpf(precision_bits)
-            inv_q = pair.inv_q_mpf(precision_bits)
-            coeffs = [mpf(0)]
-            coeffs += [q * binom_general_real(inv_q, k + 1, precision_bits)
-                       * sign**k for k in range(1, order + 1)]
-    return PowerSeries(tuple(coeffs), precision_bits)
+    q = pair.q_exact
+    binom = binom_rational_sequence(pair.inv_q_exact, order + 1)
+    coeffs = [Fraction(0)]
+    coeffs += [q * binom[k + 1] * sign**k for k in range(1, order + 1)]
+    return PowerSeries(tuple(coeffs))
 
 
 def expand_correction(pair: ExponentPair, order: int) -> PowerSeries:
     """Series of the relative correction a(x): weight * (q/x)^p - 1.
 
     Computed from the bracket difference D = (1+g(-x))^(p-1) - (1+g(x))^(p-1)
-    via the generalized binomial series; a(x) = (q/x) * D(x) - 1.  Exact ring
-    when p is rational.  Odd positions vanish.
+    via the generalized binomial series; a(x) = (q/x) * D(x) - 1, exact.
+    Odd positions vanish.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    bits = None if pair.is_rational else pair.precision_bits
     inner_order = order + 1
-    if pair.is_rational:
-        alpha = pair.p_exact - 1
-    else:
-        with mp.workprec(bits):
-            alpha = pair.p_mpf(bits) - 1
-    g_minus = _g_argument_series(pair, -1, inner_order, bits)
-    g_plus = _g_argument_series(pair, +1, inner_order, bits)
+    alpha = pair.p_exact - 1
+    g_minus = _g_argument_series(pair, -1, inner_order)
+    g_plus = _g_argument_series(pair, +1, inner_order)
     d = series_pow_binomial(g_minus, alpha, inner_order) \
         - series_pow_binomial(g_plus, alpha, inner_order)
-    if bits is None:
-        q = pair.q_exact
-        out = [q * d[1] - 1] + [q * d[k + 1] for k in range(1, order + 1)]
-        if out[0] != 0:
+    q = pair.q_exact
+    out = [q * d[1] - 1] + [q * d[k + 1] for k in range(1, order + 1)]
+    if out[0] != 0:
+        raise InvariantViolation(
+            f"constant term of the correction must vanish, got {out[0]}")
+    for k in range(1, order + 1, 2):
+        if out[k] != 0:
             raise InvariantViolation(
-                f"constant term of the correction must vanish, got {out[0]}")
-        for k in range(1, order + 1, 2):
-            if out[k] != 0:
-                raise InvariantViolation(
-                    f"odd coefficient a[{k}] must vanish, got {out[k]}")
-    else:
-        with mp.workprec(bits):
-            q = pair.q_mpf(bits)
-            out = [q * d[1] - 1] + [q * d[k + 1] for k in range(1, order + 1)]
-            # Odd slots cancel analytically; snap rounding residue to zero,
-            # but a residue above noise level is a bug.
-            noise = mpf(2) ** (-(bits // 2))
-            for k in range(1, order + 1, 2):
-                if abs(out[k]) > noise:
-                    raise InvariantViolation(
-                        f"odd coefficient a[{k}] = {out[k]} exceeds noise")
-                out[k] = mpf(0)
-            if abs(out[0]) > noise:
-                raise InvariantViolation(
-                    f"constant term of the correction must vanish, got {out[0]}")
-            out[0] = mpf(0)
-    return PowerSeries(tuple(out), bits)
+                f"odd coefficient a[{k}] must vanish, got {out[k]}")
+    return PowerSeries(tuple(out))
 
 
 def correction_positivity_report(pair: ExponentPair, order: int) -> dict:
@@ -405,11 +315,9 @@ def correction_positivity_report(pair: ExponentPair, order: int) -> dict:
     even = {k: series[k] for k in range(2, order + 1, 2)}
     negatives = nonpositive_even_positions(series)
     return {
-        "p": rational_to_str(pair.p_exact) if pair.is_rational
-        else mp.nstr(pair.p_mpf(pair.precision_bits), 20),
+        "p": rational_to_str(pair.p_exact),
         "order": order,
-        "even_coefficients": {k: rational_to_str(v) if isinstance(v, Fraction)
-                              else mp.nstr(v, 20) for k, v in even.items()},
+        "even_coefficients": {k: rational_to_str(v) for k, v in even.items()},
         "all_even_positive": not negatives,
         "nonpositive_positions": negatives,
     }

@@ -4,10 +4,14 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from phardy import cli
 from phardy import proof_machinery as pm
@@ -17,10 +21,24 @@ from phardy.numerics import ExponentPair
 from phardy.weights import compare_weights
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_phardy(*argv):
+    """The CLI in its own process, so that an uncaught exception shows as a
+    traceback on stderr rather than as a failure of the calling test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "phardy.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 class TestSeriesCommand:
@@ -176,6 +194,35 @@ class TestVerifyCommand:
         assert payload["pass"] is False
         assert code == 1
 
+    def test_supersolution_passes_below_double_range(self, capsys):
+        # 10^-(340-12) underflows a double to 0; the decision does not.
+        code, out, _ = run_cli(capsys, "verify", "--supersolution", "--p",
+                               "2", "--n", "1..5", "--digits", "340")
+        payload = json.loads(out)
+        assert payload["tolerance"] == 0.0
+        assert payload["pass"] is True
+        assert code == 0
+
+    def test_supersolution_fails_below_double_range(self, capsys,
+                                                     monkeypatch):
+        # A relative residual of 1e-350 misses the tolerance 1e-388 by far,
+        # but as doubles both would read 0.
+        original = cli.weight_from_supersolution
+
+        def scaled(u, pair, n, bits):
+            values = original(u, pair, n, bits)
+            with mp.workprec(bits):
+                factor = 1 + mpf(10) ** -350
+                return [value * factor for value in values]
+
+        monkeypatch.setattr(cli, "weight_from_supersolution", scaled)
+        code, out, _ = run_cli(capsys, "verify", "--supersolution", "--p",
+                               "2", "--n", "1..5", "--digits", "400")
+        payload = json.loads(out)
+        assert payload["max_relative_residual"] == 0.0
+        assert payload["pass"] is False
+        assert code == 1
+
     @pytest.mark.parametrize("digits", ["12", "5"])
     def test_supersolution_rejects_tolerance_of_one(self, capsys, digits):
         code, out, err = run_cli(capsys, "verify", "--supersolution", "--p",
@@ -267,6 +314,30 @@ class TestRayleighCommand:
         assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0] == "n,phi_n" and len(lines) == 11
+
+
+class TestEdgeInputs:
+    """Edge inputs either work or fail with exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["weight", "--p", "1.000000000000000000000000000001",
+          "--n", "1..3", "--digits", "15"], 2),
+        (["verify", "--supersolution", "--p", "2", "--n", "1..5",
+          "--digits", "340"], 0),
+        (["weight", "--p", "2", "--n", "1..3", "--digits", "0"], 2),
+        (["weight", "--p", "2", "--n", "0..3"], 2),
+        (["series", "--p", "2", "--order", "-1"], 2),
+        (["rayleigh", "--p", "2", "--N", "1"], 2),
+        (["lemmas", "--p", "1.000000000000000000000000000001",
+          "--only", "g_linear"], 2),
+    ], ids=["p-rounds-to-1", "supersolution-D340", "digits-0", "n-from-0",
+            "negative-order", "rayleigh-N1", "lemmas-p-rounds-to-1"])
+    def test_exit_code(self, argv, expected):
+        result = run_phardy(*argv)
+        assert "Traceback" not in result.stderr, result.stderr
+        assert result.returncode == expected, result.stderr
+        if expected == 2:
+            assert result.stderr.startswith("error: ")
 
 
 class TestReproducibility:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp
 
 from phardy.numerics import (
     ExponentPair,
@@ -14,7 +14,6 @@ from phardy.numerics import (
     PrecisionInfeasibleError,
     PrecisionMismatchError,
     binom_general_rational,
-    binom_general_real,
     binom_rational_sequence,
     rational_from_str,
     rational_to_str,
@@ -36,6 +35,10 @@ class TestBinomRational:
     def test_half_choose_four(self):
         # hand evaluation: (1/2)(-1/2)(-3/2)(-5/2)/24 = -(15/16)/24
         assert binom_general_rational(Fraction(1, 2), 4) == Fraction(-5, 128)
+
+    def test_two_thirds_choose_three(self):
+        # (2/3)(-1/3)(-4/3)/6 = 4/81
+        assert binom_general_rational(Fraction(2, 3), 3) == Fraction(4, 81)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -71,27 +74,6 @@ class TestBinomRationalSequence:
     def test_negative_k_max_rejected(self):
         with pytest.raises(ValueError):
             binom_rational_sequence(Fraction(1, 2), -1)
-
-
-class TestBinomReal:
-    def test_matches_rational_path_half(self):
-        value = binom_general_real(0.5, 2, 128)
-        assert abs(value - mpf(-0.125)) < mpf(2) ** -120
-
-    def test_matches_rational_path_two_thirds(self):
-        # exact path oracle: (2/3)(-1/3)(-4/3)/6 = 4/81
-        exact = binom_general_rational(Fraction(2, 3), 3)
-        assert exact == Fraction(4, 81)
-        value = binom_general_real(Fraction(2, 3), 3, 128)
-        with mp.workprec(128):
-            assert abs(value - mpf(4) / 81) < mpf(2) ** -120
-
-    def test_k_zero(self):
-        assert binom_general_real(3.7, 0, 64) == 1
-
-    def test_low_precision_rejected(self):
-        with pytest.raises(PrecisionInfeasibleError):
-            binom_general_real(0.5, 2, 8)
 
 
 class TestConjugateCoefficients:
@@ -172,15 +154,26 @@ class TestExponentPair:
     def test_parse_forms(self):
         assert ExponentPair.parse("3/2").p_exact == Fraction(3, 2)
         assert ExponentPair.parse("2.5").p_exact == Fraction(5, 2)
-        assert ExponentPair.parse("2").is_rational
+        assert ExponentPair.parse("2").p_exact == 2
 
     def test_irrational_path(self):
+        # p is always exact; an mpf must be passed as a string to be parsed.
         with mp.workprec(113):
-            pair = ExponentPair(mp.sqrt(5), precision_bits=113)
-        assert not pair.is_rational
-        assert abs(pair.p_float() - math.sqrt(5)) < 1e-15
-        with pytest.raises(ValueError):
-            _ = pair.q_exact
+            root = mp.sqrt(5)
+        with pytest.raises(TypeError):
+            ExponentPair(root)
+        assert ExponentPair(str(root)).p_exact == Fraction(str(root))
+
+    def test_p_rounding_to_one_is_refused(self):
+        # p - 1 = 10^-30 ~ 2^-99.7: lost at 64 bits, kept at 128.
+        pair = ExponentPair("1.000000000000000000000000000001")
+        for rounded in (pair.p_mpf, pair.q_mpf, pair.inv_q_mpf):
+            with pytest.raises(PrecisionInfeasibleError):
+                rounded(64)
+        with pytest.raises(PrecisionInfeasibleError):
+            pair.q_float()
+        with mp.workprec(128):
+            assert pair.p_mpf(128) - 1 > 0
 
     def test_serialization_helpers(self):
         assert rational_to_str(Fraction(5, 64)) == "5/64"

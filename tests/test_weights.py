@@ -58,13 +58,6 @@ class TestSpecialValues:
         pair = ExponentPair(p)
         assert eval_w(pair, 1, 35).value == eval_w1_closed(pair, 35).value
 
-    def test_n1_irrational_p(self):
-        with mp.workprec(160):
-            pair = ExponentPair(mp.sqrt(7), precision_bits=160)
-        a = eval_w(pair, 1, 30)
-        b = eval_w1_closed(pair, 30)
-        assert a.value == b.value
-
 
 class TestClassicalWeight:
     @pytest.mark.parametrize("p,n,expected", [
