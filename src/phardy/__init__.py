@@ -4,7 +4,6 @@ supersolution identity, grid-checkable proof machinery, and variational
 verification of the inequality."""
 
 from .numerics import (
-    BigRational,
     ExponentPair,
     PrecReal,
     binom_general_rational,
@@ -18,14 +17,7 @@ from .weights import (
     eval_w1_closed,
     eval_w_classical,
 )
-from .laplacian import (
-    GridFunction,
-    apply_p_laplacian,
-    ground_state_grid,
-    hardy_ground_state,
-    signed_power,
-    weight_from_supersolution,
-)
+from .laplacian import ground_state_grid, weight_from_supersolution
 from .series import (
     PowerSeries,
     WeightExpansion,

@@ -11,8 +11,6 @@ rationals too.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -21,10 +19,11 @@ from mpmath import mp, mpf
 
 from . import proof_machinery as pm
 from .laplacian import ground_state_grid, weight_from_supersolution
-from .numerics import ExponentPair, required_precision, rational_to_str
+from .numerics import ExponentPair, required_precision
 from .series import (
     DEFAULT_ORDER,
     InvariantViolation,
+    coefficients_csv,
     expand_correction,
     expand_w_integer_p,
     nonpositive_even_positions,
@@ -117,35 +116,27 @@ def cmd_series(args) -> int:
               "correction": bool(args.correction), "format": args.format}
     if args.correction:
         series = expand_correction(ExponentPair(p), args.order)
-        coeffs = [rational_to_str(c) for c in series.coeffs]
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["k", "c_k"])
-            for k, c in enumerate(coeffs):
-                writer.writerow([k, c])
-            _emit(buf.getvalue(), args.out)
-        else:
-            negatives = nonpositive_even_positions(series)
-            _emit(_json_report(config, {
-                "coefficients": coeffs,
-                "all_even_positive": not negatives,
-                "nonpositive_positions": negatives,
-            }), args.out)
+        coeffs = series.coeffs
+        negatives = nonpositive_even_positions(series)
         # Positivity for non-integer p is a conjecture: reported, not gated.
-        return EXIT_OK
-    if p.denominator != 1 or p < 2:
-        raise UsageError(
-            f"the coefficient table requires an integer p >= 2, got {args.p}; "
-            f"use --correction for non-integer p")
-    try:
-        expansion = expand_w_integer_p(int(p), args.order)
-    except InvariantViolation:
-        return EXIT_CHECK_FAILED
-    if args.format == "csv":
-        _emit(expansion.to_csv(), args.out)
+        body = {"coefficients": [str(c) for c in coeffs],
+                "all_even_positive": not negatives,
+                "nonpositive_positions": negatives}
     else:
-        _emit(_json_report(config, json.loads(expansion.to_json())), args.out)
+        if p.denominator != 1 or p < 2:
+            raise UsageError(
+                f"the coefficient table requires an integer p >= 2, got "
+                f"{args.p}; use --correction for non-integer p")
+        try:
+            expansion = expand_w_integer_p(int(p), args.order)
+        except InvariantViolation:
+            return EXIT_CHECK_FAILED
+        coeffs = expansion.c
+        body = expansion.to_json_dict()
+    if args.format == "csv":
+        _emit(coefficients_csv(coeffs), args.out)
+    else:
+        _emit(_json_report(config, body), args.out)
     return EXIT_OK
 
 

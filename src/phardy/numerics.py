@@ -18,10 +18,6 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-# Exact coefficient ring used throughout: arbitrary-precision rationals,
-# stored reduced with positive denominator (Fraction guarantees both).
-BigRational = Fraction
-
 # Decimal-digit requests above this are rejected rather than silently
 # truncated; the mpfr backend would accept them but desk-scale use never
 # needs more, and a typo should fail loudly.
@@ -41,16 +37,6 @@ class PrecisionMismatchError(ValueError):
 
 class PrecisionInfeasibleError(ValueError):
     """A precision request the numeric backend will not honor."""
-
-
-def rational_to_str(value: Fraction) -> str:
-    """Serialize a rational as ``"num/den"`` (``"5/64"``, integers as ``"2"``)."""
-    return str(value)
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse ``"a/b"`` or a (finite) decimal string into an exact rational."""
-    return Fraction(text.strip())
 
 
 @dataclass(frozen=True)
@@ -199,13 +185,16 @@ class ExponentPair:
             return (p - 1) / p
 
     def p_float(self) -> float:
-        return float(self.p_exact)
-
-    def q_float(self) -> float:
-        pf = self.p_float()
+        """p rounded to a double; a p that rounds to 1 is refused, as in
+        :meth:`p_mpf`."""
+        pf = float(self.p_exact)
         if not pf > 1:
             raise PrecisionInfeasibleError(
                 f"p = {self.p_exact} rounds to 1 in double precision")
+        return pf
+
+    def q_float(self) -> float:
+        pf = self.p_float()
         return pf / (pf - 1.0)
 
     def __repr__(self):
@@ -222,7 +211,7 @@ class ExponentPair:
     @staticmethod
     def parse(text: str) -> "ExponentPair":
         """Parse ``"a/b"`` or a decimal string; decimals become exact rationals."""
-        return ExponentPair(rational_from_str(text))
+        return ExponentPair(Fraction(text))
 
 
 def binom_general_rational(alpha: Fraction, k: int) -> Fraction:
@@ -260,9 +249,13 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
     """Working precision (bits) sufficient for cancellation-safe weight
     evaluation at index n.
 
-    The two bracketed terms of the weight at n agree to about log2(n) leading
-    bits and their difference is of order n^-p, so the budget is the decimal
-    target plus p*log2(n) cancellation headroom plus 32 guard bits.
+    Each bracket, 1 - (1 - 1/n)^(1/q) and (1 + 1/n)^(1/q) - 1, is formed by
+    a subtraction that loses about log2(n) bits; their (p-1)-th powers differ
+    by a relative (p-1)/(p n), which loses log2(n) more, plus log2(1/(p-1))
+    when p < 2.  Forming p - 1 from the rounded p loses those log2(1/(p-1))
+    bits as well (the classical weight is ((p-1)/p)^p n^-p).  So the budget
+    is the decimal target plus max(p, 2)*log2(n), plus ceil(log2(1/(p-1)))
+    when p < 2, plus 32 guard bits.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -271,5 +264,11 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
             f"target_decimal_digits must be in [1, {MAX_TARGET_DIGITS}], "
             f"got {target_decimal_digits}")
     digit_bits = math.ceil(target_decimal_digits * _LOG2_10)
-    cancel_bits = math.ceil(pair.p_float() * math.log2(n)) if n > 1 else 0
+    p = pair.p_exact
+    cancel_bits = math.ceil(float(max(p, 2)) * math.log2(n)) if n > 1 else 0
+    if p < 2:
+        # log2 of the integers, since 1/(p-1) may exceed the double range.
+        pm1 = p - 1
+        cancel_bits += math.ceil(math.log2(pm1.denominator)
+                                 - math.log2(pm1.numerator))
     return digit_bits + cancel_bits + 32

@@ -37,10 +37,9 @@ from .numerics import (
     PAIR_CACHE_SIZE,
     ExponentPair,
     binom_general_rational,
-    binom_rational_sequence,
     to_mpf,
 )
-from .series import SeriesValue
+from .series import SeriesValue, _g_argument_series
 from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
 
 DEFAULT_ORDER = 40
@@ -83,7 +82,7 @@ class GSeries:
 def g_series(pair: ExponentPair, order: int) -> GSeries:
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    coeffs = _a_exact(pair, order)
+    coeffs = _g_argument_series(pair, -1, order).coeffs
     for k in range(1, order + 1):
         if not coeffs[k] > 0:
             raise AgreementError(f"a_{k} must be positive, got {coeffs[k]}")
@@ -91,14 +90,6 @@ def g_series(pair: ExponentPair, order: int) -> GSeries:
             raise AgreementError(
                 f"a_k must decay weakly: a_{k}={coeffs[k]} > a_{k-1}={coeffs[k-1]}")
     return GSeries(pair=pair, a=coeffs, order=order)
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _a_exact(pair: ExponentPair, order: int) -> tuple:
-    q = pair.q_exact
-    binom = binom_rational_sequence(pair.inv_q_exact, order + 1)
-    return tuple([Fraction(0)] + [q * abs(binom[k + 1])
-                                  for k in range(1, order + 1)])
 
 
 def _arithmetic(precision_bits: int):

@@ -22,7 +22,6 @@ from .numerics import (
     ExponentPair,
     binom_general_rational,
     binom_rational_sequence,
-    rational_to_str,
     to_mpf,
 )
 
@@ -198,21 +197,25 @@ class WeightExpansion:
             xp = to_mpf(x) ** self.p
             return SeriesValue(+(inner.value * xp), +(inner.tail_bound * xp))
 
+    def to_json_dict(self) -> dict:
+        return {"p": self.p, "leading_power": self.leading_power,
+                "coefficients": [str(ck) for ck in self.c]}
+
     def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "leading_power": self.leading_power,
-            "coefficients": [rational_to_str(ck) for ck in self.c],
-        }
-        return json.dumps(payload)
+        return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "c_k"])
-        for k, ck in enumerate(self.c):
-            writer.writerow([k, rational_to_str(ck)])
-        return buf.getvalue()
+        return coefficients_csv(self.c)
+
+
+def coefficients_csv(coeffs) -> str:
+    """A ``k,c_k`` CSV table with one row per coefficient, each written
+    exactly as ``str`` writes a Fraction (``"5/64"``, integers as ``"2"``)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "c_k"])
+    writer.writerows(enumerate(map(str, coeffs)))
+    return buf.getvalue()
 
 
 def expand_w_integer_p(p: int, order: int) -> WeightExpansion:
@@ -315,9 +318,9 @@ def correction_positivity_report(pair: ExponentPair, order: int) -> dict:
     even = {k: series[k] for k in range(2, order + 1, 2)}
     negatives = nonpositive_even_positions(series)
     return {
-        "p": rational_to_str(pair.p_exact),
+        "p": str(pair.p_exact),
         "order": order,
-        "even_coefficients": {k: rational_to_str(v) for k, v in even.items()},
+        "even_coefficients": {k: str(v) for k, v in even.items()},
         "all_even_positive": not negatives,
         "nonpositive_positions": negatives,
     }

@@ -129,10 +129,6 @@ def _weight_array(pair: ExponentPair, kind: WeightKind, n_max: int):
     return _weight_array_capacity(pair, kind, capacity)[:n_max]
 
 
-def _pval(p) -> float:
-    return p.p_float() if isinstance(p, ExponentPair) else float(p)
-
-
 def _energy(padded: np.ndarray, pf: float) -> float:
     return float(np.sum(np.abs(np.diff(padded)) ** pf))
 
@@ -141,12 +137,12 @@ def _mass(values: np.ndarray, w: np.ndarray, pf: float) -> float:
     return float(np.sum(w * np.abs(values) ** pf))
 
 
-def hardy_lhs(phi: CompactFunction, p) -> float:
-    """Energy sum |phi(n) - phi(n-1)|^p, n = 1..N+1, zero beyond support."""
-    pf = _pval(p)
-    if not pf > 1:
-        raise ValueError(f"p must exceed 1, got {pf}")
-    return _energy(phi.padded(), pf)
+def hardy_lhs(phi: CompactFunction, pair: ExponentPair) -> float:
+    """Energy sum |phi(n) - phi(n-1)|^p, n = 1..N+1, zero beyond support.
+
+    A p that rounds to 1 in doubles is refused (PrecisionInfeasibleError).
+    """
+    return _energy(phi.padded(), pair.p_float())
 
 
 def hardy_rhs(phi: CompactFunction, pair: ExponentPair, kind: WeightKind) -> float:

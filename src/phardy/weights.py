@@ -16,6 +16,7 @@ import csv
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -174,11 +175,14 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     The relative excess is computed as (w - w_classical)/w_classical with a
     single subtraction at full internal precision; the subtraction is the
     cancellation-prone quantity of interest, so it is never assembled from
-    rounded intermediates.  The whole table is one precision context.
+    rounded intermediates.  The excess is of order n^-2, so the subtraction
+    cancels about 2*log2(n) bits, which are added to the weights' budget.
+    The whole table is one precision context.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    bits = required_precision(pair, n_max, target_digits)
+    bits = (required_precision(pair, n_max, target_digits)
+            + math.ceil(2 * math.log2(n_max)))
     ns = range(n_min, n_max + 1)
     rows = []
     with mp.workprec(bits):

@@ -319,25 +319,33 @@ class TestRayleighCommand:
 class TestEdgeInputs:
     """Edge inputs either work or fail with exit code 2, never a traceback."""
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["weight", "--p", "1.000000000000000000000000000001",
-          "--n", "1..3", "--digits", "15"], 2),
+    # p - 1 = 10^-30: kept by the mpmath budget, lost in a double.
+    P_NEAR_1 = "1.000000000000000000000000000001"
+    P_NEAR_1_EXACT = str(Fraction(P_NEAR_1))
+
+    @pytest.mark.parametrize("argv, expected, text", [
+        (["weight", "--p", P_NEAR_1, "--n", "1..3", "--digits", "15"], 0,
+         '"w_classical": "1.00000000000000e-30"'),
         (["verify", "--supersolution", "--p", "2", "--n", "1..5",
-          "--digits", "340"], 0),
-        (["weight", "--p", "2", "--n", "1..3", "--digits", "0"], 2),
-        (["weight", "--p", "2", "--n", "0..3"], 2),
-        (["series", "--p", "2", "--order", "-1"], 2),
-        (["rayleigh", "--p", "2", "--N", "1"], 2),
-        (["lemmas", "--p", "1.000000000000000000000000000001",
-          "--only", "g_linear"], 2),
+          "--digits", "340"], 0, None),
+        (["weight", "--p", "2", "--n", "1..3", "--digits", "0"], 2, None),
+        (["weight", "--p", "2", "--n", "0..3"], 2, None),
+        (["series", "--p", "2", "--order", "-1"], 2, None),
+        (["rayleigh", "--p", "2", "--N", "1"], 2, None),
+        (["lemmas", "--p", P_NEAR_1, "--only", "g_linear"], 2, None),
+        (["lemmas", "--p", P_NEAR_1, "--only", "ef"], 2, P_NEAR_1_EXACT),
+        (["verify", "--p", P_NEAR_1, "--trials", "3"], 2, P_NEAR_1_EXACT),
     ], ids=["p-rounds-to-1", "supersolution-D340", "digits-0", "n-from-0",
-            "negative-order", "rayleigh-N1", "lemmas-p-rounds-to-1"])
-    def test_exit_code(self, argv, expected):
+            "negative-order", "rayleigh-N1", "lemmas-p-rounds-to-1",
+            "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1"])
+    def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr
         assert result.returncode == expected, result.stderr
         if expected == 2:
             assert result.stderr.startswith("error: ")
+        if text is not None:
+            assert text in (result.stdout if expected == 0 else result.stderr)
 
 
 class TestReproducibility:

@@ -15,8 +15,6 @@ from phardy.numerics import (
     PrecisionMismatchError,
     binom_general_rational,
     binom_rational_sequence,
-    rational_from_str,
-    rational_to_str,
     required_precision,
 )
 
@@ -106,6 +104,9 @@ class TestRequiredPrecision:
         assert required_precision(ExponentPair(2), 1, 30) == 132
         assert required_precision(ExponentPair(2), 1000, 30) == 152
         assert required_precision(ExponentPair(4), 10 ** 6, 50) == 279
+        # p < 2: 2*log2(n) for the brackets, log2(1/(p-1)) for p - 1.
+        assert required_precision(ExponentPair("1.001"), 1, 30) == 142
+        assert required_precision(ExponentPair("1.001"), 1000, 30) == 162
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -170,13 +171,14 @@ class TestExponentPair:
         for rounded in (pair.p_mpf, pair.q_mpf, pair.inv_q_mpf):
             with pytest.raises(PrecisionInfeasibleError):
                 rounded(64)
-        with pytest.raises(PrecisionInfeasibleError):
-            pair.q_float()
+        for rounded in (pair.p_float, pair.q_float):
+            with pytest.raises(PrecisionInfeasibleError, match=str(pair.p_exact)):
+                rounded()
         with mp.workprec(128):
             assert pair.p_mpf(128) - 1 > 0
 
     def test_serialization_helpers(self):
-        assert rational_to_str(Fraction(5, 64)) == "5/64"
-        assert rational_to_str(Fraction(0)) == "0"
-        assert rational_from_str("5/64") == Fraction(5, 64)
-        assert rational_from_str("0.25") == Fraction(1, 4)
+        # p is read with Fraction and written with str, both exact.
+        assert str(ExponentPair.parse("69/64").p_exact) == "69/64"
+        assert str(ExponentPair.parse(" 2 ").p_exact) == "2"
+        assert ExponentPair.parse("1.25").p_exact == Fraction(5, 4)

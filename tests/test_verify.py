@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from phardy.numerics import ExponentPair
+from phardy.numerics import ExponentPair, PrecisionInfeasibleError
 from phardy.verify import (
     CompactFunction,
     _p_laplacian,
@@ -37,12 +37,12 @@ def indicator(n_max=1):
 class TestSums:
     def test_lhs_indicator(self):
         phi = indicator()
-        assert hardy_lhs(phi, 2) == 2.0
-        assert hardy_lhs(phi, 3) == 2.0
+        assert hardy_lhs(phi, ExponentPair(2)) == 2.0
+        assert hardy_lhs(phi, ExponentPair(3)) == 2.0
 
     def test_lhs_two_ones(self):
         phi = CompactFunction([1.0, 1.0])
-        assert hardy_lhs(phi, 2) == 2.0
+        assert hardy_lhs(phi, ExponentPair(2)) == 2.0
 
     def test_rhs_indicator_improved(self):
         value = hardy_rhs(indicator(), ExponentPair(2), WeightKind.IMPROVED)
@@ -57,8 +57,10 @@ class TestSums:
         assert hardy_rhs(phi, ExponentPair(2), WeightKind.IMPROVED) == 0.0
 
     def test_lhs_requires_p_above_one(self):
-        with pytest.raises(ValueError):
-            hardy_lhs(indicator(), 1.0)
+        # p - 1 = 10^-30 exceeds 0 but not a unit of a double near 1.
+        pair = ExponentPair("1.000000000000000000000000000001")
+        with pytest.raises(PrecisionInfeasibleError, match=str(pair.p_exact)):
+            hardy_lhs(indicator(), pair)
 
 
 class TestCheckHardy:

@@ -1,8 +1,11 @@
 """Closed-form weight evaluation against independent high-precision oracles."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from phardy.numerics import (
@@ -228,3 +231,69 @@ class TestTableKernel:
     def test_range_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             eval_w(ExponentPair(2), range(0, 3), 15)
+
+
+def _reference(p: Fraction, n: int, bits: int):
+    """(w, w_classical, w/w_classical - 1) at n, at bits of precision.
+
+    Independent of the kernel: p - 1 is rounded once from the exact
+    rational, and expm1/log1p form both brackets and their difference,
+    a^(p-1) - b^(p-1) = b^(p-1) expm1((p-1) log(a/b)), without subtracting
+    nearby values; only log(a/b) and the ratio lose about log2(n) and
+    2*log2(n) bits, which the caller's bits cover.
+    """
+    with mp.workprec(bits):
+        p_m = mpf(p.numerator) / p.denominator
+        pm1 = mpf(p.numerator - p.denominator) / p.denominator
+        s = pm1 / p_m
+        x = mpf(1) / n
+        a = mpf(1) if n == 1 else -mp.expm1(s * mp.log1p(-x))
+        b = mp.expm1(s * mp.log1p(x))
+        w = b ** pm1 * mp.expm1(pm1 * mp.log(a / b))
+        wc = s ** p_m / mpf(n) ** p_m
+        return w, wc, w / wc - 1
+
+
+NEAR_ONE = st.integers(1, 19).map(lambda e: 1 + F(1, 10 ** e))
+EXPONENTS = st.one_of(
+    NEAR_ONE,
+    st.fractions(min_value=1, max_value=20, max_denominator=1000)
+    .filter(lambda p: p > 1))
+
+
+class TestDigitContract:
+    """Every value printed to D digits is correct to D digits: checked
+    against a reference at four times a precision that covers every
+    cancellation, over p in (1, 20], n <= 10^12 and D in {5, 15, 30}."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=EXPONENTS,
+           n=st.one_of(st.integers(1, 1000), st.integers(1, 10 ** 12)),
+           digits=st.sampled_from([5, 15, 30]))
+    @example(p=F(1001, 1000), n=10 ** 9, digits=5)
+    @example(p=F(101, 100), n=10 ** 4, digits=15)
+    @example(p=1 + F(1, 10 ** 19), n=3, digits=15)
+    def test_values_against_reference(self, p, n, digits):
+        pair = ExponentPair(p)
+        ref_bits = 4 * (math.ceil(digits * math.log2(10))
+                        + math.ceil(2 * math.log2(n))
+                        + math.ceil(-math.log2(p - 1)) + 32)
+        n_min = max(1, n - 2)
+        table = compare_weights(pair, n_min, n, digits)
+        single = eval_w(pair, n, digits)
+        with mp.workprec(ref_bits):
+            tol = mpf(10) ** -digits
+
+            def close(value, ref):
+                return abs(value - ref) <= tol * abs(ref)
+
+            w, _, _ = _reference(p, n, ref_bits)
+            assert close(single.value, w), (single.value, w)
+            for row in table.rows:
+                refs = _reference(p, row.n, ref_bits)
+                values = (row.w_improved.value, row.w_classical.value,
+                          row.ratio_minus_one.value)
+                for name, value, ref in zip(
+                        ("w_improved", "w_classical", "ratio_minus_one"),
+                        values, refs):
+                    assert close(value, ref), (row.n, name, value, ref)
