@@ -21,10 +21,8 @@ from .laplacian import ground_state_grid, weight_from_supersolution
 from .series import (
     PowerSeries,
     WeightExpansion,
-    binomial_series,
     expand_correction,
     expand_w_integer_p,
-    series_eval,
     series_mul,
     series_pow_binomial,
 )

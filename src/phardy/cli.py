@@ -179,10 +179,6 @@ def cmd_verify(args) -> int:
             "pass": passed,
         }), args.out)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
-    if args.trials < 1:
-        raise UsageError(f"trials must be positive, got {args.trials}")
-    if args.support < 1:
-        raise UsageError(f"support must be positive, got {args.support}")
     summary = run_hardy_trials(pair, args.trials, args.support, args.seed)
     config = {"subcommand": "verify", "mode": "trials", "p": str(p),
               "trials": args.trials, "support": args.support,
@@ -223,8 +219,6 @@ def cmd_lemmas(args) -> int:
 
 def cmd_rayleigh(args) -> int:
     p = _parse_p(args.p)
-    if args.N < 2:
-        raise UsageError(f"N must be at least 2, got {args.N}")
     pair = ExponentPair(p)
     kind = WeightKind(args.weight)
     result = minimize_rayleigh(pair, kind, args.N, max_iters=args.max_iters,

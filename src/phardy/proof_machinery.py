@@ -23,7 +23,6 @@ tolerance on the other side.
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -294,9 +293,6 @@ class GridCheckReport:
             "pass": self.passed,
             "failures": self.failures,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _x_grid_spec(x_grid) -> dict:

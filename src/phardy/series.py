@@ -1,29 +1,23 @@
 """Truncated formal power series in x (x standing for 1/n) and the exact
-expansion machinery for the improved Hardy weight.
+expansion of the improved Hardy weight.
 
-Coefficients are exact rationals (Fraction); only evaluation at a point
-rounds.  Exactness is the point: the integer-p weight expansion and the
-correction series reproduce published coefficient tables as rational
-identities, with zero tolerance.
+Coefficients are exact rationals (Fraction), and nothing here rounds.
+There is one route to them: the correction series a(x) of
+`expand_correction`, for every rational p, from which the integer-p weight
+table of `expand_w_integer_p` is a rescaling.  Exactness is the point: both
+reproduce published coefficient tables as rational identities, with zero
+tolerance.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
-from .numerics import (
-    ExponentPair,
-    binom_general_rational,
-    binom_rational_sequence,
-    to_mpf,
-)
+from .numerics import ExponentPair, binom_rational_sequence
 
 DEFAULT_ORDER = 40
 
@@ -58,37 +52,6 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self.coeffs[:order + 1])
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def scale(self, factor) -> "PowerSeries":
-        return PowerSeries(tuple(c * factor for c in self.coeffs))
-
-    @staticmethod
-    def one(order: int) -> "PowerSeries":
-        return PowerSeries((Fraction(1),) + (Fraction(0),) * order)
-
-    @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries((Fraction(0),) * (order + 1))
-
-
-def binomial_series(alpha, sign: int, order: int) -> PowerSeries:
-    """Series of (1 + sign*x)^alpha: coeffs[k] = binom(alpha, k) * sign^k."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    return PowerSeries(tuple(b * sign**k for k, b in
-                             enumerate(binom_rational_sequence(alpha, order))))
 
 
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -134,38 +97,11 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
 
 
 class SeriesValue(NamedTuple):
+    """A rounded value and a bound on its error, as the proof machinery's
+    series evaluators return them."""
+
     value: object
     tail_bound: object
-
-
-def series_eval(s: PowerSeries, x, precision_bits: int = 53) -> SeriesValue:
-    """Horner evaluation on the convergence window 0 <= x <= 1/2.
-
-    The reported tail bound is the crude geometric majorant
-    |c_order| * x^(order+1) / (1 - x) plus a rounding allowance at the
-    evaluation precision; it is validated empirically against closed-form
-    oracles, not proven.
-    """
-    xf = float(x)
-    if not 0 <= xf <= 0.5:
-        raise ValueError(f"x must lie in [0, 1/2], got {x}")
-    with mp.workprec(precision_bits):
-        xm = to_mpf(x)
-        acc = mpf(0)
-        c_max = mpf(0)
-        for c in reversed(s.coeffs):
-            cm = to_mpf(c)
-            acc = acc * xm + cm
-            c_max = max(c_max, abs(cm))
-        if xf == 0 or s.order == 0:
-            # A bare constant evaluated at an exact point has no tail.
-            tail = mpf(0)
-        else:
-            last = abs(to_mpf(s.coeffs[-1]))
-            tail = last * xm**(s.order + 1) / (1 - xm)
-            tail += (8 * (s.order + 2) * mpf(2) ** (1 - precision_bits)
-                     * (abs(acc) + c_max))
-        return SeriesValue(+acc, +tail)
 
 
 @dataclass(frozen=True)
@@ -178,34 +114,9 @@ class WeightExpansion:
     p: int
     c: list = field(default_factory=list)
 
-    @property
-    def leading_power(self) -> int:
-        return self.p
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    def to_series(self) -> PowerSeries:
-        """The c-series in x = 1/n (without the x^p prefactor)."""
-        return PowerSeries(tuple(self.c))
-
-    def eval_at(self, x, precision_bits: int = 53) -> SeriesValue:
-        """Evaluate x^p * (c-series)(x); tail bound scaled the same way."""
-        inner = series_eval(self.to_series(), x, precision_bits)
-        with mp.workprec(precision_bits):
-            xp = to_mpf(x) ** self.p
-            return SeriesValue(+(inner.value * xp), +(inner.tail_bound * xp))
-
     def to_json_dict(self) -> dict:
-        return {"p": self.p, "leading_power": self.leading_power,
+        return {"p": self.p, "leading_power": self.p,
                 "coefficients": [str(ck) for ck in self.c]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        return coefficients_csv(self.c)
 
 
 def coefficients_csv(coeffs) -> str:
@@ -221,55 +132,25 @@ def coefficients_csv(coeffs) -> str:
 def expand_w_integer_p(p: int, order: int) -> WeightExpansion:
     """Exact coefficients of the improved-weight expansion for integer p >= 2.
 
-    Both brackets of the weight are expanded with the integer binomial
-    theorem over the exponent p-1, each term a generalized binomial series
-    at exponent j*(p-1)/p; the difference's first p coefficients cancel,
-    which is asserted rather than assumed, and the x^p division becomes an
-    index shift.
+    With x = 1/n the weight is (x/q)^p (1 + a(x)), a the correction series
+    of `expand_correction`, so c[k] = c[0] ([k = 0] + a[k]) with
+    c[0] = (1/q)^p = ((p-1)/p)^p.  `expand_correction` asserts that a[0]
+    and the odd a[k] vanish; the paper's theorem, that every even c[k] is
+    positive for integer p, is asserted here.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    inv_q = Fraction(p - 1, p)
-    total = p + order
-    w = PowerSeries.zero(total)
-    for j in range(p):
-        coeff = binom_general_rational(Fraction(p - 1), j)
-        plus = binomial_series(j * inv_q, -1, total)    # (1-x)^(j/q)
-        minus = binomial_series(j * inv_q, +1, total)   # (1+x)^(j/q)
-        sign_plus = (-1) ** j
-        sign_minus = (-1) ** (p - 1 - j)
-        w = w + plus.scale(coeff * sign_plus) - minus.scale(coeff * sign_minus)
-
-    for k in range(p):
-        if w[k] != 0:
-            raise InvariantViolation(
-                f"coefficient of x^{k} should cancel below x^{p}, got {w[k]}")
-    c = [w[p + k] for k in range(order + 1)]
-    for k, ck in enumerate(c):
-        if k % 2 == 1 and ck != 0:
-            raise InvariantViolation(
-                f"odd-offset coefficient c[{k}] must vanish, got {ck}")
-        if k % 2 == 0 and not ck > 0:
-            raise InvariantViolation(
-                f"even-offset coefficient c[{k}] must be positive, got {ck}")
+    c0 = Fraction(p - 1, p) ** p
+    a = expand_correction(ExponentPair(p), order)
+    c = [c0] + [c0 * ak for ak in a.coeffs[1:]]
+    negatives = nonpositive_even_positions(a)
+    if negatives:
+        k = negatives[0]
+        raise InvariantViolation(
+            f"even-offset coefficient c[{k}] must be positive, got {c[k]}")
     return WeightExpansion(p=p, c=c)
-
-
-def plus_bracket_series(p: int, order: int) -> PowerSeries:
-    """Series of the increasing bracket (1 - (1-x)^((p-1)/p))^(p-1), integer p.
-
-    Witness for absolute monotonicity: all coefficients are positive.
-    """
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
-    inv_q = Fraction(p - 1, p)
-    out = PowerSeries.zero(order)
-    for j in range(p):
-        coeff = binom_general_rational(Fraction(p - 1), j) * (-1) ** j
-        out = out + binomial_series(j * inv_q, -1, order).scale(coeff)
-    return out
 
 
 def _g_argument_series(pair: ExponentPair, sign: int, order: int) -> PowerSeries:
@@ -292,12 +173,13 @@ def expand_correction(pair: ExponentPair, order: int) -> PowerSeries:
         raise ValueError(f"order must be nonnegative, got {order}")
     inner_order = order + 1
     alpha = pair.p_exact - 1
-    g_minus = _g_argument_series(pair, -1, inner_order)
-    g_plus = _g_argument_series(pair, +1, inner_order)
-    d = series_pow_binomial(g_minus, alpha, inner_order) \
-        - series_pow_binomial(g_plus, alpha, inner_order)
+    d_minus = series_pow_binomial(_g_argument_series(pair, -1, inner_order),
+                                  alpha, inner_order)
+    d_plus = series_pow_binomial(_g_argument_series(pair, +1, inner_order),
+                                 alpha, inner_order)
     q = pair.q_exact
-    out = [q * d[1] - 1] + [q * d[k + 1] for k in range(1, order + 1)]
+    out = [q * (d_minus[k + 1] - d_plus[k + 1]) for k in range(order + 1)]
+    out[0] -= 1
     if out[0] != 0:
         raise InvariantViolation(
             f"constant term of the correction must vanish, got {out[0]}")

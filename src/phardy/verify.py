@@ -435,6 +435,10 @@ def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must lie in [0, 1), got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     pf = pair.p_float()
     w = _weight_array(pair, kind, N)
     u = _ground_state_taper(pair, N)

@@ -275,7 +275,8 @@ class TestLemmasCommand:
                     if a.dest == "only")
         assert list(suite) == list(cli_reports) == list(only.choices)
         for name, report in suite.items():
-            assert cli_reports[name] == json.loads(report.to_json()), name
+            assert (cli_reports[name]
+                    == json.loads(json.dumps(report.to_json_dict()))), name
 
 
 class TestRayleighCommand:
@@ -332,11 +333,17 @@ class TestEdgeInputs:
         (["weight", "--p", "2", "--n", "0..3"], 2, None),
         (["series", "--p", "2", "--order", "-1"], 2, None),
         (["rayleigh", "--p", "2", "--N", "1"], 2, None),
+        (["rayleigh", "--p", "2", "--N", "5", "--tol", "nan"], 2, None),
+        (["rayleigh", "--p", "2", "--N", "5", "--tol", "inf"], 2, None),
+        (["rayleigh", "--p", "2", "--N", "5", "--tol", "-1"], 2, None),
+        (["rayleigh", "--p", "2", "--N", "5", "--max-iters", "-3"], 2, None),
         (["lemmas", "--p", P_NEAR_1, "--only", "g_linear"], 2, None),
         (["lemmas", "--p", P_NEAR_1, "--only", "ef"], 2, P_NEAR_1_EXACT),
         (["verify", "--p", P_NEAR_1, "--trials", "3"], 2, P_NEAR_1_EXACT),
     ], ids=["p-rounds-to-1", "supersolution-D340", "digits-0", "n-from-0",
-            "negative-order", "rayleigh-N1", "lemmas-p-rounds-to-1",
+            "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
+            "rayleigh-tol-inf", "rayleigh-tol-negative",
+            "rayleigh-negative-max-iters", "lemmas-p-rounds-to-1",
             "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)

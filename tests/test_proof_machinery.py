@@ -1,6 +1,5 @@
 """Lemma bounds, the bracket decomposition, and their grid reports."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -325,7 +324,7 @@ class TestGridChecks:
 
     def test_report_json_schema(self):
         report = pm.check_lemma_gpm(ExponentPair(2), SMALL_X[:5])
-        payload = json.loads(report.to_json())
+        payload = report.to_json_dict()
         assert set(payload) == {"description", "grid", "worst_margin", "pass",
                                 "failures"}
         assert payload["pass"] is True and payload["failures"] == []

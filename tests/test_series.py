@@ -1,46 +1,35 @@
 """Power-series plumbing and the exact weight expansions."""
 
-import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from phardy.numerics import ExponentPair, binom_general_rational
+from phardy.numerics import (
+    ExponentPair,
+    binom_general_rational,
+    binom_rational_sequence,
+)
 from phardy.series import (
     InvariantViolation,
     PowerSeries,
-    binomial_series,
+    coefficients_csv,
     correction_positivity_report,
     expand_correction,
     expand_w_integer_p,
     nonpositive_even_positions,
-    plus_bracket_series,
-    series_eval,
     series_mul,
     series_pow_binomial,
 )
+from phardy.weights import eval_w
 
 F = Fraction
 
-
-class TestBinomialSeries:
-    def test_one_plus_x(self):
-        s = binomial_series(1, +1, 3)
-        assert s.coeffs == (F(1), F(1), F(0), F(0))
-
-    def test_sqrt_one_minus_x(self):
-        s = binomial_series(F(1, 2), -1, 2)
-        assert s.coeffs == (F(1), F(-1, 2), F(-1, 8))
-
-    def test_alpha_zero(self):
-        s = binomial_series(0, -1, 4)
-        assert s.coeffs == (F(1), F(0), F(0), F(0), F(0))
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_series(1, 2, 3)
+# (1+x)^(1/2) to order 8
+SQRT_1PX = (F(1), F(1, 2), F(-1, 8), F(1, 16), F(-5, 128), F(7, 256),
+            F(-21, 1024), F(33, 2048), F(-429, 32768))
 
 
 class TestSeriesMul:
@@ -50,27 +39,28 @@ class TestSeriesMul:
         assert series_mul(a, b).coeffs == (F(1), F(0), F(-1))
 
     def test_multiplicative_identity(self):
-        s = binomial_series(F(1, 3), +1, 6)
-        one = PowerSeries.one(6)
+        s = PowerSeries((F(1), F(1, 3), F(-1, 9), F(5, 81), F(0), F(-7, 2),
+                         F(3)))
+        one = PowerSeries((F(1),) + (F(0),) * 6)
         assert series_mul(s, one).coeffs == s.coeffs
 
     def test_sqrt_squares_back(self):
-        # binomial-series oracle: (1+x)^(1/2) * (1+x)^(1/2) == 1 + x
-        root = binomial_series(F(1, 2), +1, 8)
+        # (1+x)^(1/2) * (1+x)^(1/2) == 1 + x
+        root = PowerSeries(SQRT_1PX)
         product = series_mul(root, root)
-        assert product.coeffs == binomial_series(1, +1, 8).coeffs
+        assert product.coeffs == (F(1), F(1)) + (F(0),) * 7
 
     def test_order_is_minimum(self):
-        a = binomial_series(F(1, 2), +1, 8)
-        b = binomial_series(F(1, 2), +1, 3)
+        a = PowerSeries(SQRT_1PX)
+        b = PowerSeries(SQRT_1PX[:4])
         assert series_mul(a, b).order == 3
 
 
 class TestSeriesPowBinomial:
     def test_zero_argument(self):
-        h = PowerSeries.zero(5)
+        h = PowerSeries((F(0),) * 6)
         s = series_pow_binomial(h, F(7, 3), 5)
-        assert s.coeffs == PowerSeries.one(5).coeffs
+        assert s.coeffs == (F(1),) + (F(0),) * 5
 
     def test_integer_power_case(self):
         h = PowerSeries((F(0), F(1), F(0)))
@@ -90,17 +80,58 @@ class TestSeriesPowBinomial:
     def test_consistency_with_binomial_series(self):
         h = PowerSeries(tuple([F(0), F(1)] + [F(0)] * 9))
         s = series_pow_binomial(h, F(2, 3), 10)
-        assert s.coeffs == binomial_series(F(2, 3), +1, 10).coeffs
+        assert s.coeffs == tuple(binom_rational_sequence(F(2, 3), 10))
 
 
-def _binomial_sum(h: PowerSeries, alpha, order: int) -> PowerSeries:
+def _binomial_sum(h: PowerSeries, alpha, order: int) -> tuple:
     """Reference: sum_k binom(alpha, k) h^k with one Cauchy product per k."""
-    result = PowerSeries.one(order)
-    h_pow = PowerSeries.one(order)
+    result = (F(1),) + (F(0),) * order
+    h_pow = PowerSeries(result)
     for k in range(1, order + 1):
         h_pow = series_mul(h_pow, h)
-        result = result + h_pow.scale(binom_general_rational(alpha, k))
+        b = binom_general_rational(alpha, k)
+        result = tuple(r + b * c for r, c in zip(result, h_pow.coeffs))
     return result
+
+
+def _binomial_theorem_table(p: int, order: int) -> list:
+    """Reference for the integer-p weight table c[0..order].
+
+    With x = 1/n and s = (p-1)/p the weight is
+    (1 - (1-x)^s)^(p-1) - ((1+x)^s - 1)^(p-1); expanding both brackets by
+    the binomial theorem over p - 1 makes it
+    sum_j binom(p-1, j) ((-1)^j (1-x)^(j s) - (-1)^(p-1-j) (1+x)^(j s)).
+    Its coefficients below x^p cancel, and c[k] is that of x^(p+k).
+    """
+    total = p + order
+    w = [F(0)] * (total + 1)
+    for j in range(p):
+        binom = binom_rational_sequence(F(j * (p - 1), p), total)
+        for k, b in enumerate(binom):
+            w[k] += math.comb(p - 1, j) * b * (
+                (-1) ** (j + k) - (-1) ** (p - 1 - j))
+    assert w[:p] == [0] * p
+    return w[p:]
+
+
+def _partial_sum(expansion, n: int) -> Fraction:
+    """x^p sum_k c[k] x^k at x = 1/n, exact."""
+    x = F(1, n)
+    return x ** expansion.p * sum(ck * x ** k
+                                  for k, ck in enumerate(expansion.c))
+
+
+def _tail_majorant(expansion, n: int) -> Fraction:
+    """x^p |c[K]| x^(K+1) / (1 - x) at x = 1/n, K the truncation order: the
+    geometric majorant of the neglected tail."""
+    x = F(1, n)
+    order = len(expansion.c) - 1
+    return (x ** expansion.p * abs(expansion.c[-1]) * x ** (order + 1)
+            / (1 - x))
+
+
+def _to_mpf(value: Fraction) -> mpf:
+    return mpf(value.numerator) / value.denominator
 
 
 def _random_h(seed: int, order: int) -> PowerSeries:
@@ -124,14 +155,14 @@ class TestMillerRecurrence:
     def test_exact_ring_matches_binomial_sum(self, alpha, seed, order):
         h = _random_h(seed, order)
         assert (series_pow_binomial(h, alpha, order).coeffs
-                == _binomial_sum(h, alpha, order).coeffs)
+                == _binomial_sum(h, alpha, order))
 
 
 class TestWeightExpansion:
     def test_published_table_p2(self):
         e = expand_w_integer_p(2, 6)
         assert e.c == [F(1, 4), 0, F(5, 64), 0, F(21, 512), 0, F(429, 16384)]
-        assert e.leading_power == 2
+        assert e.to_json_dict()["leading_power"] == 2
 
     def test_published_table_p3(self):
         e = expand_w_integer_p(3, 4)
@@ -159,26 +190,18 @@ class TestWeightExpansion:
         with pytest.raises(ValueError):
             expand_w_integer_p(F(5, 2), 4)
 
+    def test_matches_binomial_theorem_reference(self):
+        for p in range(2, 13):
+            assert expand_w_integer_p(p, 40).c == _binomial_theorem_table(p, 40), p
+
     def test_json_format(self):
-        payload = json.loads(expand_w_integer_p(3, 4).to_json())
+        payload = expand_w_integer_p(3, 4).to_json_dict()
         assert payload == {"p": 3, "leading_power": 3,
                            "coefficients": ["8/27", "0", "8/81", "0", "112/2187"]}
 
     def test_csv_format(self):
-        text = expand_w_integer_p(2, 2).to_csv()
+        text = coefficients_csv(expand_w_integer_p(2, 2).c)
         assert text == "k,c_k\n0,1/4\n1,0\n2,5/64\n"
-
-
-class TestAbsoluteMonotonicityWitness:
-    @pytest.mark.parametrize("p", [2, 3, 4, 7])
-    def test_increasing_bracket_coefficients_positive(self, p):
-        s = plus_bracket_series(p, 40)
-        # The bracket starts at x^(p-1); below that the coefficients are
-        # structural zeros, beyond it they must all be strictly positive.
-        for k in range(p - 1):
-            assert s[k] == 0
-        for k in range(p - 1, 41):
-            assert s[k] > 0
 
 
 class TestCorrectionSeries:
@@ -194,14 +217,6 @@ class TestCorrectionSeries:
         assert expand_correction(ExponentPair(3), 4)[4] == F(14, 81)
         assert expand_correction(ExponentPair(4), 2)[2] == F(11, 32)
 
-    def test_cross_check_against_weight_expansion(self):
-        # c_2/c_0 of the weight expansion equals the correction's x^2 term
-        for p in (2, 3, 4):
-            e = expand_w_integer_p(p, 4)
-            series = expand_correction(ExponentPair(p), 4)
-            assert series[2] == e.c[2] / e.c[0]
-            assert series[4] == e.c[4] / e.c[0]
-
     def test_nonpositive_even_positions(self):
         s = PowerSeries((F(0), F(-3), F(-1), F(0), F(2), F(5), F(0)))
         assert nonpositive_even_positions(s) == [2, 6]
@@ -214,45 +229,36 @@ class TestCorrectionSeries:
 
 
 class TestSeriesEval:
-    def test_constant_series(self):
-        value, tail = series_eval(PowerSeries((F(3, 7),)), 0.25)
-        assert float(value) == pytest.approx(3 / 7, abs=1e-15)
-        assert float(tail) < 1e-15
-
-    def test_at_zero_returns_constant_term(self):
-        value, tail = series_eval(binomial_series(F(1, 2), +1, 5), 0)
-        assert value == 1
-        assert tail == 0
-
-    def test_domain_check(self):
-        s = PowerSeries((F(1), F(1)))
-        with pytest.raises(ValueError):
-            series_eval(s, 0.75)
-        with pytest.raises(ValueError):
-            series_eval(s, -0.1)
+    """Exact partial sums of the weight expansion against the closed form."""
 
     def test_weight_series_tail_covers_oracle_gap(self):
-        # Oracle: the n = 2 weight in closed form at 50 digits.
+        # Oracle: the n = 2 weight in closed form at 200 bits.
+        e = expand_w_integer_p(2, 6)
+        value = _partial_sum(e, 2)
+        # Exact finite sum: (1/4) sum c_k 2^-k = 285741/4194304.
+        assert value == F(285741, 4194304)
         with mp.workprec(200):
             oracle = 2 - mp.sqrt(mpf(1) / 2) - mp.sqrt(mpf(3) / 2)
-            e = expand_w_integer_p(2, 6)
-            value, tail = e.eval_at(F(1, 2), precision_bits=80)
-            # Exact finite sum: (1/4) sum c_k 2^-k = 285741/4194304.
-            assert abs(value - mpf(285741) / 4194304) < 1e-20
-            assert abs(value - oracle) <= tail
+            assert abs(_to_mpf(value) - oracle) <= _to_mpf(_tail_majorant(e, 2))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 100])
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_cross_module_agreement(self, p, n):
-        from phardy.weights import eval_w
         e = expand_w_integer_p(p, 12)
-        value, tail = e.eval_at(F(1, n), precision_bits=80)
         w = eval_w(ExponentPair(p), n, 30)
         with mp.workprec(200):
-            assert abs(value - w.value) <= tail
+            assert (abs(_to_mpf(_partial_sum(e, n)) - w.value)
+                    <= _to_mpf(_tail_majorant(e, n)))
 
 
 class TestExpansionInvariantGuards:
     def test_violation_type_exists(self):
         # The parity/positivity guard is a hard error, not a report.
         assert issubclass(InvariantViolation, RuntimeError)
+
+    def test_nonpositive_even_coefficient_is_refused(self, monkeypatch):
+        import phardy.series as series
+        monkeypatch.setattr(series, "expand_correction", lambda pair, order:
+                            PowerSeries((F(0), F(0), F(-1, 3))))
+        with pytest.raises(InvariantViolation, match=r"c\[2\]"):
+            expand_w_integer_p(3, 2)
