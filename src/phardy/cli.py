@@ -204,15 +204,21 @@ def cmd_lemmas(args) -> int:
             raise UsageError(f"x-grid {args.x_grid!r} has no points in (0, 1/2]")
     else:
         x_values = list(pm.DEFAULT_X_GRID)
-    names = [args.only] if args.only else list(pm.LEMMAS)
-    pairs = [ExponentPair(p) for p in p_values]
-    reports = {name: pm.run_lemma(name, pairs, x_values) for name in names}
+    if args.only:
+        pairs = [ExponentPair(p) for p in p_values]
+        reports = {args.only: pm.run_lemma(args.only, pairs, x_values)}
+        not_applicable = []
+    else:
+        reports = pm.run_default_suite(p_values, x_values)
+        not_applicable = [name for name in pm.LEMMAS if name not in reports]
     config = {"subcommand": "lemmas",
               "p": args.p, "p_grid": args.p_grid, "x_grid": args.x_grid,
               "only": args.only}
-    _emit(_json_report(config, {
-        "reports": {name: rep.to_json_dict() for name, rep in reports.items()},
-    }), args.out)
+    body = {"reports": {name: rep.to_json_dict()
+                        for name, rep in reports.items()}}
+    if not_applicable:
+        body["not_applicable"] = not_applicable
+    _emit(_json_report(config, body), args.out)
     all_pass = all(rep.passed for rep in reports.values())
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
@@ -244,16 +250,13 @@ def cmd_rayleigh(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every subcommand takes --out; each other flag only where it is read.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="output format (default: json)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-    common.add_argument("--digits", type=int, default=30, metavar="D",
-                        help="decimal digits for high-precision values "
-                             "(default: 30)")
-    common.add_argument("--seed", type=int, default=0, metavar="S",
-                        help="master RNG seed (default: 0)")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("csv", "json"), default="json",
+                         help="output format (default: json)")
 
     parser = argparse.ArgumentParser(
         prog="phardy",
@@ -261,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "series, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("weight", parents=[common],
+    w = sub.add_parser("weight", parents=[common, formats],
                        help="tabulate improved vs classical weights")
     w.add_argument("--p", required=True, help='exponent, e.g. "2" or "3/2"')
     w.add_argument("--n", default="1..10", metavar="LO..HI",
                    help="index range (default: 1..10)")
+    w.add_argument("--digits", type=int, default=40, metavar="D",
+                   help="decimal digits of every value (default: 40)")
     w.set_defaults(handler=cmd_weight)
 
-    s = sub.add_parser("series", parents=[common],
+    s = sub.add_parser("series", parents=[common, formats],
                        help="exact expansion coefficients")
     s.add_argument("--p", required=True,
                    help="integer >= 2 for the coefficient table; any "
@@ -292,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the ground-state identity instead of trials")
     v.add_argument("--n", default="1..1000", metavar="LO..HI",
                    help="index range for --supersolution (default: 1..1000)")
-    v.set_defaults(handler=cmd_verify, digits=40)
+    v.add_argument("--digits", type=int, default=40, metavar="D",
+                   help="digits D of --supersolution, which passes below a "
+                        "relative residual of 10^-(D-12) (default: 40)")
+    v.add_argument("--seed", type=int, default=0, metavar="S",
+                   help="master RNG seed of the trials (default: 0)")
+    v.set_defaults(handler=cmd_verify)
 
     l = sub.add_parser("lemmas", parents=[common],
                        help="grid checks of every proof lemma")
@@ -320,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1e-9)")
     r.add_argument("--phi-out", default=None, metavar="PATH",
                    help="write the minimizer as CSV (n,phi_n)")
+    r.add_argument("--seed", type=int, default=0, metavar="S",
+                   help="unused (the minimizer is deterministic); accepted "
+                        "for existing command lines")
     r.set_defaults(handler=cmd_rayleigh)
     return parser
 

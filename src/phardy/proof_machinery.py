@@ -13,7 +13,9 @@ is the remainder over bracket powers n >= 2, evaluated in closed form:
 
 Every lemma bound feeding the positivity of E + F is implemented here as a
 predicate over (p, x) grids, reporting worst margins rather than bare
-booleans.
+booleans.  The six x-grid checks are point functions x -> (margin, lhs, rhs)
+run by one grid loop.  A check takes at most the exponent and the x-grid;
+its series order, precision and k- or p-range are module constants.
 
 Strictness semantics: a strict inequality is certified as "exceeds the
 combined truncation-plus-rounding tolerance", never as "compares greater in
@@ -43,6 +45,14 @@ from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
 
 DEFAULT_ORDER = 40
 
+# The x-grid checks evaluate g, E and F at DEFAULT_ORDER in doubles, the
+# decomposition at DECOMPOSITION_BITS.  The coefficient floor covers
+# k = 2..DEFAULT_ORDER and the binomial cap k in BINOM_K, so it needs p < 40.
+DECOMPOSITION_BITS = 113
+PAIRWISE_N_MAX = 15
+BINOM_K = range(2, 41)
+N1_DIGITS = 30
+
 # p-grid for the lemma suite: the low-p corner plus quarter points up to 3/2,
 # then half-integer steps through 10 (integer and half-integer points are the
 # case boundaries of the proof's case analysis).
@@ -65,20 +75,13 @@ class AgreementError(RuntimeError):
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GSeries:
-    """Positive coefficients a_k of g(-x) = sum_{k>=1} a_k x^k.
+def g_series(pair: ExponentPair, order: int) -> tuple:
+    """Coefficients a_0..a_order of g(-x) = sum_{k>=1} a_k x^k, exact.
 
-    a_k = q * |binom(1/q, k+1)|, exact rationals.
-    Index 0 is a structural zero (the series has no constant term).
+    a_k = q * |binom(1/q, k+1)|; a_0 is a structural zero.  Positivity and
+    weak decay of a_1..a_order are asserted, since eval_g's tail bound rests
+    on them.
     """
-
-    pair: ExponentPair
-    a: tuple
-    order: int
-
-
-def g_series(pair: ExponentPair, order: int) -> GSeries:
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     coeffs = _g_argument_series(pair, -1, order).coeffs
@@ -88,7 +91,7 @@ def g_series(pair: ExponentPair, order: int) -> GSeries:
         if k >= 2 and coeffs[k] > coeffs[k - 1]:
             raise AgreementError(
                 f"a_k must decay weakly: a_{k}={coeffs[k]} > a_{k-1}={coeffs[k-1]}")
-    return GSeries(pair=pair, a=coeffs, order=order)
+    return coeffs
 
 
 def _arithmetic(precision_bits: int):
@@ -114,7 +117,7 @@ def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """The a_k table in the arithmetic of precision_bits."""
     context, number, _ = _arithmetic(precision_bits)
     with context:
-        return tuple(number(c) for c in g_series(pair, order).a)
+        return tuple(number(c) for c in g_series(pair, order))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -295,158 +298,126 @@ class GridCheckReport:
         }
 
 
-def _x_grid_spec(x_grid) -> dict:
-    xs = [float(x) for x in x_grid]
-    return {"x_min": min(xs), "x_max": max(xs), "points": len(xs)}
-
-
 def _build_report(description, grid, points) -> GridCheckReport:
-    """points: iterable of (margin, p, x, lhs, rhs)."""
-    worst = math.inf
-    failures = []
-    for margin, p, x, lhs, rhs in points:
-        if margin < worst:
-            worst = margin
-        if not margin > 0:
-            failures.append({"p": p, "x": x, "lhs": lhs, "rhs": rhs})
-    return GridCheckReport(description=description, grid=grid,
-                           worst_margin=worst, passed=not failures,
-                           failures=failures)
+    """points: a list of (p, x, margin, lhs, rhs)."""
+    failures = [{"p": p, "x": x, "lhs": lhs, "rhs": rhs}
+                for p, x, margin, lhs, rhs in points if not margin > 0]
+    worst = min([math.inf] + [point[2] for point in points])
+    return GridCheckReport(description, grid, worst, not failures, failures)
 
 
-def check_g_bounds(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                   order: int = DEFAULT_ORDER,
-                   precision_bits: int = 53) -> GridCheckReport:
-    """The sign-and-size chain -1 < g(x) < 0 < -g(x) < g(-x) < 1, strictly."""
+def _x_grid_check(description, pair: ExponentPair, x_grid, point,
+                  **extra) -> GridCheckReport:
+    """The report of point(x) -> (margin, lhs, rhs) over x_grid at one p.
+
+    The grid spec lists p, then the extra keys, then the x-grid's extent.
+    """
     pf = pair.p_float()
-    points = []
-    for x in x_grid:
-        xf = float(x)
-        gm, tm = eval_g(pair, x, -1, order, precision_bits)
-        gp, tp = eval_g(pair, x, +1, order, precision_bits)
-        candidates = [
+    xs = [float(x) for x in x_grid]
+    points = [(pf, xf, *point(x)) for x, xf in zip(x_grid, xs)]
+    return _build_report(description, {
+        "p": [pf], **extra,
+        "x_min": min(xs), "x_max": max(xs), "points": len(xs)}, points)
+
+
+def check_g_bounds(pair: ExponentPair, x_grid) -> GridCheckReport:
+    """The sign-and-size chain -1 < g(x) < 0 < -g(x) < g(-x) < 1, strictly."""
+    def point(x):
+        gm, tm = eval_g(pair, x, -1)
+        gp, tp = eval_g(pair, x, +1)
+        return min([
             (gp + 1 - tp, gp, -1.0),          # g(x) > -1
             (-gp - tp, 0.0, gp),              # g(x) < 0
             (gm + gp - tm - tp, gm, -gp),     # -g(x) < g(-x)
             (1 - gm - tm, 1.0, gm),           # g(-x) < 1
-        ]
-        margin, lhs, rhs = min(candidates, key=lambda c: c[0])
-        points.append((margin, pf, xf, lhs, rhs))
-    return _build_report(
-        "g-bound chain: -1 < g(x) < 0 < -g(x) < g(-x) < 1 (strict beyond tolerance)",
-        {"p": [pf], **_x_grid_spec(x_grid)}, points)
+        ], key=lambda c: c[0])
+    return _x_grid_check("g-bound chain", pair, x_grid, point)
 
 
-def check_lemma_gpm(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                    order: int = DEFAULT_ORDER,
-                    precision_bits: int = 53) -> GridCheckReport:
+def check_lemma_gpm(pair: ExponentPair, x_grid) -> GridCheckReport:
     """Even-part bound g(-x) + g(x) <= (p+1)/(9 p^2)."""
     pf = pair.p_float()
     bound = (pf + 1) / (9 * pf * pf)
-    points = []
-    for x in x_grid:
-        gm, tm = eval_g(pair, x, -1, order, precision_bits)
-        gp, tp = eval_g(pair, x, +1, order, precision_bits)
-        margin = bound - (gm + gp) - (tm + tp)
-        points.append((margin, pf, float(x), gm + gp, bound))
-    return _build_report(
-        "even-part bound: g(-x) + g(x) <= (p+1)/(9p^2)",
-        {"p": [pf], **_x_grid_spec(x_grid)}, points)
+
+    def point(x):
+        gm, tm = eval_g(pair, x, -1)
+        gp, tp = eval_g(pair, x, +1)
+        return bound - (gm + gp) - (tm + tp), gm + gp, bound
+    return _x_grid_check("even-part bound", pair, x_grid, point)
 
 
-def check_lemma_ak_lower(pair: ExponentPair, k_max: int = DEFAULT_ORDER) -> GridCheckReport:
-    """Coefficient floor a_k >= 1/(p k (k+1)) for k >= 2, strict for finite k.
-
-    Exact rational comparison.
+def check_lemma_ak_lower(pair: ExponentPair) -> GridCheckReport:
+    """Coefficient floor a_k >= 1/(p k (k+1)) for 2 <= k <= DEFAULT_ORDER,
+    strict for finite k.  Exact rational comparison.
     """
-    points = []
-    a = g_series(pair, k_max).a
+    a = g_series(pair, DEFAULT_ORDER)
     p = pair.p_exact
-    for k in range(2, k_max + 1):
-        bound = 1 / (p * k * (k + 1))
-        points.append((float(a[k] - bound), float(p), float(k),
-                       float(a[k]), float(bound)))
+    bounds = {k: 1 / (p * k * (k + 1)) for k in range(2, DEFAULT_ORDER + 1)}
+    points = [(float(p), float(k), float(a[k] - bound), float(a[k]), float(bound))
+              for k, bound in bounds.items()]
     return _build_report(
-        "coefficient floor: a_k >= 1/(p k (k+1)) for 2 <= k <= k_max (exact)",
-        {"p": [pair.p_float()], "k_min": 2, "k_max": k_max}, points)
+        "coefficient floor",
+        {"p": [pair.p_float()], "k_min": 2, "k_max": DEFAULT_ORDER}, points)
 
 
-def check_lemma_binom_upper(pair: ExponentPair, k_range=range(2, 41)) -> GridCheckReport:
-    """|binom(p-1, k)| <= (q-1)/4 for integer k > p; exact."""
-    points = []
+def check_lemma_binom_upper(pair: ExponentPair) -> GridCheckReport:
+    """|binom(p-1, k)| <= (q-1)/4 for integer k > p in BINOM_K; exact."""
     pf = pair.p_float()
     p = pair.p_exact
+    if not p < BINOM_K[-1]:
+        raise ValueError(
+            f"the binomial-coefficient cap needs p < {BINOM_K[-1]}, got p={pf}")
     bound = 1 / (4 * (p - 1))    # (q-1)/4
-    for k in k_range:
-        if not k > p:
-            continue
-        value = abs(binom_general_rational(p - 1, k))
-        points.append((float(bound - value), pf, float(k),
-                       float(value), float(bound)))
-    if not points:
-        raise ValueError(f"k_range contains no k > p for p={pf}")
-    return _build_report(
-        "binomial-coefficient cap: |binom(p-1, k)| <= (q-1)/4 for k > p (exact)",
-        {"p": [pf], "k": [int(k) for k in k_range]}, points)
+    values = {k: abs(binom_general_rational(p - 1, k)) for k in BINOM_K if k > p}
+    points = [(pf, float(k), float(bound - value), float(value), float(bound))
+              for k, value in values.items()]
+    return _build_report("binomial-coefficient cap",
+                         {"p": [pf], "k": list(BINOM_K)}, points)
 
 
-def check_lemma_g_linear(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                         order: int = DEFAULT_ORDER,
-                         precision_bits: int = 53) -> GridCheckReport:
+def check_lemma_g_linear(pair: ExponentPair, x_grid) -> GridCheckReport:
     """Linear cap g(-x) <= (q-1)(5q-1)/(6 q^2) * x on (0, 1/2]."""
-    pf = pair.p_float()
     qf = pair.q_float()
     slope = (qf - 1) * (5 * qf - 1) / (6 * qf * qf)
-    points = []
-    for x in x_grid:
-        xf = float(x)
-        gm, tm = eval_g(pair, x, -1, order, precision_bits)
-        margin = slope * xf - gm - tm
-        points.append((margin, pf, xf, gm, slope * xf))
-    return _build_report(
-        "linear cap: g(-x) <= (q-1)(5q-1)/(6q^2) x",
-        {"p": [pf], **_x_grid_spec(x_grid)}, points)
+
+    def point(x):
+        gm, tm = eval_g(pair, x, -1)
+        return slope * float(x) - gm - tm, gm, slope * float(x)
+    return _x_grid_check("linear cap", pair, x_grid, point)
 
 
-def check_pairwise_positivity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                              n_max: int = 15, order: int = DEFAULT_ORDER,
-                              precision_bits: int = 53) -> GridCheckReport:
+def check_pairwise_positivity(pair: ExponentPair, x_grid) -> GridCheckReport:
     """Paired bracket-power terms are nonnegative for p in an odd-to-even window.
 
-    For odd n: binom(p-1,n)(g^n(-x) - g^n(x)) + binom(p-1,n+1)(g^(n+1)(-x)
-    - g^(n+1)(x)) >= 0.  Nonnegativity is checked up to the evaluation
-    tolerance (the quantity vanishes identically for integer p and n > p).
+    For odd n <= PAIRWISE_N_MAX: binom(p-1,n)(g^n(-x) - g^n(x)) +
+    binom(p-1,n+1)(g^(n+1)(-x) - g^(n+1)(x)) >= 0.  Nonnegativity is checked
+    up to the evaluation tolerance (the quantity vanishes identically for
+    integer p and n > p).  The margin at x is the smallest over n.
     """
     pf = pair.p_float()
     if not _between_odd_and_even(pf):
         raise ValueError(
             f"p={pf} does not lie between an odd and an even integer")
-    if n_max % 2 == 0:
-        raise ValueError(f"n_max must be odd, got {n_max}")
-    eps = 2.0 ** (-precision_bits)
-    points = []
-    for x in x_grid:
-        xf = float(x)
-        gm, tm = eval_g(pair, x, -1, order, precision_bits)
-        gp, tp = eval_g(pair, x, +1, order, precision_bits)
+
+    def point(x):
+        gm, tm = eval_g(pair, x, -1)
+        gp, tp = eval_g(pair, x, +1)
         gm_hi = _below_one(gm + tm, pair, x)
         tau = tm + tp
-        worst_here = None
-        for n in range(1, n_max + 1, 2):
+        worst = None
+        for n in range(1, PAIRWISE_N_MAX + 1, 2):
             b_n = _binom_float(pf - 1, n)
             b_n1 = _binom_float(pf - 1, n + 1)
             value = b_n * (gm ** n - gp ** n) + b_n1 * (gm ** (n + 1) - gp ** (n + 1))
             allow = (abs(b_n) * n * gm_hi ** (n - 1)
                      + abs(b_n1) * (n + 1) * gm_hi ** n) * tau
-            allow += 16 * eps * (abs(b_n) + abs(b_n1) + 1)
+            allow += 16 * 2.0 ** -53 * (abs(b_n) + abs(b_n1) + 1)
             margin = value + allow
-            if worst_here is None or margin < worst_here[0]:
-                worst_here = (margin, pf, xf, value, -allow)
-        points.append(worst_here)
-    return _build_report(
-        "paired positivity: consecutive odd/even bracket-power terms sum >= 0 "
-        f"(odd n <= {n_max})",
-        {"p": [pf], "n_max": n_max, **_x_grid_spec(x_grid)}, points)
+            if worst is None or margin < worst[0]:
+                worst = (margin, value, -allow)
+        return worst
+    return _x_grid_check("paired positivity (qualifying p only)", pair,
+                         x_grid, point, n_max=PAIRWISE_N_MAX)
 
 
 def _binom_float(alpha: float, k: int) -> float:
@@ -456,40 +427,35 @@ def _binom_float(alpha: float, k: int) -> float:
     return acc
 
 
-def check_EF_positive(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                      order: int = DEFAULT_ORDER,
-                      precision_bits: int = 53) -> GridCheckReport:
-    """Strict positivity of E(x) + F(x), the heart of the improvement proof."""
-    pf = pair.p_float()
-    points = []
-    for x in x_grid:
-        xf = float(x)
-        e = eval_E(pair, x, order, precision_bits)
-        f = eval_F(pair, x, order, precision_bits)
+def check_EF_positive(pair: ExponentPair, x_grid) -> GridCheckReport:
+    """Strict positivity of E(x) + F(x), the heart of the improvement proof.
+
+    The margin is the value minus the combined tolerance of E and F.
+    """
+    def point(x):
+        e = eval_E(pair, x)
+        f = eval_F(pair, x)
         value = e.value + f.value
         tol = e.tail_bound + f.tail_bound
-        points.append((value - tol, pf, xf, value, tol))
-    return _build_report(
-        "positivity of E + F on (0, 1/2] (margin = value - combined tolerance)",
-        {"p": [pf], **_x_grid_spec(x_grid)}, points)
+        return value - tol, value, tol
+    return _x_grid_check("positivity of E + F", pair, x_grid, point)
 
 
-def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
-                                 precision_bits: int = 113,
-                                 order: int = DEFAULT_ORDER) -> GridCheckReport:
-    """Closed-form weight equals (x/q)^(p-1) (x/q + E + F) within tolerance."""
-    pf = pair.p_float()
-    points = []
-    with mp.workprec(precision_bits):
-        eps = mpf(2) ** (1 - precision_bits)
-        q = pair.q_mpf(precision_bits)
-        pm1 = pair.p_mpf(precision_bits) - 1
-        s = pair.inv_q_mpf(precision_bits)
-        for x in x_grid:
+def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
+    """|w(x) - (x/q)^(p-1) (x/q + E + F)| <= tolerance for the closed-form
+    weight, at DECOMPOSITION_BITS."""
+    bits = DECOMPOSITION_BITS
+    with mp.workprec(bits):
+        eps = mpf(2) ** (1 - bits)
+        q = pair.q_mpf(bits)
+        pm1 = pair.p_mpf(bits) - 1
+        s = pair.inv_q_mpf(bits)
+
+        def point(x):
             xm = to_mpf(x)
-            lhs = eval_w_closed_x(pair, xm, precision_bits)
-            e = eval_E(pair, xm, order, precision_bits)
-            f = eval_F(pair, xm, order, precision_bits)
+            lhs = eval_w_closed_x(pair, xm, bits)
+            e = eval_E(pair, xm, DEFAULT_ORDER, bits)
+            f = eval_F(pair, xm, DEFAULT_ORDER, bits)
             prefactor = (xm / q) ** pm1
             rhs = prefactor * (xm / q + e.value + f.value)
             residual = abs(lhs - rhs)
@@ -501,48 +467,34 @@ def check_decomposition_identity(pair: ExponentPair, x_grid=DEFAULT_X_GRID,
                 v_plus ** pm1 / v_plus + v_minus ** pm1 / v_minus)
             slack += 64 * eps * (abs(lhs) + abs(rhs) + 1)
             tol = prefactor * (e.tail_bound + f.tail_bound) + slack
-            points.append((float(tol - residual), pf, float(x),
-                           float(residual), float(tol)))
-    return _build_report(
-        "bracket decomposition: |w(x) - (x/q)^(p-1)(x/q + E + F)| <= tolerance",
-        {"p": [pf], "precision_bits": precision_bits, **_x_grid_spec(x_grid)},
-        points)
+            return float(tol - residual), float(residual), float(tol)
+        return _x_grid_check("bracket decomposition", pair, x_grid, point,
+                             precision_bits=bits)
 
 
-def check_n1_case(p_grid=N1_P_GRID, target_digits: int = 30) -> GridCheckReport:
-    """Strict improvement at the boundary index: w_p(1) > w_p^H(1) on (1, 20]."""
+def check_n1_case() -> GridCheckReport:
+    """Strict improvement at the boundary index: w_p(1) > w_p^H(1) for p in
+    N1_P_GRID, beyond 10^-(N1_DIGITS-2)."""
     points = []
-    threshold = 10.0 ** (-(target_digits - 2))
-    for p in p_grid:
+    threshold = 10.0 ** (-(N1_DIGITS - 2))
+    for p in N1_P_GRID:
         pair = ExponentPair(p)
-        w1 = eval_w1_closed(pair, target_digits)
-        wc = eval_w_classical(pair, 1, target_digits)
+        w1 = eval_w1_closed(pair, N1_DIGITS)
+        wc = eval_w_classical(pair, 1, N1_DIGITS)
         margin = float((w1 - wc).value) - threshold
-        points.append((margin, float(pair.p_float()), 1.0,
+        points.append((float(pair.p_float()), 1.0, margin,
                        float(w1.value), float(wc.value)))
     return _build_report(
         "n = 1 special value: w_p(1) > w_p^H(1) for p on a grid over (1, 20]",
-        {"p_min": float(min(float(p) for p in p_grid)),
-         "p_max": float(max(float(p) for p in p_grid)),
-         "points": len(list(p_grid)), "target_digits": target_digits}, points)
-
-
-def check_fs08_pointwise(a: float, t: float, p: float) -> bool:
-    """Pointwise inequality |a-t|^p >= (1-t)^(p-1) (|a|^p - t) for t in [0, 1]."""
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    lhs = abs(a - t) ** p
-    rhs = (1 - t) ** (p - 1) * (abs(a) ** p - t) if t < 1 else 0.0
-    return lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        {"p_min": float(min(N1_P_GRID)), "p_max": float(max(N1_P_GRID)),
+         "points": len(N1_P_GRID), "target_digits": N1_DIGITS}, points)
 
 
 # ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
 
-def merge_reports(description: str, reports) -> GridCheckReport:
+def merge_reports(reports) -> GridCheckReport:
     """Fold per-p reports of one predicate into a single grid report."""
     reports = list(reports)
     if not reports:
@@ -552,7 +504,7 @@ def merge_reports(description: str, reports) -> GridCheckReport:
     grid["p"] = p_values
     failures = [f for r in reports for f in r.failures]
     return GridCheckReport(
-        description=description,
+        description=reports[0].description,
         grid=grid,
         worst_margin=min(r.worst_margin for r in reports),
         passed=not failures,
@@ -568,63 +520,63 @@ def _between_odd_and_even(p: Fraction | float) -> bool:
 class Lemma(NamedTuple):
     """One entry of the lemma suite.
 
-    ``check(pair, x_grid)`` runs the predicate for one exponent and
-    ``applies(p)`` is its hypothesis on p; the suite merges the per-p
-    reports under ``description``.  A lemma without a per-p check (the n = 1
-    special value) runs once on its own p-grid and describes itself.
+    ``check(pair, x_grid)`` runs the predicate for one exponent; its reports
+    carry the lemma's description, and the suite merges them over p.
+    ``applies(p)`` is the hypothesis on the exact p, and ``needs`` the error
+    raised when a single-lemma run has no p satisfying it.  The n = 1
+    special value has no per-p check: it runs once on its own p-grid.
     """
 
-    description: str | None
     check: Callable | None
     applies: Callable = lambda p: True
+    needs: str = ""
 
 
 # The checks are looked up by their module-global names at call time, so
 # that a wrapper installed on a check (a tracer, a test double) sees every
 # suite run.
 LEMMAS = {
-    "g_bounds": Lemma("g-bound chain",
-                      lambda pair, xs: check_g_bounds(pair, xs)),
-    "gpm": Lemma("even-part bound",
-                 lambda pair, xs: check_lemma_gpm(pair, xs)),
-    "ak_lower": Lemma("coefficient floor",
-                      lambda pair, xs: check_lemma_ak_lower(pair)),
-    "binom_upper": Lemma("binomial-coefficient cap",
-                         lambda pair, xs: check_lemma_binom_upper(pair)),
-    "g_linear": Lemma("linear cap",
-                      lambda pair, xs: check_lemma_g_linear(pair, xs)),
-    "pairwise": Lemma("paired positivity (qualifying p only)",
-                      lambda pair, xs: check_pairwise_positivity(pair, xs),
-                      _between_odd_and_even),
-    "ef": Lemma("positivity of E + F",
-                lambda pair, xs: check_EF_positive(pair, xs)),
-    "decomposition": Lemma("bracket decomposition",
-                           lambda pair, xs: check_decomposition_identity(pair, xs)),
-    "n1": Lemma(None, None),
+    "g_bounds": Lemma(lambda pair, xs: check_g_bounds(pair, xs)),
+    "gpm": Lemma(lambda pair, xs: check_lemma_gpm(pair, xs)),
+    "ak_lower": Lemma(lambda pair, xs: check_lemma_ak_lower(pair)),
+    "binom_upper": Lemma(lambda pair, xs: check_lemma_binom_upper(pair),
+                         lambda p: p < BINOM_K[-1],
+                         "the binomial-coefficient cap needs at least one p "
+                         f"below {BINOM_K[-1]}"),
+    "g_linear": Lemma(lambda pair, xs: check_lemma_g_linear(pair, xs)),
+    "pairwise": Lemma(lambda pair, xs: check_pairwise_positivity(pair, xs),
+                      _between_odd_and_even,
+                      "pairwise positivity needs at least one p between an "
+                      "odd and an even integer"),
+    "ef": Lemma(lambda pair, xs: check_EF_positive(pair, xs)),
+    "decomposition": Lemma(
+        lambda pair, xs: check_decomposition_identity(pair, xs)),
+    "n1": Lemma(None),
 }
 
 
 def run_lemma(name: str, pairs, x_grid) -> GridCheckReport:
-    """One lemma of :data:`LEMMAS` over the pairs satisfying its hypothesis."""
+    """One lemma of :data:`LEMMAS` over the pairs satisfying its hypothesis;
+    a ValueError if none does."""
     lemma = LEMMAS[name]
     if lemma.check is None:
         return check_n1_case()
-    qualifying = [pair for pair in pairs if lemma.applies(pair.p_float())]
+    qualifying = [pair for pair in pairs if lemma.applies(pair.p_exact)]
     if not qualifying:
-        raise ValueError(
-            "pairwise positivity needs at least one p between an odd "
-            "and an even integer")
-    return merge_reports(lemma.description,
-                         (lemma.check(pair, x_grid) for pair in qualifying))
+        raise ValueError(lemma.needs)
+    return merge_reports(lemma.check(pair, x_grid) for pair in qualifying)
 
 
 def run_default_suite(p_grid=DEFAULT_P_GRID, x_grid=DEFAULT_X_GRID) -> dict:
     """Every lemma of :data:`LEMMAS` over the given grids.
 
     Returns a mapping of lemma name to merged GridCheckReport, as the
-    ``lemmas`` subcommand reports it.  The paired positivity check only
-    applies where its hypothesis (p between an odd and an even integer)
-    holds, so its grid is the qualifying subset.
+    ``lemmas`` subcommand reports it.  A lemma whose hypothesis on p (paired
+    positivity: p between an odd and an even integer; the binomial cap:
+    p < 40) holds at some p of the grid runs on that subset; a lemma that no
+    p satisfies is left out.
     """
     pairs = [ExponentPair(p) for p in p_grid]
-    return {name: run_lemma(name, pairs, x_grid) for name in LEMMAS}
+    return {name: run_lemma(name, pairs, x_grid)
+            for name, lemma in LEMMAS.items()
+            if any(lemma.applies(pair.p_exact) for pair in pairs)}

@@ -86,14 +86,6 @@ class InequalityReport:
     slack: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-                "pass": self.passed}
-
-    def to_csv(self) -> str:
-        return ("lhs,rhs,slack,pass\n"
-                f"{self.lhs!r},{self.rhs!r},{self.slack!r},{self.passed}\n")
-
 
 @dataclass(frozen=True)
 class RayleighResult:

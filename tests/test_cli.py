@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -238,6 +239,7 @@ class TestLemmasCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["reports"]["gpm"]["pass"] is True
+        assert "not_applicable" not in payload
 
     def test_ef_lemma_low_p(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas", "--only", "ef", "--p", "1.5",
@@ -254,6 +256,24 @@ class TestLemmasCommand:
             "g_bounds", "gpm", "ak_lower", "binom_upper", "g_linear",
             "pairwise", "ef", "decomposition", "n1"}
         assert all(rep["pass"] for rep in payload["reports"].values())
+
+    @pytest.mark.parametrize("p, left_out", [("5/2", "pairwise"),
+                                             ("50", "binom_upper")])
+    def test_lemma_no_p_satisfies_is_left_out(self, capsys, p, left_out):
+        code, out, _ = run_cli(capsys, "lemmas", "--p", p,
+                               "--x-grid", "0.05:0.5:0.05")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload["reports"]) == [
+            name for name in pm.LEMMAS if name != left_out]
+        assert payload["not_applicable"] == [left_out]
+        assert all(rep["pass"] for rep in payload["reports"].values())
+
+    def test_binom_upper_outside_hypothesis_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "lemmas", "--only", "binom_upper",
+                               "--p", "50")
+        assert code == 2
+        assert "below 40" in err
 
     def test_pairwise_outside_window_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "lemmas", "--only", "pairwise",
@@ -353,6 +373,43 @@ class TestEdgeInputs:
             assert result.stderr.startswith("error: ")
         if text is not None:
             assert text in (result.stdout if expected == 0 else result.stderr)
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["weight", "--p", "2", "--n", "1..2", "--seed", "1"],
+        ["series", "--p", "2", "--order", "4", "--digits", "50"],
+        ["series", "--p", "2", "--order", "4", "--seed", "1"],
+        ["verify", "--p", "2", "--trials", "3", "--support", "5",
+         "--format", "csv"],
+        ["lemmas", "--only", "ak_lower", "--p", "2", "--format", "csv"],
+        ["lemmas", "--only", "ak_lower", "--p", "2", "--digits", "50"],
+        ["lemmas", "--only", "ak_lower", "--p", "2", "--seed", "1"],
+        ["rayleigh", "--p", "2", "--N", "5", "--format", "csv"],
+        ["rayleigh", "--p", "2", "--N", "5", "--digits", "50"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_not_read_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in \
+            capsys.readouterr().err
+
+    def test_benchmark_rayleigh_line_is_accepted(self, capsys, monkeypatch):
+        # The benchmark's rayleigh jobs pass --seed, which rayleigh ignores.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
+        spec.loader.exec_module(workloads)
+        argv = next(job.argv for job in workloads.variational(0)
+                    if job.cls == "rayleigh")
+        assert "--seed" in argv
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["converged"] is True
 
 
 class TestReproducibility:

@@ -42,30 +42,29 @@ def f_closed_form(pair, x, bits=400):
 
 class TestGSeries:
     def test_p2_coefficients(self):
-        gs = pm.g_series(ExponentPair(2), 4)
-        assert gs.a[1] == F(1, 4)
-        assert gs.a[2] == F(1, 8)
-        assert gs.a[3] == F(5, 64)
+        a = pm.g_series(ExponentPair(2), 4)
+        assert a[1] == F(1, 4)
+        assert a[2] == F(1, 8)
+        assert a[3] == F(5, 64)
 
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_first_coefficient_formula(self, p):
-        gs = pm.g_series(ExponentPair(p), 2)
-        assert gs.a[1] == 1 / (2 * F(p))
+        assert pm.g_series(ExponentPair(p), 2)[1] == 1 / (2 * F(p))
 
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_ratio_identity_exact(self, p):
         # a_{k+1}/a_k = (q(k+1) - 1)/(q(k+2)), an exact rational identity
         pair = ExponentPair(p)
-        gs = pm.g_series(pair, 30)
+        a = pm.g_series(pair, 30)
         q = pair.q_exact
         for k in range(1, 30):
-            assert gs.a[k + 1] / gs.a[k] == (q * (k + 1) - 1) / (q * (k + 2))
+            assert a[k + 1] / a[k] == (q * (k + 1) - 1) / (q * (k + 2))
 
     def test_coefficients_positive_and_decaying(self):
-        gs = pm.g_series(ExponentPair(F("1.01")), 40)
+        a = pm.g_series(ExponentPair(F("1.01")), 40)
         for k in range(1, 40):
-            assert gs.a[k] > 0
-            assert gs.a[k + 1] <= gs.a[k]
+            assert a[k] > 0
+            assert a[k + 1] <= a[k]
 
 
 class TestEvalG:
@@ -122,7 +121,7 @@ class TestEvalE:
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_leading_term_general(self, p):
         pair = ExponentPair(p)
-        a3 = float(pm.g_series(pair, 3).a[3])
+        a3 = float(pm.g_series(pair, 3)[3])
         value, _ = pm.eval_E(pair, 1e-4)
         assert value / 1e-12 == pytest.approx(2 * (float(p) - 1) * a3, rel=1e-6)
 
@@ -255,15 +254,15 @@ class TestGridChecks:
         assert pm.check_lemma_gpm(ExponentPair(p), SMALL_X).passed
 
     def test_ak_lower_examples(self):
-        gs = pm.g_series(ExponentPair(2), 3)
-        assert gs.a[2] == F(1, 8) and gs.a[2] >= F(1, 12)
-        assert gs.a[3] == F(5, 64) and gs.a[3] >= F(1, 24)
-        report = pm.check_lemma_ak_lower(ExponentPair(2), 40)
+        a = pm.g_series(ExponentPair(2), 3)
+        assert a[2] == F(1, 8) and a[2] >= F(1, 12)
+        assert a[3] == F(5, 64) and a[3] >= F(1, 24)
+        report = pm.check_lemma_ak_lower(ExponentPair(2))
         assert report.passed and report.worst_margin > 0
 
     def test_binom_upper_examples(self):
         # |binom(1.5, 3)| = 0.0625 <= 1/6
-        report = pm.check_lemma_binom_upper(ExponentPair(F(5, 2)), range(3, 20))
+        report = pm.check_lemma_binom_upper(ExponentPair(F(5, 2)))
         assert report.passed
         value = abs(float(F(3, 2) * F(1, 2) * F(-1, 2) / 6))
         assert value == 0.0625 <= 1 / 6
@@ -271,6 +270,11 @@ class TestGridChecks:
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_binom_upper_pass(self, p):
         assert pm.check_lemma_binom_upper(ExponentPair(p)).passed
+
+    def test_binom_upper_needs_p_below_40(self):
+        # k runs over 2..40 and only k > p is checked: no point is left.
+        with pytest.raises(ValueError, match="p < 40"):
+            pm.check_lemma_binom_upper(ExponentPair(40))
 
     def test_g_linear_slope_p2(self):
         # (q-1)(5q-1)/(6q^2) = 9/24 = 3/8 at q = 2
@@ -287,10 +291,6 @@ class TestGridChecks:
     def test_pairwise_rejects_even_window(self):
         with pytest.raises(ValueError):
             pm.check_pairwise_positivity(ExponentPair(F(5, 2)), SMALL_X)
-
-    def test_pairwise_rejects_even_n_max(self):
-        with pytest.raises(ValueError):
-            pm.check_pairwise_positivity(ExponentPair(2), SMALL_X, n_max=6)
 
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_ef_positive_pass(self, p):
@@ -316,7 +316,7 @@ class TestGridChecks:
             assert abs(rhs - oracle) < float(e.tail_bound + f.tail_bound) + mpf(10) ** -40
 
     def test_n1_case_pass_and_example(self):
-        report = pm.check_n1_case(p_grid=[F(2), F(3), F(10)])
+        report = pm.check_n1_case()
         assert report.passed
         # w_2(1) = 2 - sqrt(2) = 0.5858... > 1/4, so the p = 2 margin is
         # roughly 0.3358 and the grid's worst margin cannot exceed it.
@@ -332,10 +332,21 @@ class TestGridChecks:
     def test_merge_reports(self):
         reports = [pm.check_lemma_gpm(ExponentPair(p), SMALL_X[:5])
                    for p in (F(2), F(3))]
-        merged = pm.merge_reports("merged", reports)
+        merged = pm.merge_reports(reports)
         assert merged.passed
         assert merged.worst_margin == min(r.worst_margin for r in reports)
         assert merged.grid["p"] == [2.0, 3.0]
+
+
+def fs08_pointwise(a: float, t: float, p: float) -> bool:
+    """Pointwise inequality |a-t|^p >= (1-t)^(p-1) (|a|^p - t) for t in [0, 1]."""
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    if not p > 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    lhs = abs(a - t) ** p
+    rhs = (1 - t) ** (p - 1) * (abs(a) ** p - t) if t < 1 else 0.0
+    return lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestFS08Pointwise:
@@ -347,18 +358,18 @@ class TestFS08Pointwise:
                        allow_nan=False, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
     def test_inequality_holds(self, a, t, p):
-        assert pm.check_fs08_pointwise(a, t, p)
+        assert fs08_pointwise(a, t, p)
 
     def test_trivial_cases(self):
-        assert pm.check_fs08_pointwise(0.7, 0.7, 2.5)   # a = t: rhs <= 0
-        assert pm.check_fs08_pointwise(1.3, 0.0, 3.0)   # t = 0: equality
-        assert pm.check_fs08_pointwise(-2.0, 1.0, 1.5)  # t = 1: rhs = 0
+        assert fs08_pointwise(0.7, 0.7, 2.5)   # a = t: rhs <= 0
+        assert fs08_pointwise(1.3, 0.0, 3.0)   # t = 0: equality
+        assert fs08_pointwise(-2.0, 1.0, 1.5)  # t = 1: rhs = 0
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            pm.check_fs08_pointwise(1.0, 1.5, 2.0)
+            fs08_pointwise(1.0, 1.5, 2.0)
         with pytest.raises(ValueError):
-            pm.check_fs08_pointwise(1.0, 0.5, 1.0)
+            fs08_pointwise(1.0, 0.5, 1.0)
 
 
 class TestAuxiliaryEstimates:

@@ -85,17 +85,6 @@ class TestCheckHardy:
             assert imp.passed and cls.passed
             assert imp.slack <= cls.slack + 1e-12 * max(1.0, abs(cls.slack))
 
-    def test_json_dict(self):
-        report = check_hardy(indicator(), ExponentPair(2), WeightKind.IMPROVED)
-        payload = report.to_json_dict()
-        assert set(payload) == {"lhs", "rhs", "slack", "pass"}
-
-    def test_csv(self):
-        report = check_hardy(indicator(), ExponentPair(2), WeightKind.IMPROVED)
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "lhs,rhs,slack,pass"
-        assert lines[1].startswith("2.0,") and lines[1].endswith(",True")
-
 
 class TestRandomCompact:
     def test_deterministic(self):
