@@ -140,12 +140,36 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
+# Each verify mode's own flags and their defaults; a flag of the other mode
+# is a usage error.
+VERIFY_FLAGS = {
+    "supersolution": {"n": "1..1000", "digits": 40},
+    "trials": {"trials": 1000, "support": 50, "seed": 0},
+}
+
+
+def _verify_settings(args) -> dict:
+    """The flags of the chosen verify mode, defaults filled in; a flag given
+    for the other mode is refused."""
+    mode = "supersolution" if args.supersolution else "trials"
+    for other, flags in VERIFY_FLAGS.items():
+        for name in flags:
+            if other != mode and getattr(args, name) is not None:
+                raise UsageError(
+                    f"--{name} is read only with --supersolution"
+                    if other == "supersolution"
+                    else f"--{name} is not read with --supersolution")
+    return {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in VERIFY_FLAGS[mode].items()}
+
+
 def cmd_verify(args) -> int:
+    settings = _verify_settings(args)
     p = _parse_p(args.p)
     pair = ExponentPair(p)
     if args.supersolution:
-        n_min, n_max = _parse_n_range(args.n)
-        digits = args.digits
+        n_min, n_max = _parse_n_range(settings["n"])
+        digits = settings["digits"]
         if digits <= 12:
             raise UsageError(
                 f"--supersolution needs --digits >= 13, got {digits}: the "
@@ -165,7 +189,7 @@ def cmd_verify(args) -> int:
             worst_relative = max(worst_relative, abs(diff / right.value)
                                  if right.value else mp.inf)
         config = {"subcommand": "verify", "mode": "supersolution",
-                  "p": str(p), "n": args.n, "digits": digits}
+                  "p": str(p), "n": settings["n"], "digits": digits}
         # |w(n)| < 1, so the relative residual bounds the absolute one; an
         # absolute test alone would pass a transform that returns 0 wherever
         # w(n) is below the tolerance.  The test is made in mpf, which does
@@ -179,10 +203,10 @@ def cmd_verify(args) -> int:
             "pass": passed,
         }), args.out)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
-    summary = run_hardy_trials(pair, args.trials, args.support, args.seed)
+    summary = run_hardy_trials(pair, settings["trials"], settings["support"],
+                               settings["seed"])
     config = {"subcommand": "verify", "mode": "trials", "p": str(p),
-              "trials": args.trials, "support": args.support,
-              "seed": args.seed}
+              **settings}
     _emit(_json_report(config, summary), args.out)
     passed = summary["all_pass"] and summary["improved_slack_below_classical"]
     return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -290,18 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Hardy inequality on random test functions, or "
                             "the supersolution identity")
     v.add_argument("--p", required=True)
-    v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--support", type=int, default=50,
-                   help="maximum support size of random test functions")
+    # The mode flags default to None, so that a flag of the other mode can be
+    # told from an absent one; VERIFY_FLAGS holds the defaults.
+    trials, supersolution = VERIFY_FLAGS["trials"], VERIFY_FLAGS["supersolution"]
+    v.add_argument("--trials", type=int, default=None,
+                   help=f"number of random test functions (default: "
+                        f"{trials['trials']})")
+    v.add_argument("--support", type=int, default=None,
+                   help="maximum support size of random test functions "
+                        f"(default: {trials['support']})")
     v.add_argument("--supersolution", action="store_true",
                    help="check the ground-state identity instead of trials")
-    v.add_argument("--n", default="1..1000", metavar="LO..HI",
-                   help="index range for --supersolution (default: 1..1000)")
-    v.add_argument("--digits", type=int, default=40, metavar="D",
+    v.add_argument("--n", default=None, metavar="LO..HI",
+                   help="index range for --supersolution (default: "
+                        f"{supersolution['n']})")
+    v.add_argument("--digits", type=int, default=None, metavar="D",
                    help="digits D of --supersolution, which passes below a "
-                        "relative residual of 10^-(D-12) (default: 40)")
-    v.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="master RNG seed of the trials (default: 0)")
+                        "relative residual of 10^-(D-12) (default: "
+                        f"{supersolution['digits']})")
+    v.add_argument("--seed", type=int, default=None, metavar="S",
+                   help=f"master RNG seed of the trials (default: "
+                        f"{trials['seed']})")
     v.set_defaults(handler=cmd_verify)
 
     l = sub.add_parser("lemmas", parents=[common],

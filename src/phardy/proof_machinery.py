@@ -21,11 +21,28 @@ Strictness semantics: a strict inequality is certified as "exceeds the
 combined truncation-plus-rounding tolerance", never as "compares greater in
 floating arithmetic".  Non-strict lemma bounds are allowed the same
 tolerance on the other side.
+
+Arithmetic: up to 53 bits (the x-grid lemmas) g, E and F are evaluated in
+doubles.  Above 53 bits (the decomposition check, at DECOMPOSITION_BITS):
+
+* the series g and E are Horner sums in Python-int fixed point at scale
+  2^B, B = bits + FIXED_GUARD_BITS, over the integers floor(a_k 2^B) of the
+  exact coefficients (Brent & Zimmermann, *Modern Computer Arithmetic*,
+  2010, section 4).  Each step floors once and each coefficient is floored
+  once; since x <= 1/2 damps earlier errors, the sum errs by at most 3 units
+  of 2^-B (5 if x itself is not a multiple of 2^-B), and it is converted to
+  mpf once (:func:`eval_g`, :func:`eval_E`);
+* the allowances that only scale a tail (F's slope and rounding terms, the
+  decomposition's bracket slack) are doubles, each enlarged by a relative
+  pad derived where it is computed and rounded toward +infinity with
+  math.nextafter (:func:`_up`); every value (h, the weight, both sides of
+  the decomposition) and every sum of tails stays in mpf.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +50,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
 
 from .numerics import (
     PAIR_CACHE_SIZE,
@@ -49,9 +67,15 @@ DEFAULT_ORDER = 40
 # decomposition at DECOMPOSITION_BITS.  The coefficient floor covers
 # k = 2..DEFAULT_ORDER and the binomial cap k in BINOM_K, so it needs p < 40.
 DECOMPOSITION_BITS = 113
+# Above 53 bits, g and E are summed in fixed point with this many bits beyond
+# the working precision; allowances that only scale a tail are doubles.
+FIXED_GUARD_BITS = 8
+_DOUBLE_UNIT = 2.0 ** -53
 PAIRWISE_N_MAX = 15
 BINOM_K = range(2, 41)
 N1_DIGITS = 30
+# A failing report lists this many of its lowest-margin points.
+FAILURES_KEPT = 20
 
 # p-grid for the lemma suite: the low-p corner plus quarter points up to 3/2,
 # then half-integer steps through 10 (integer and half-integer points are the
@@ -98,7 +122,7 @@ def _arithmetic(precision_bits: int):
     """The arithmetic of one working precision: doubles up to 53 bits, mpf above.
 
     Returns (context, number, unit): the context to evaluate in, the
-    conversion of x, p and coefficients into the arithmetic, and the unit
+    conversion of exact values into the arithmetic, and the unit
     roundoff every rounding allowance is a multiple of (2^-bits for doubles,
     2^(1-bits) for mpf).  The double path stays out of mp.workprec, whose
     entry costs as much as a whole double evaluation of g.
@@ -108,16 +132,24 @@ def _arithmetic(precision_bits: int):
     return mp.workprec(precision_bits), to_mpf, mpf(2) ** (1 - precision_bits)
 
 
-def _p_value(pair: ExponentPair, precision_bits: int):
-    return pair.p_float() if precision_bits <= 53 else pair.p_mpf(precision_bits)
+def _scale_bits(precision_bits: int) -> int:
+    """B, the scale 2^B of the fixed-point sums at precision_bits > 53."""
+    return precision_bits + FIXED_GUARD_BITS
+
+
+def _table(coeffs, precision_bits: int) -> tuple:
+    """Exact coefficients as doubles up to 53 bits, above that as the
+    integers floor(c 2^B) of the fixed-point sums."""
+    if precision_bits <= 53:
+        return tuple(float(c) for c in coeffs)
+    scale = _scale_bits(precision_bits)
+    return tuple((c.numerator << scale) // c.denominator for c in coeffs)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """The a_k table in the arithmetic of precision_bits."""
-    context, number, _ = _arithmetic(precision_bits)
-    with context:
-        return tuple(number(c) for c in g_series(pair, order))
+    return _table(g_series(pair, order), precision_bits)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -126,16 +158,64 @@ def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple
 
     Each binomial is its own falling-factorial product, not the ratio-step
     sequence behind the a_k table, so the two routes compute the
-    coefficients differently.
+    coefficients differently.  The table holds 2(p-1) a_k itself, where E
+    from the a_k table multiplies by 2(p-1) after the sum.
     """
     out = [0] * (order + 1)
     p = pair.p_exact
     inv_q = pair.inv_q_exact
     for k in range(3, order + 1, 2):
         out[k] = -2 * p * binom_general_rational(inv_q, k + 1)
-    context, number, _ = _arithmetic(precision_bits)
-    with context:
-        return tuple(number(c) for c in out)
+    return _table(out, precision_bits)
+
+
+def _fixed(x, scale_bits: int) -> tuple:
+    """(floor(x 2^scale_bits), whether the floor dropped anything) for x > 0
+    given as a double, an mpf or a Fraction."""
+    if isinstance(x, mpf):
+        man, exp = x.man_exp
+        num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    else:
+        num, den = x.as_integer_ratio()
+    value, rest = divmod(num << scale_bits, den)
+    return value, rest != 0
+
+
+def _fixed_result(value: int, units: int, top: int, factor: Fraction, X: int,
+                  inexact: bool, order: int, precision_bits: int) -> SeriesValue:
+    """A fixed-point sum value 2^-B as an mpf, with its tail bound.
+
+    The tail, in units of 2^-B, is `units` for the sum's roundings, one unit
+    2^(1-bits) of the value for its one conversion to precision_bits, and
+    the geometric truncation tail factor a_order x^(order+1)/(1-x), rounded
+    up with a_order <= (top + 1) 2^-B (top = floor(a_order 2^B)) and
+    x <= (X + inexact) 2^-B.  The tail converts to mpf rounding up.
+    """
+    scale = _scale_bits(precision_bits)
+    x_hi = X + inexact
+    truncation = -(-factor.numerator * (top + 1) * x_hi ** (order + 1)
+                   // (factor.denominator * ((1 << scale) - x_hi)
+                       << scale * order))
+    tail = truncation + units + (abs(value) >> (precision_bits - 1)) + 1
+    return SeriesValue(
+        mp.make_mpf(from_man_exp(value, -scale, precision_bits, round_nearest)),
+        mp.make_mpf(from_man_exp(tail, -scale, precision_bits, round_ceiling)))
+
+
+def _up(value: float, units: float = 0) -> float:
+    """A double upper bound of the nonnegative quantity that value
+    approximates to within `units` units of 2^-53 (to first order).
+
+    value is enlarged by that many units and nudged up one ulp with
+    math.nextafter; the ulp covers the rounding of the enlargement, which is
+    at most half an ulp.  A bound below the normal double range would have
+    lost the relative accuracy this rests on, so it is an error.
+    """
+    bound = math.nextafter(value + value * (units * _DOUBLE_UNIT), math.inf)
+    if not bound >= sys.float_info.min:
+        raise ValueError(
+            f"allowance {bound!r} lies below the normal double range")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +243,47 @@ def eval_g(pair: ExponentPair, x, sign: int, order: int = DEFAULT_ORDER,
     """Truncated g(sign*x) with a geometric tail bound.
 
     The tail bound a_order * x^(order+1)/(1-x) is rigorous here because the
-    coefficients decay weakly; a rounding allowance is folded in.
+    coefficients decay weakly; a rounding allowance is added to it.
+
+    Up to 53 bits the sum is a Horner loop in doubles, allowed 8 units per
+    step of (1 + |acc|) x.  Above 53 bits it runs in fixed point at scale
+    2^B, B = precision_bits + FIXED_GUARD_BITS: A_k = floor(a_k 2^B) from the
+    exact a_k, X = floor(x 2^B), exact for a double x and for an mpf x whose
+    last bit lies above 2^-B (delta = 1 if the floor dropped anything, else
+    0), and each step is acc = floor(acc X / 2^B) +- A_k.  With P_k the
+    exact Horner partial sum, the error e_k = acc_k - 2^B P_k obeys
+
+        |e_k| < x |e_(k+1)| + delta |P_(k+1)| + 2,
+
+    one unit for the shift's floor and one for the coefficient's.
+    |P_k| <= a_1/(1-x) < 1 (a_1 = 1/(2p)) and x <= 1/2 give
+    |e_k| < 2(2 + delta), and the final shift by X leaves less than
+    x 2(2 + delta) + delta + 1 <= 3 + 2 delta units of 2^-B.  The sum is
+    converted to mpf once, which rounds by one unit 2^(1-bits) of |g|.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_x(x)
+    xf = _check_x(x)
     a = _a_table(pair, order, precision_bits)
-    context, number, unit = _arithmetic(precision_bits)
-    with context:
-        x = number(x)
+    if precision_bits > 53:
+        scale = _scale_bits(precision_bits)
+        X, inexact = _fixed(x, scale)
         acc = 0
         for k in range(order, 0, -1):
-            c = a[k] if (sign < 0 or k % 2 == 0) else -a[k]
-            acc = acc * x + c
-        value = acc * x
-        tail = a[order] * x ** (order + 1) / (1 - x)
-        # Horner partials stay below 1 + |acc|; the final multiply scales
-        # everything by x, so the rounding allowance carries the same factor.
-        tail += 8 * (order + 1) * unit * (1 + abs(acc)) * x
-        return SeriesValue(value, tail)
+            acc = (acc * X >> scale) + (a[k] if sign < 0 or k % 2 == 0 else -a[k])
+        return _fixed_result(acc * X >> scale, 3 + 2 * inexact, a[order],
+                             Fraction(1), X, inexact, order, precision_bits)
+    unit = 2.0 ** (-precision_bits)
+    acc = 0
+    for k in range(order, 0, -1):
+        c = a[k] if (sign < 0 or k % 2 == 0) else -a[k]
+        acc = acc * xf + c
+    value = acc * xf
+    tail = a[order] * xf ** (order + 1) / (1 - xf)
+    # Horner partials stay below 1 + |acc|; the final multiply scales
+    # everything by x, so the rounding allowance carries the same factor.
+    tail += 8 * (order + 1) * unit * (1 + abs(acc)) * xf
+    return SeriesValue(value, tail)
 
 
 def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
@@ -191,33 +293,91 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     Evaluated both from the a_k table and from the directly computed
     binomial coefficients; disagreement beyond tolerance is a hard error.
     The returned value is the a_k form.
+
+    Above 53 bits both sums run in fixed point as in :func:`eval_g`, in
+    steps of Y = X^2 at scale 2^(2B): y = x^2 <= 1/4, Y falls short of
+    y 2^(2B) by less than delta 2^B, and |P| < a_3/(1-y) < 2/3, so
+    |e| < (4/3)(2 + delta).  The sum is multiplied by X^3 = X Y at scale
+    2^(3B) (x^3 <= 1/8, again short by less than delta 2^-B), which leaves
+    less than 3 + 2 delta units of 2^-B.  The a_k route then multiplies by
+    2(p-1) exactly and floors: 2(p-1)(3 + 2 delta) + 1 units.  The binomial
+    route's table holds 2(p-1)a_k, whose largest, 2(p-1)a_3 =
+    2p|binom(1/q, 4)|, is below 1/2, so it errs by 3 + 2 delta units; the
+    two must agree to within the sum of the two bounds.
     """
-    _check_x(x)
+    xf = _check_x(x)
     a = _a_table(pair, order, precision_bits)
     e_bin = _e_binom_table(pair, order, precision_bits)
-    context, number, unit = _arithmetic(precision_bits)
-    with context:
-        x = number(x)
-        p = _p_value(pair, precision_bits)
-        x2 = x * x
-        top = order if order % 2 == 1 else order - 1
-        acc = 0
-        acc_b = 0
+    top = order if order % 2 == 1 else order - 1
+    if precision_bits > 53:
+        scale = _scale_bits(precision_bits)
+        X, inexact = _fixed(x, scale)
+        X2 = X * X
+        acc = acc_b = 0
         for k in range(top, 2, -2):
-            acc = acc * x2 + a[k]
-            acc_b = acc_b * x2 + e_bin[k]
-        value = 2 * (p - 1) * acc * x ** 3
-        tail = 2 * (p - 1) * a[order] * x ** (order + 1) / (1 - x)
-        # Everything is scaled by x^3 at the end, so rounding is too.
-        tail += (8 * (order + 2) * unit * (1 + abs(acc))
-                 * max(1, 2 * (p - 1)) * x ** 3)
-        value_b = acc_b * x ** 3
-        agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x ** 3
-        if abs(value - value_b) > agree_tol:
+            acc = (acc * X2 >> 2 * scale) + a[k]
+            acc_b = (acc_b * X2 >> 2 * scale) + e_bin[k]
+        X3 = X2 * X
+        two_pm1 = 2 * (pair.p_exact - 1)
+        value = (acc * X3 >> 3 * scale) * two_pm1.numerator // two_pm1.denominator
+        value_b = acc_b * X3 >> 3 * scale
+        units = 3 + 2 * inexact
+        if abs(value - value_b) > (two_pm1 + 1) * units + 1:
             raise AgreementError(
-                f"E formulas disagree at p={pair.p_float()}, x={float(x)}: "
-                f"{value} vs {value_b}")
-        return SeriesValue(value, tail)
+                f"E formulas disagree at p={pair.p_float()}, x={xf}: "
+                f"{value} vs {value_b} units of 2^-{scale}")
+        return _fixed_result(value, math.ceil(two_pm1 * units) + 1, a[order],
+                             two_pm1, X, inexact, order, precision_bits)
+    x = xf
+    unit = 2.0 ** (-precision_bits)
+    p = pair.p_float()
+    x2 = x * x
+    acc = 0
+    acc_b = 0
+    for k in range(top, 2, -2):
+        acc = acc * x2 + a[k]
+        acc_b = acc_b * x2 + e_bin[k]
+    value = 2 * (p - 1) * acc * x ** 3
+    tail = 2 * (p - 1) * a[order] * x ** (order + 1) / (1 - x)
+    # Everything is scaled by x^3 at the end, so rounding is too.
+    tail += (8 * (order + 2) * unit * (1 + abs(acc))
+             * max(1, 2 * (p - 1)) * x ** 3)
+    value_b = acc_b * x ** 3
+    agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x ** 3
+    if abs(value - value_b) > agree_tol:
+        raise AgreementError(
+            f"E formulas disagree at p={pair.p_float()}, x={float(x)}: "
+            f"{value} vs {value_b}")
+    return SeriesValue(value, tail)
+
+
+def _h_slope(alpha: float, s: float, unit: float) -> float:
+    """|h'(s)| = |alpha| |expm1(alpha log1p(s)) - s| / (1+s) in doubles,
+    the numerator padded by 16 units (derived in :func:`eval_F`)."""
+    u = alpha * math.log1p(s)
+    n = abs(math.expm1(u) - s)
+    n += 16 * unit * (abs(u) * math.exp(abs(u)) + abs(s) + n)
+    return abs(alpha) * n / (1 + s)
+
+
+def _h_rounding(alpha, t, u, h, unit) -> float:
+    """The rounding allowance of h(t), 8 units of |u| e^|u| + |alpha t| + |h|,
+    in doubles (derived in :func:`eval_F`)."""
+    u = float(u)
+    return 8 * float(unit) * (abs(u) * math.exp(abs(u)) + abs(float(alpha * t))
+                              + abs(float(h)))
+
+
+def _slope_bound(alpha: float, lo: float, hi: float) -> float:
+    """Above 53 bits: max |h'| over the double interval [lo, hi], a padded
+    double upper bound (derived in :func:`eval_F`)."""
+    return _up(max(_h_slope(alpha, s, _DOUBLE_UNIT) for s in (lo, hi)), 4)
+
+
+def _rounding_bound(alpha, t, u, h, unit) -> float:
+    """Above 53 bits: h(t)'s rounding allowance, a padded double upper bound
+    (derived in :func:`eval_F`)."""
+    return _up(_h_rounding(alpha, t, u, h, unit), abs(float(u)) + 8)
 
 
 def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
@@ -240,33 +400,52 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
       |h|: in all 8 units of |u| e^|u| + |alpha t| + |h|.  (e^|u| is taken
       in doubles: it only scales an allowance.)
 
+    Above 53 bits h's value, the guard below and the sums of the tail stay
+    in mpf, and both allowances are doubles (units of 2^-53 there), each
+    enlarged by its relative pad and rounded up (:func:`_up`):
+
+    * the slope: lo and hi are rounded outward to doubles (float() of an
+      mpf is within half an ulp and the mpf endpoint within 2^(1-bits) of
+      the exact one, so one nextafter step covers both); this only widens
+      the interval, over which |h'| is still largest at an end.  |h'| is
+      taken at each double end as in the double path, whose 16-unit pad
+      covers alpha = float(p-1) inside u; the quotient |alpha| n/(1+s)
+      adds 4 roundings (alpha, 1 + s, the product and the quotient), so a
+      4-unit pad.  tau is rounded up and the product nudged up;
+    * the rounding of h(t): u, alpha t and h convert to doubles within a
+      unit each (alpha t also carries its mpf rounding), e^|u| is off by
+      |u| units from u's conversion plus 2 of its own, and the product and
+      the two sums add 3: a pad of |u| + 8 units.
+
     The final subtraction adds 4 units of |F|.  h' diverges at t = -1 when
     p < 2, so 1 + g - tail not positive (either sign) raises AgreementError.
     """
+    doubles = precision_bits <= 53
     context, number, unit = _arithmetic(precision_bits)
-    log1p, expm1 = ((math.log1p, math.expm1) if precision_bits <= 53
-                    else (mp.log1p, mp.expm1))
+    log1p, expm1 = (math.log1p, math.expm1) if doubles else (mp.log1p, mp.expm1)
     with context:
         alpha = number(pair.p_exact - 1)
-        value = tail = 0
+        value = tail = number(0)
         for sign in (-1, +1):
             t, tau = eval_g(pair, x, sign, series_order, precision_bits)
             reach = tau + 2 * unit * (abs(t) + tau)
-            if not 1 + t - reach > 0:
+            lo, hi = t - reach, t + reach
+            if not doubles:
+                lo = math.nextafter(float(lo), -math.inf)
+                hi = math.nextafter(float(hi), math.inf)
+            if not (1 + t - reach > 0 and lo > -1):
                 raise AgreementError(
                     f"1 + g - tail = {1 + t - tau} is not positive at "
                     f"p={pair.p_float()}, x={float(x)}")
             u = alpha * log1p(t)
             h = expm1(u) - alpha * t
             value -= sign * h
-            tail += 8 * unit * (abs(u) * math.exp(abs(float(u))) + abs(alpha * t) + abs(h))
-            slope = 0
-            for s in (t - reach, t + reach):
-                u = alpha * log1p(s)
-                n = abs(expm1(u) - s)
-                n += 16 * unit * (abs(u) * math.exp(abs(float(u))) + abs(s) + n)
-                slope = max(slope, abs(alpha) * n / (1 + s))
-            tail += slope * tau
+            if doubles:
+                tail += _h_rounding(alpha, t, u, h, unit)
+                tail += max(_h_slope(alpha, s, unit) for s in (lo, hi)) * tau
+            else:
+                tail += _rounding_bound(alpha, t, u, h, unit)
+                tail += _up(_slope_bound(float(alpha), lo, hi) * _up(float(tau)))
         return SeriesValue(value, tail + 4 * unit * abs(value))
 
 
@@ -279,7 +458,10 @@ class GridCheckReport:
     """Outcome of one predicate over a (p, x) grid.
 
     The margin at each point is the checked quantity minus its tolerance
-    threshold, so pass == (worst margin > 0) == (no failures).
+    threshold, so pass == (worst margin > 0) == (no failures).  ``failures``
+    keeps the FAILURES_KEPT failing points of lowest margin, in ascending
+    order, and ``failure_count`` counts them all; the JSON form carries the
+    count only when the check fails.
     """
 
     description: str
@@ -287,23 +469,32 @@ class GridCheckReport:
     worst_margin: float
     passed: bool
     failures: list = field(default_factory=list)
+    failure_count: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "description": self.description,
             "grid": self.grid,
             "worst_margin": self.worst_margin,
             "pass": self.passed,
             "failures": self.failures,
         }
+        if not self.passed:
+            payload["failure_count"] = self.failure_count
+        return payload
+
+
+def _lowest_failures(failures) -> list:
+    return sorted(failures, key=lambda f: f["margin"])[:FAILURES_KEPT]
 
 
 def _build_report(description, grid, points) -> GridCheckReport:
     """points: a list of (p, x, margin, lhs, rhs)."""
-    failures = [{"p": p, "x": x, "lhs": lhs, "rhs": rhs}
+    failures = [{"p": p, "x": x, "margin": margin, "lhs": lhs, "rhs": rhs}
                 for p, x, margin, lhs, rhs in points if not margin > 0]
     worst = min([math.inf] + [point[2] for point in points])
-    return GridCheckReport(description, grid, worst, not failures, failures)
+    return GridCheckReport(description, grid, worst, not failures,
+                           _lowest_failures(failures), len(failures))
 
 
 def _x_grid_check(description, pair: ExponentPair, x_grid, point,
@@ -441,15 +632,48 @@ def check_EF_positive(pair: ExponentPair, x_grid) -> GridCheckReport:
     return _x_grid_check("positivity of E + F", pair, x_grid, point)
 
 
+def _bracket_slack(pair: ExponentPair, x, lhs, rhs, precision_bits: int) -> float:
+    """The decomposition check's rounding allowance, in doubles, rounded up:
+
+        64 eps (|p-1| + 1) (v+^(p-1)/v+ + v-^(p-1)/v-)
+            + 64 eps (|lhs| + |rhs| + 1),  eps = 2^(1-bits),
+
+    with v+ = 1 - (1-x)^(1/q) and v- = (1+x)^(1/q) - 1 the inner brackets:
+    the bracket powers amplify rounding by (p-1)/v near the fractional-power
+    branch.  v+ = -expm1((1/q) log1p(-x)) and v- = expm1((1/q) log1p(x))
+    come within 11 units of 2^-53 in doubles:
+    x converts within 1 unit, which log1p carries as at most 1.5 units
+    (|y|/((1+y) |log1p y|) <= 1.5 on |y| <= 1/2), log1p adds 2, 1/q and the
+    product 1 each, expm1 amplifies by at most e^z <= 1.5 and adds 2.
+    v^(p-1)/v = exp((p-2) log v): log v is off by 11 units plus 2 of
+    |log v|, so the exponent by |p-2| (11 + 4|log v|) units (p - 2 and the
+    product 1 unit of it each), and exp adds 2: that is each power's pad.
+    The rest, four conversions, two products and three sums, is covered by a
+    final pad of 8 units.
+    """
+    xf = float(x)
+    s = float(pair.inv_q_exact)
+    e = float(pair.p_exact - 2)
+    powers = 0.0
+    for v in (-math.expm1(s * math.log1p(-xf)), math.expm1(s * math.log1p(xf))):
+        log_v = math.log(v)
+        powers += _up(math.exp(e * log_v), abs(e) * (11 + 4 * abs(log_v)) + 2)
+    eps64 = 2.0 ** (7 - precision_bits)
+    return _up(eps64 * float(abs(pair.p_exact - 1) + 1) * powers
+               + eps64 * (abs(float(lhs)) + abs(float(rhs)) + 1), 8)
+
+
 def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
     """|w(x) - (x/q)^(p-1) (x/q + E + F)| <= tolerance for the closed-form
-    weight, at DECOMPOSITION_BITS."""
+    weight, at DECOMPOSITION_BITS.
+
+    The tolerance is (x/q)^(p-1) times the tails of E and F plus the
+    rounding allowance of :func:`_bracket_slack`.
+    """
     bits = DECOMPOSITION_BITS
     with mp.workprec(bits):
-        eps = mpf(2) ** (1 - bits)
         q = pair.q_mpf(bits)
         pm1 = pair.p_mpf(bits) - 1
-        s = pair.inv_q_mpf(bits)
 
         def point(x):
             xm = to_mpf(x)
@@ -459,14 +683,8 @@ def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
             prefactor = (xm / q) ** pm1
             rhs = prefactor * (xm / q + e.value + f.value)
             residual = abs(lhs - rhs)
-            # Rounding allowance: bracket powers amplify by (p-1)/v near the
-            # fractional-power branch, v the inner bracket value.
-            v_plus = 1 - (1 - xm) ** s
-            v_minus = (1 + xm) ** s - 1
-            slack = 64 * eps * (abs(pm1) + 1) * (
-                v_plus ** pm1 / v_plus + v_minus ** pm1 / v_minus)
-            slack += 64 * eps * (abs(lhs) + abs(rhs) + 1)
-            tol = prefactor * (e.tail_bound + f.tail_bound) + slack
+            tol = (prefactor * (e.tail_bound + f.tail_bound)
+                   + _bracket_slack(pair, xm, lhs, rhs, bits))
             return float(tol - residual), float(residual), float(tol)
         return _x_grid_check("bracket decomposition", pair, x_grid, point,
                              precision_bits=bits)
@@ -502,13 +720,14 @@ def merge_reports(reports) -> GridCheckReport:
     p_values = sorted({p for r in reports for p in r.grid.get("p", [])})
     grid = dict(reports[0].grid)
     grid["p"] = p_values
-    failures = [f for r in reports for f in r.failures]
+    failure_count = sum(r.failure_count for r in reports)
     return GridCheckReport(
         description=reports[0].description,
         grid=grid,
         worst_margin=min(r.worst_margin for r in reports),
-        passed=not failures,
-        failures=failures)
+        passed=not failure_count,
+        failures=_lowest_failures(f for r in reports for f in r.failures),
+        failure_count=failure_count)
 
 
 def _between_odd_and_even(p: Fraction | float) -> bool:

@@ -397,19 +397,55 @@ class TestFlags:
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in \
             capsys.readouterr().err
 
-    def test_benchmark_rayleigh_line_is_accepted(self, capsys, monkeypatch):
-        # The benchmark's rayleigh jobs pass --seed, which rayleigh ignores.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--p", "2", "--trials", "3", "--support", "5",
+         "--digits", "50"],
+        ["verify", "--p", "2", "--trials", "3", "--n", "1..5"],
+        ["verify", "--supersolution", "--p", "2", "--n", "1..5",
+         "--trials", "9"],
+        ["verify", "--supersolution", "--p", "2", "--n", "1..5",
+         "--support", "3"],
+        ["verify", "--supersolution", "--p", "2", "--n", "1..5",
+         "--seed", "7"],
+    ], ids=lambda argv: f"{argv[1]}{argv[-2]}")
+    def test_verify_refuses_the_other_modes_flags(self, capsys, argv):
+        # --n and --digits are read only with --supersolution; --trials,
+        # --support and --seed only without it.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[-2]} ")
+
+    @staticmethod
+    def benchmark_workloads(monkeypatch):
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses
         spec.loader.exec_module(workloads)
+        return workloads
+
+    def test_benchmark_rayleigh_line_is_accepted(self, capsys, monkeypatch):
+        # The benchmark's rayleigh jobs pass --seed, which rayleigh ignores.
+        workloads = self.benchmark_workloads(monkeypatch)
         argv = next(job.argv for job in workloads.variational(0)
                     if job.cls == "rayleigh")
         assert "--seed" in argv
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert json.loads(out)["converged"] is True
+
+    @pytest.mark.parametrize("workload, cls", [("tables", "super"),
+                                               ("variational", "trials")])
+    def test_benchmark_verify_lines_are_accepted(self, capsys, monkeypatch,
+                                                 workload, cls):
+        workloads = self.benchmark_workloads(monkeypatch)
+        argv = next(job.argv for job in getattr(workloads, workload)(0)
+                    if job.cls == cls)
+        assert argv[0] == "verify"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"]["mode"] == (
+            "supersolution" if "--supersolution" in argv else "trials")
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 """Lemma bounds, the bracket decomposition, and their grid reports."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from phardy import proof_machinery as pm
-from phardy.numerics import ExponentPair
+from phardy.numerics import ExponentPair, to_mpf
 from phardy.series import SeriesValue
 
 F = Fraction
@@ -20,7 +21,7 @@ P_SAMPLE = [F("1.01"), F(3, 2), F(2), F(5, 2), F(7, 2), F(10)]
 def g_closed_form(pair, x, sign, bits=200):
     """Oracle: g(sign x) = (q/x) * (bracket base) - 1 from the closed form."""
     with mp.workprec(bits):
-        xm = mpf(x)
+        xm = to_mpf(x)
         q = pair.q_mpf(bits)
         s = pair.inv_q_mpf(bits)
         if sign < 0:
@@ -131,13 +132,17 @@ class TestEvalE:
         # Far below double resolution: only a tolerance at the working
         # precision, with no fixed relative slack, can catch it.
         pytest.param(113, 1e-13, id="113-rel1e-13"),
+        # Thousands of units of 2^-121, far below the 113-bit unit itself.
+        pytest.param(113, 1e-30, id="113-rel1e-30"),
     ])
     def test_cross_check_runs_at_every_precision(self, monkeypatch, bits, scale):
         honest = pm._e_binom_table
 
         def corrupted(pair, order, precision_bits):
+            # Doubles up to 53 bits, fixed-point integers above.
             table = list(honest(pair, order, precision_bits))
-            table[3] *= 1 + scale
+            c = table[3]
+            table[3] = c + round(c * scale) if isinstance(c, int) else c * (1 + scale)
             return tuple(table)
 
         monkeypatch.setattr(pm, "_e_binom_table", corrupted)
@@ -233,6 +238,163 @@ class TestEvalF:
                             lambda *args, **kwargs: SeriesValue(-0.99, 0.02))
         with pytest.raises(pm.AgreementError):
             pm.eval_F(ExponentPair(F(3, 2)), 0.3, precision_bits=bits)
+
+
+FIXED_BITS = [64, 113, 200]
+FIXED_X = [2.0 ** -10, 0.001, F(1, 3), 0.5]
+FIXED_P = [F("1.01"), F("1.1"), F(3, 2), F(2), F(7, 2), F(10)]
+
+
+def exact(value) -> Fraction:
+    """An mpf or a double as the exact rational it stores."""
+    if not isinstance(value, mpf):
+        return Fraction(value)
+    man, exp = value.man_exp
+    magnitude = Fraction(man) * Fraction(2) ** exp
+    return -magnitude if value < 0 else magnitude
+
+
+def horner_exact(coeffs, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestFixedPoint:
+    """Above 53 bits g and E are fixed-point sums: the returned tail must
+    cover the true error against the exact truncated sum."""
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("x", FIXED_X, ids=str)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_within_tail_of_exact_sums(self, p, x, bits):
+        pair = ExponentPair(p)
+        a = pm.g_series(pair, pm.DEFAULT_ORDER)
+        xq = Fraction(x)
+        for sign in (-1, +1):
+            value, tail = pm.eval_g(pair, x, sign, precision_bits=bits)
+            truth = horner_exact(a, -sign * xq)    # a_k are g(-x)'s
+            assert abs(exact(value) - truth) <= exact(tail)
+            # The tail also covers the truncation: against the closed form.
+            oracle = g_closed_form(pair, x, sign, 400)
+            with mp.workprec(400):
+                assert abs(value - oracle) <= tail
+        odd = [c if k % 2 == 1 and k >= 3 else 0 for k, c in enumerate(a)]
+        value, tail = pm.eval_E(pair, x, precision_bits=bits)
+        truth = 2 * (p - 1) * horner_exact(odd, xq)
+        assert abs(exact(value) - truth) <= exact(tail)
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_tail_is_a_few_units(self, p, bits):
+        # At x = 2^-10 the truncation tail is far below 2^-bits, so what is
+        # left is rounding: well under one unit of the working precision.
+        pair = ExponentPair(p)
+        x = 2.0 ** -10
+        tails = [pm.eval_g(pair, x, sign, precision_bits=bits).tail_bound
+                 for sign in (-1, +1)]
+        tails.append(pm.eval_E(pair, x, precision_bits=bits).tail_bound)
+        assert all(0 < exact(tail) < Fraction(1, 2 ** bits) for tail in tails)
+
+    def test_tables_are_floors_of_the_exact_coefficients(self):
+        pair = ExponentPair(F(7, 2))
+        scale = 113 + pm.FIXED_GUARD_BITS
+        a = pm.g_series(pair, 12)
+        table = pm._a_table(pair, 12, 113)
+        assert all(t == math.floor(c * 2 ** scale) for t, c in zip(table, a))
+
+
+class TestDoubleAllowances:
+    """Above 53 bits the allowances that only scale a tail are doubles; each
+    must be at least the same formula evaluated at 400 bits."""
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("x", FIXED_X, ids=str)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_slope_and_h_rounding(self, p, x, bits):
+        pair = ExponentPair(p)
+        for sign in (-1, +1):
+            t, tau = pm.eval_g(pair, x, sign, precision_bits=bits)
+            with mp.workprec(bits):
+                unit = mpf(2) ** (1 - bits)
+                alpha = to_mpf(p - 1)
+                reach = tau + 2 * unit * (abs(t) + tau)
+                ends = (t - reach, t + reach)
+                u = alpha * mp.log1p(t)
+                h = mp.expm1(u) - alpha * t
+            lo = math.nextafter(float(ends[0]), -math.inf)
+            hi = math.nextafter(float(ends[1]), math.inf)
+            slope = pm._slope_bound(float(alpha), lo, hi)
+            rounding = pm._rounding_bound(alpha, t, u, h, unit)
+            with mp.workprec(400):
+                exact_alpha = to_mpf(p - 1)
+                exact_slope = max(
+                    abs(exact_alpha * ((1 + s) ** (exact_alpha - 1) - 1))
+                    for s in ends)
+                exact_rounding = 8 * unit * (abs(u) * mp.exp(abs(u))
+                                             + abs(alpha * t) + abs(h))
+                assert slope >= exact_slope
+                assert rounding >= exact_rounding
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("x", FIXED_X, ids=str)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_bracket_slack(self, p, x, bits):
+        pair = ExponentPair(p)
+        with mp.workprec(bits):
+            xm = to_mpf(x)
+            lhs = pm.eval_w_closed_x(pair, xm, bits)
+            rhs = lhs * (1 + mpf(2) ** -100)
+        slack = pm._bracket_slack(pair, xm, lhs, rhs, bits)
+        with mp.workprec(400):
+            s = to_mpf(pair.inv_q_exact)
+            pm1 = to_mpf(p - 1)
+            eps = mpf(2) ** (1 - bits)
+            v_plus = 1 - (1 - xm) ** s
+            v_minus = (1 + xm) ** s - 1
+            exact_slack = 64 * eps * (abs(pm1) + 1) * (
+                v_plus ** pm1 / v_plus + v_minus ** pm1 / v_minus)
+            exact_slack += 64 * eps * (abs(lhs) + abs(rhs) + 1)
+            assert slack >= exact_slack
+
+
+class TestDecompositionSensitivity:
+    """A weight off by a relative epsilon must fail the decomposition check:
+    the tolerance is tight enough to see it."""
+
+    @staticmethod
+    def bent(monkeypatch, digits):
+        honest = pm.eval_w_closed_x
+
+        def bent(pair, x, precision_bits):
+            return honest(pair, x, precision_bits) * (1 + mpf(10) ** -digits)
+
+        monkeypatch.setattr(pm, "eval_w_closed_x", bent)
+
+    @pytest.mark.parametrize("digits, p", [
+        *[(28, p) for p in (F(3, 2), F(2), F(7, 2))],
+        *[(24, p) for p in (F("1.01"), F(3, 2), F(2), F(7, 2), F(10))],
+    ], ids=str)
+    def test_relative_error_fails(self, monkeypatch, digits, p):
+        self.bent(monkeypatch, digits)
+        report = pm.check_decomposition_identity(ExponentPair(p),
+                                                 pm.DEFAULT_X_GRID)
+        assert not report.passed
+        assert report.worst_margin < 0
+
+    def test_failures_are_capped(self, monkeypatch):
+        self.bent(monkeypatch, 24)
+        report = pm.check_decomposition_identity(ExponentPair(F(3, 2)),
+                                                 pm.DEFAULT_X_GRID)
+        assert report.failure_count == 284
+        assert len(report.failures) == pm.FAILURES_KEPT == 20
+        margins = [f["margin"] for f in report.failures]
+        assert margins == sorted(margins)
+        assert report.worst_margin == margins[0]
+        payload = report.to_json_dict()
+        assert payload["failure_count"] == 284
+        assert list(payload["failures"][0]) == ["p", "x", "margin", "lhs", "rhs"]
 
 
 class TestGridChecks:
@@ -336,6 +498,21 @@ class TestGridChecks:
         assert merged.passed
         assert merged.worst_margin == min(r.worst_margin for r in reports)
         assert merged.grid["p"] == [2.0, 3.0]
+
+    def test_merge_keeps_the_lowest_failures(self):
+        # Two reports of 15 failing points each: the merge counts 30 and
+        # lists the 20 of lowest margin, in ascending order.
+        reports = [pm._build_report("d", {"p": [p]}, [
+            (p, j / 100, -((7 * j) % 15 + p) / 1000, 0.0, 0.0)
+            for j in range(1, 16)]) for p in (2.0, 3.0)]
+        assert [r.failure_count for r in reports] == [15, 15]
+        merged = pm.merge_reports(reports)
+        assert not merged.passed and merged.failure_count == 30
+        margins = [f["margin"] for f in merged.failures]
+        assert margins == sorted(f["margin"] for r in reports
+                                 for f in r.failures)[:20]
+        assert merged.worst_margin == margins[0]
+        assert merged.to_json_dict()["failure_count"] == 30
 
 
 def fs08_pointwise(a: float, t: float, p: float) -> bool:
