@@ -104,7 +104,7 @@ def cmd_weight(args) -> int:
     else:
         config = {"subcommand": "weight", "p": str(p), "n": args.n,
                   "digits": args.digits, "format": args.format}
-        _emit(_json_report(config, {"rows": table.json_rows()}), args.out)
+        _emit(table.to_json(config) + "\n", args.out)
     return EXIT_OK if table.all_verified_positive() else EXIT_CHECK_FAILED
 
 

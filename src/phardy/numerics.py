@@ -245,6 +245,12 @@ def binom_rational_sequence(alpha: Fraction, k_max: int) -> list:
     return out
 
 
+def contract_bits(target_decimal_digits: int) -> int:
+    """ceil(D*log2(10)) + 32: the bits of a D-digit value plus the guard bits
+    that every precision budget of the package carries."""
+    return math.ceil(target_decimal_digits * _LOG2_10) + 32
+
+
 def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -> int:
     """Working precision (bits) sufficient for cancellation-safe weight
     evaluation at index n.
@@ -263,7 +269,6 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
         raise PrecisionInfeasibleError(
             f"target_decimal_digits must be in [1, {MAX_TARGET_DIGITS}], "
             f"got {target_decimal_digits}")
-    digit_bits = math.ceil(target_decimal_digits * _LOG2_10)
     p = pair.p_exact
     cancel_bits = math.ceil(float(max(p, 2)) * math.log2(n)) if n > 1 else 0
     if p < 2:
@@ -271,4 +276,4 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
         pm1 = p - 1
         cancel_bits += math.ceil(math.log2(pm1.denominator)
                                  - math.log2(pm1.numerator))
-    return digit_bits + cancel_bits + 32
+    return contract_bits(target_decimal_digits) + cancel_bits

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -347,6 +348,12 @@ class TestEdgeInputs:
     @pytest.mark.parametrize("argv, expected, text", [
         (["weight", "--p", P_NEAR_1, "--n", "1..3", "--digits", "15"], 0,
          '"w_classical": "1.00000000000000e-30"'),
+        # Rows from the correction series, its majorant enclosed at p - 1
+        # = 10^-30; and a contract that no series order reaches.
+        (["weight", "--p", P_NEAR_1, "--n", "1..300", "--digits", "15"], 0,
+         '"w_classical": "1.00000000000000e-30"'),
+        (["weight", "--p", "5/2", "--n", "1..500", "--digits", "80"], 0,
+         None),
         (["verify", "--supersolution", "--p", "2", "--n", "1..5",
           "--digits", "340"], 0, None),
         (["weight", "--p", "2", "--n", "1..3", "--digits", "0"], 2, None),
@@ -360,7 +367,8 @@ class TestEdgeInputs:
         (["lemmas", "--p", P_NEAR_1, "--only", "g_linear"], 2, None),
         (["lemmas", "--p", P_NEAR_1, "--only", "ef"], 2, P_NEAR_1_EXACT),
         (["verify", "--p", P_NEAR_1, "--trials", "3"], 2, P_NEAR_1_EXACT),
-    ], ids=["p-rounds-to-1", "supersolution-D340", "digits-0", "n-from-0",
+    ], ids=["p-rounds-to-1", "p-near-1-series-rows",
+            "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
             "rayleigh-tol-inf", "rayleigh-tol-negative",
             "rayleigh-negative-max-iters", "lemmas-p-rounds-to-1",
@@ -503,6 +511,60 @@ class TestWeightSerialization:
         assert code == 0
         assert out == self.expected(p, lo, hi, digits, fmt)
 
-    def test_to_json_matches_json_rows(self):
-        table = compare_weights(ExponentPair(Fraction(7, 3)), 2, 9, 30)
-        assert table.to_json() == json.dumps(table.json_rows())
+    @staticmethod
+    def row_dicts(table):
+        return [{"n": row.n,
+                 "w_improved": row.w_improved.to_decimal(table.target_digits),
+                 "w_classical": row.w_classical.to_decimal(
+                     table.target_digits),
+                 "ratio_minus_one": row.ratio_minus_one.to_decimal(
+                     table.target_digits),
+                 "verified_positive": row.verified_positive}
+                for row in table.rows]
+
+    @pytest.mark.parametrize("p, lo, hi, digits", [
+        ("7/3", 2, 9, 30), ("3/2", 5, 5, 20), ("1.137", 1, 300, 15),
+        ("2", 1000000000000, 1000000000000, 15)],
+        ids=["rows-8", "one-row", "series-rows", "one-row-unverified"])
+    def test_to_json_matches_json_dumps(self, p, lo, hi, digits):
+        table = compare_weights(ExponentPair(Fraction(p)), lo, hi, digits)
+        rows = self.row_dicts(table)
+        assert table.to_json() == json.dumps(rows, indent=2)
+        config = {"subcommand": "weight", "p": p, "n": f"{lo}..{hi}",
+                  "digits": digits, "format": "json"}
+        assert table.to_json(config) == json.dumps(
+            {"config": config, "rows": rows}, indent=2)
+
+    def test_to_json_config_escapes_its_strings(self):
+        table = compare_weights(ExponentPair(2), 1, 2, 15)
+        config = {"n": ' 1.."2"', "nested": {"a": [1, None]}, "empty": {}}
+        assert table.to_json(config) == json.dumps(
+            {"config": config, "rows": self.row_dicts(table)}, indent=2)
+
+    def test_json_out_file_matches_stdout(self, capsys, tmp_path):
+        target = tmp_path / "table.json"
+        argv = ("weight", "--p", "1.137", "--n", "1..400", "--digits", "15")
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert target.read_text() == out
+        assert out == self.expected("1.137", 1, 400, 15, "json")
+
+
+class TestGoldenWeightOutput:
+    """SHA-256 of stdout for three large tables, recorded before their rows
+    at large n came from the correction series; the series rows must print
+    the same digits as the closed form did."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--p", "1.137", "--n", "1..10000", "--digits", "15"),
+         "8017d1bfd8fc442e3a0beeb65abbb85c622ebb2ddad0ad33ba9f957eb9ceb037"),
+        (("--p", "19/4", "--n", "1..608", "--digits", "41", "--format", "csv"),
+         "064657bba31787c7493eb7872e29d87c451bc7db3b2653a5141689c1a9041756"),
+        (("--p", "27/2", "--n", "1..4000", "--digits", "15"),
+         "882b741fbb4a314d3af9d68947a21691c0c95c5421cb73b1014947a6bd889574"),
+    ], ids=["p1.137-n1e4-json", "p19_4-n608-D41-csv", "p27_2-n4000-json"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "weight", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
-"""Closed-form weight evaluation against independent high-precision oracles."""
+"""Weight evaluation, closed form and correction series, against independent
+high-precision oracles."""
 
 import math
 from fractions import Fraction
@@ -11,10 +12,19 @@ from mpmath import mp, mpf
 from phardy.numerics import (
     ExponentPair,
     PrecisionInfeasibleError,
+    contract_bits,
     required_precision,
 )
+from phardy.series import expand_correction
+from phardy import weights
 from phardy.weights import (
+    SERIES_MAX_START,
+    SERIES_RADIUS,
     WeightKind,
+    _series_constants,
+    _series_for,
+    _series_kernel,
+    _series_reach,
     compare_weights,
     eval_w,
     eval_w1_closed,
@@ -184,22 +194,40 @@ def _one_point_classical(pair, n, bits):
 class TestTableKernel:
     @pytest.mark.parametrize("p", KERNEL_P)
     def test_compare_weights_rows_equal_one_point(self, p):
+        # Rows below the series kernel's start equal the one-point closed
+        # form bit for bit; from the start on, w and the excess agree with a
+        # 4x-precision reference within 2^-B relative, B = contract_bits(D).
+        # At p = 2 a table this size keeps the closed form throughout.
         pair = ExponentPair(p)
-        table = compare_weights(pair, 7, 48, 20)
+        digits = 20
+        table = compare_weights(pair, 7, 300, digits)
         bits = table.precision_bits
-        assert [row.n for row in table.rows] == list(range(7, 49))
+        kernel = _series_for(pair, 7, 300, digits)
+        assert (kernel is None) == (p == 2)
+        start = 301 if kernel is None else kernel.start
+        assert 7 < start
+        contract = contract_bits(digits)
+        assert [row.n for row in table.rows] == list(range(7, 301))
         with mp.workprec(bits):
             threshold = mpf(10) ** -18
         for row in table.rows:
-            w = _one_point_improved(pair, row.n, bits)
             wc = _one_point_classical(pair, row.n, bits)
-            assert row.w_improved.value == w
-            assert row.w_improved.value == eval_w_closed_x(
-                pair, F(1, row.n), bits)
             assert row.w_classical.value == wc
-            with mp.workprec(bits):
-                excess = (w - wc) / wc
-            assert row.ratio_minus_one.value == excess
+            if row.n < start:
+                w = _one_point_improved(pair, row.n, bits)
+                assert row.w_improved.value == w
+                assert row.w_improved.value == eval_w_closed_x(
+                    pair, F(1, row.n), bits)
+                with mp.workprec(bits):
+                    excess = (w - wc) / wc
+                assert row.ratio_minus_one.value == excess
+            else:
+                excess = row.ratio_minus_one.value
+                w, _, ref = _reference(p, row.n, 4 * bits)
+                with mp.workprec(4 * bits):
+                    assert abs(excess - ref) <= mp.ldexp(ref, -contract)
+                    assert abs(row.w_improved.value - w) <= \
+                        mp.ldexp(w, -contract)
             assert row.verified_positive == bool(excess > threshold)
             assert {row.w_improved.precision_bits,
                     row.w_classical.precision_bits,
@@ -299,3 +327,142 @@ class TestDigitContract:
                         ("w_improved", "w_classical", "ratio_minus_one"),
                         values, refs):
                     assert close(value, ref), (row.n, name, value, ref)
+
+    @pytest.mark.parametrize("p", [F(1001, 1000), F(3, 2), F(2), F(27, 2),
+                                   1 + F(1, 10 ** 19)])
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 12])
+    @pytest.mark.parametrize("digits", [15, 45])
+    def test_series_kernel_against_reference(self, p, n, digits):
+        # The kernel alone, at large n: a(1/n) within 2^-B relative.
+        pair = ExponentPair(p)
+        contract = contract_bits(digits)
+        kernel = _series_kernel(pair, contract)
+        assert kernel.start <= SERIES_MAX_START < n
+        bits = required_precision(pair, n, digits)
+        with mp.workprec(bits):
+            value = kernel.correction(n)
+        ref_bits = 4 * (bits + math.ceil(2 * math.log2(n)))
+        _, _, ref = _reference(p, n, ref_bits)
+        with mp.workprec(ref_bits):
+            assert abs(value - ref) <= mp.ldexp(ref, -contract), (value, ref)
+
+    @pytest.mark.parametrize("p", [F(1001, 1000), F(16, 5), F(20)])
+    def test_series_rows_of_a_table_at_large_n(self, p):
+        pair = ExponentPair(p)
+        n_min, n_max, digits = 10 ** 12, 10 ** 12 + 200, 15
+        assert _series_for(pair, n_min, n_max, digits) is not None
+        table = compare_weights(pair, n_min, n_max, digits)
+        ranged = eval_w(pair, range(n_min, n_max + 1), digits)
+        ref_bits = 4 * table.precision_bits
+        with mp.workprec(ref_bits):
+            tol = mpf(10) ** -digits
+            for row, single in zip(table.rows[::10], ranged[::10]):
+                refs = _reference(p, row.n, ref_bits)
+                for value, ref in zip((row.w_improved.value,
+                                       row.w_classical.value,
+                                       row.ratio_minus_one.value,
+                                       single.value),
+                                      refs + (refs[0],)):
+                    assert abs(value - ref) <= tol * abs(ref), (row.n, value)
+
+
+TAIL_P = [1 + F(1, 1000), F(1137, 1000), F(3, 2), F(2), F(5, 2), F(16, 5),
+          F(27, 2), F(20)]
+
+
+class TestSeriesTailBound:
+    """The proven tail of the correction series after order K,
+    C t^(K+2)/(1 - t^2) with t = x/r, against the true tail a(x) minus the
+    exact partial sum, a(x) from the closed form at 400 bits or more."""
+
+    @pytest.fixture(scope="class")
+    def coefficients(self):
+        return {p: expand_correction(ExponentPair(p), 48).coeffs
+                for p in TAIL_P}
+
+    @pytest.mark.parametrize("p", TAIL_P)
+    @pytest.mark.parametrize("n", [8, 16, 64, 10 ** 4])
+    @pytest.mark.parametrize("order", [8, 20, 48])
+    def test_bound_covers_true_tail(self, coefficients, p, n, order):
+        bound, _ = _series_constants(ExponentPair(p))
+        x = F(1, n)
+        t = x / SERIES_RADIUS
+        tail_bound = bound * t ** (order + 2) / (1 - t * t)
+        # The tail is about x^(order+2): resolve it 64 bits deep, over the
+        # cancellations of the reference.
+        bits = max(400, 64 + math.ceil((order + 4) * math.log2(n))
+                   + math.ceil(-math.log2(p - 1)))
+        partial = sum(c * x ** k
+                      for k, c in enumerate(coefficients[p][:order + 1]))
+        _, _, a = _reference(p, n, bits)
+        with mp.workprec(bits):
+            tail = a - mpf(partial.numerator) / partial.denominator
+            assert abs(tail) <= mpf(tail_bound.numerator) / \
+                tail_bound.denominator, (tail, tail_bound)
+
+    @pytest.mark.parametrize("p", TAIL_P + [1 + F(1, 10 ** 30)])
+    def test_enclosure_is_an_upper_end(self, p):
+        # q^p M(r)/r at 300 bits, from log1p/expm1 so that nothing cancels.
+        pair = ExponentPair(p)
+        bound, c2 = _series_constants(pair)
+        assert c2 == F(3, 8) - 1 / (8 * p)
+        with mp.workprec(300):
+            def exact(v):
+                return mpf(v.numerator) / v.denominator
+            r, s, beta = (exact(SERIES_RADIUS), exact(pair.inv_q_exact),
+                          exact(p - 1))
+            u = -mp.expm1(s * mp.log1p(-r)) / (s * r) - 1
+            m = 2 * s ** beta * mp.expm1(-beta * mp.log1p(-u))
+            value = exact(pair.q_exact) ** exact(p) * m / r
+            upper = exact(bound)
+            assert value <= upper <= value * (1 + mp.ldexp(1, -50))
+
+
+class TestSeriesChoice:
+    """Which tables take the series: a property of the request."""
+
+    @pytest.mark.parametrize("p, n_min, n_max, digits", [
+        ("1.001", 10 ** 12, 10 ** 12, 15),      # a one-row edge job
+        ("2", 1, 100, 20),                      # a Rayleigh table
+        ("3/2", 1, 100, 20),
+        ("5/2", 1, 40, 300),                    # a deep table
+        ("5/2", 1, 20000, 80),                  # no order <= 48 reaches it
+        ("2", 1, 400, 15),                      # p = 2: cheap closed form
+    ])
+    def test_closed_form_tables(self, p, n_min, n_max, digits):
+        assert _series_for(ExponentPair(F(p)), n_min, n_max, digits) is None
+
+    @pytest.mark.parametrize("p, n_max", [("1.137", 10 ** 4), ("2", 10 ** 4),
+                                          ("5/2", 400), ("3", 400)])
+    def test_large_table_takes_the_series(self, p, n_max):
+        kernel = _series_for(ExponentPair(F(p)), 1, n_max, 15)
+        assert kernel is not None and kernel.start <= SERIES_MAX_START
+
+    def test_contract_out_of_reach_keeps_the_closed_form(self):
+        pair = ExponentPair(F(5, 2))
+        assert _series_reach(pair, contract_bits(80)) is None
+        table = compare_weights(pair, 1, 400, 80)
+        for row in table.rows[::57]:
+            assert row.w_improved.value == _one_point_improved(
+                pair, row.n, table.precision_bits)
+
+    def test_unenclosed_majorant_keeps_the_closed_form(self, monkeypatch):
+        # Were the enclosure of M(r) to fail, tables keep the closed form.
+        pair = ExponentPair(F(1, 10 ** 40) + 1)
+        monkeypatch.setattr(weights, "_series_constants", lambda pair: None)
+        monkeypatch.setattr(weights, "_series_reach",
+                            weights._series_reach.__wrapped__)
+        assert _series_for(pair, 1, 10 ** 4, 15) is None
+        table = compare_weights(pair, 400, 402, 15)
+        assert table.rows[0].w_improved.value == _one_point_improved(
+            pair, 400, table.precision_bits)
+
+    def test_enclosure_resolves_p_near_one(self):
+        # The enclosure's precision grows with log2(q): at p - 1 = 10^-300
+        # the bound is still within a hair of its p -> 1 limit.
+        near, nearer = (_series_constants(ExponentPair(1 + F(1, 10 ** e)))[0]
+                        for e in (30, 300))
+        assert abs(near - nearer) < F(1, 10 ** 12)
+        kernel = _series_for(ExponentPair(1 + F(1, 10 ** 300)), 1, 10 ** 4,
+                             15)
+        assert kernel is not None
