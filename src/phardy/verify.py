@@ -1,9 +1,10 @@
 """End-to-end verification of the Hardy inequality on compactly supported
 test functions, and a certified bracket for the finite-section constant.
 
-This layer runs in double precision for speed; the weights it consumes are
-tabulated once per (p, kind, N) by the high-precision weight module and
-cached as plain floats.  The quotient
+This layer runs in double precision for speed.  The weights it consumes
+come from the high-precision weight module as plain floats: one table
+w(1..n) per (p, kind), which a longer request extends by the rows it lacks,
+so each row is computed once (see `_weight_array`).  The quotient
 
     Q(phi) = sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
 
@@ -39,12 +40,13 @@ margin of that size built in (see `_newton_step`).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .numerics import PAIR_CACHE_SIZE, ExponentPair
+from .numerics import (PAIR_CACHE_SIZE, ExponentPair,
+                       PrecisionInfeasibleError)
 from .weights import WeightKind, weight_values_float
 
 
@@ -107,18 +109,32 @@ class RayleighResult:
     worst_site: int
 
 
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _weight_array_capacity(pair: ExponentPair, kind: WeightKind, capacity: int):
-    arr = np.array(weight_values_float(pair, kind, capacity), dtype=float)
-    arr.setflags(write=False)
-    return arr
+# (pair, kind) -> read-only float table w(1..n), least recently used first.
+_WEIGHT_TABLES: OrderedDict = OrderedDict()
+_NO_ROWS = np.empty(0)
 
 
 def _weight_array(pair: ExponentPair, kind: WeightKind, n_max: int):
-    # Geometric capacities keep the number of cached high-precision
-    # tabulations small when support sizes vary trial to trial.
-    capacity = max(16, 1 << (n_max - 1).bit_length())
-    return _weight_array_capacity(pair, kind, capacity)[:n_max]
+    """w(1..n_max) as a read-only float array.
+
+    Each (pair, kind) has one table, of the PAIR_CACHE_SIZE most recently
+    used ones kept.  A request beyond its end extends it by the missing
+    rows only, so no row is computed twice.  Each row is float() of a value
+    within about 2^-B relative of the weight, B = contract_bits(20) = 99,
+    by whichever route (closed form or series) the range it was computed in
+    takes.  So it is the double nearest the weight unless the weight lies
+    that close to a rounding midpoint, and a table grown in steps equals
+    one computed whole.
+    """
+    table = _WEIGHT_TABLES.pop((pair, kind), _NO_ROWS)
+    if table.size < n_max:
+        rows = weight_values_float(pair, kind, n_max, first=table.size + 1)
+        table = np.concatenate((table, rows))
+        table.setflags(write=False)
+    _WEIGHT_TABLES[(pair, kind)] = table
+    if len(_WEIGHT_TABLES) > PAIR_CACHE_SIZE:
+        _WEIGHT_TABLES.popitem(last=False)
+    return table[:n_max]
 
 
 def _energy(padded: np.ndarray, pf: float) -> float:
@@ -143,16 +159,31 @@ def hardy_rhs(phi: CompactFunction, pair: ExponentPair, kind: WeightKind) -> flo
     return _mass(phi.values, w, pair.p_float())
 
 
-def check_hardy(phi: CompactFunction, pair: ExponentPair, kind: WeightKind,
-                tolerance: float = 1e-12) -> InequalityReport:
-    """Energy dominates the weighted p-norm; slack may dip below zero only
-    by the stated relative tolerance (double-precision rounding allowance)."""
-    lhs = hardy_lhs(phi, pair)
-    rhs = hardy_rhs(phi, pair, kind)
+def _inequality_report(lhs: float, rhs: float, pair: ExponentPair,
+                       tolerance: float = 1e-12) -> InequalityReport:
+    """The pass rule: energy lhs dominates weighted p-norm rhs, the slack
+    dipping below zero only by the relative tolerance (double-precision
+    rounding allowance).  Sums outside the double range decide nothing, so
+    they are refused rather than compared."""
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise PrecisionInfeasibleError(
+            f"p = {pair.p_exact}: a test function's sums leave the double "
+            f"range (energy {lhs}, weighted p-norm {rhs})")
     slack = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     return InequalityReport(lhs=lhs, rhs=rhs, slack=slack,
                             passed=bool(slack >= -tolerance * scale))
+
+
+def check_hardy(phi: CompactFunction, pair: ExponentPair, kind: WeightKind,
+                tolerance: float = 1e-12) -> InequalityReport:
+    """Energy dominates the weighted p-norm; slack may dip below zero only
+    by the stated relative tolerance (double-precision rounding allowance).
+    Sums that overflow doubles are refused (PrecisionInfeasibleError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = hardy_lhs(phi, pair)
+        rhs = hardy_rhs(phi, pair, kind)
+    return _inequality_report(lhs, rhs, pair, tolerance)
 
 
 def random_compact(seed: int, N: int, distribution: str,
@@ -464,30 +495,60 @@ def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
                           lower_bound=lower, gap=gap, worst_site=worst_site)
 
 
+_KINDS = (WeightKind.IMPROVED, WeightKind.CLASSICAL)
+
+
+def _trial_sums(pair: ExponentPair, trials: int, support: int, seed: int,
+                distributions):
+    """Energy and {kind: weighted p-norm} of each trial's test function, in
+    trial order, equal bit for bit to `hardy_lhs` and `hardy_rhs`.
+
+    Every trial's support size n and function seed are drawn first, from
+    that trial's own stream, and the weight tables are then filled once, up
+    to the largest n drawn.  Each trial's energy and |phi|^p are computed
+    once and shared by the two weighted sums.
+    """
+    pf = pair.p_float()
+    draws = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed & 0x7FFFFFFF, t])
+        n = int(rng.integers(1, support + 1))
+        draws.append((n, int(rng.integers(2 ** 31))))
+    n_top = max(n for n, _ in draws)
+    tables = {kind: _weight_array(pair, kind, n_top) for kind in _KINDS}
+    for t, (n, phi_seed) in enumerate(draws):
+        phi = random_compact(phi_seed, n, distributions[t % len(distributions)])
+        # Overflow shows as a non-finite sum, which the pass rule refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = _energy(phi.padded(), pf)
+            power = np.abs(phi.values) ** pf
+            rhs = {kind: float(np.sum(tables[kind][:n] * power))
+                   for kind in _KINDS}
+        yield lhs, rhs
+
+
 def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
                      distributions=("uniform", "gaussian", "sparse")) -> dict:
     """Seeded batch of random test functions checked against both weights.
 
     Per-trial streams derive from the master seed, so results do not depend
-    on execution order.  Reports slack statistics and whether the improved
-    weight's slack stayed below the classical one's on every trial.
+    on execution order; all of them are drawn before the weight tables are
+    filled, once, up to the largest support drawn (`_trial_sums`).  Reports
+    slack statistics and whether the improved weight's slack stayed below
+    the classical one's on every trial.  A trial whose sums overflow
+    doubles is refused (PrecisionInfeasibleError), as in `check_hardy`.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if support < 1:
         raise ValueError(f"support must be positive, got {support}")
-    min_slack = {WeightKind.IMPROVED: float("inf"),
-                 WeightKind.CLASSICAL: float("inf")}
+    min_slack = dict.fromkeys(_KINDS, float("inf"))
     all_pass = True
     comparisons_ok = True
-    for t in range(trials):
-        rng = np.random.default_rng([seed & 0x7FFFFFFF, t])
-        n = int(rng.integers(1, support + 1))
-        dist = distributions[t % len(distributions)]
-        phi = random_compact(int(rng.integers(2 ** 31)), n, dist)
+    for lhs, rhs in _trial_sums(pair, trials, support, seed, distributions):
         slack = {}
-        for kind in (WeightKind.IMPROVED, WeightKind.CLASSICAL):
-            report = check_hardy(phi, pair, kind)
+        for kind in _KINDS:
+            report = _inequality_report(lhs, rhs[kind], pair)
             slack[kind] = report.slack
             min_slack[kind] = min(min_slack[kind], report.slack)
             all_pass = all_pass and report.passed

@@ -457,12 +457,14 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
 
 
 def weight_values_float(pair: ExponentPair, kind: WeightKind, n_max: int,
-                        target_digits: int = 20):
-    """Double-precision weight samples w(1..n_max) for the variational layer.
+                        target_digits: int = 20, first: int = 1):
+    """Double-precision weight samples w(first..n_max) for the variational
+    layer.
 
     High-precision evaluation happens here once, each n at its own
     ``required_precision`` as :func:`eval_w` gives it; consumers get plain
     floats.
     """
     return [float(value) for value in
-            _at_own_precision(pair, kind, range(1, n_max + 1), target_digits)]
+            _at_own_precision(pair, kind, range(first, n_max + 1),
+                              target_digits)]

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from mpmath import mp, mpf
 from phardy import cli
 from phardy import proof_machinery as pm
 from phardy import series
+from phardy import verify
 from phardy.cli import build_parser, main
 from phardy.numerics import ExponentPair
 from phardy.weights import compare_weights
@@ -367,12 +369,16 @@ class TestEdgeInputs:
         (["lemmas", "--p", P_NEAR_1, "--only", "g_linear"], 2, None),
         (["lemmas", "--p", P_NEAR_1, "--only", "ef"], 2, P_NEAR_1_EXACT),
         (["verify", "--p", P_NEAR_1, "--trials", "3"], 2, P_NEAR_1_EXACT),
+        # |phi(n) - phi(n-1)|^p overflows doubles: refused, not failed.
+        (["verify", "--p", "1000", "--trials", "30", "--support", "20",
+          "--seed", "1"], 2, "p = 1000:"),
     ], ids=["p-rounds-to-1", "p-near-1-series-rows",
             "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
             "rayleigh-tol-inf", "rayleigh-tol-negative",
             "rayleigh-negative-max-iters", "lemmas-p-rounds-to-1",
-            "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1"])
+            "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1",
+            "verify-sums-beyond-doubles"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr
@@ -568,3 +574,37 @@ class TestGoldenWeightOutput:
         code, out, _ = run_cli(capsys, "weight", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestGoldenTrialOutput:
+    """SHA-256 of stdout for trial batches and one Rayleigh bracket,
+    recorded while every float weight table was still recomputed whole at
+    each power-of-two size; a table grown row range by row range must print
+    the same."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("verify", "--p", "1.003", "--trials", "300", "--support", "200",
+          "--seed", "11"),
+         "1ccb8ba937e732bfd67a83e4e6b47cc73256f7f1111c24e7fe1007154469fc19"),
+        (("verify", "--p", "7/3", "--trials", "300", "--support", "150",
+          "--seed", "5"),
+         "dfb5671f1d234e4f65178dc690b0c6f9cf2e10028ae642467bd73e66ac65030d"),
+        (("verify", "--p", "73/4", "--trials", "300", "--support", "200",
+          "--seed", "2"),
+         "32127317e331f135437abf73d525cd80628222066fab712c1d7f15d894435c2c"),
+        (("rayleigh", "--p", "3", "--weight", "improved", "--N", "100"),
+         "304f80135a2c16f456eb396c4f8d4f0e6f9678ced48a8abc40ad2beb29a559bc"),
+    ], ids=["trials-p1.003", "trials-p7_3", "trials-p73_4",
+            "rayleigh-p3-improved-N100"])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cold_and_warm_cache_agree(self, monkeypatch):
+        pair = ExponentPair(Fraction(7, 3))
+        monkeypatch.setattr(verify, "_WEIGHT_TABLES", OrderedDict())
+        cold = verify.run_hardy_trials(pair, 200, 150, seed=5)
+        monkeypatch.setattr(verify, "_WEIGHT_TABLES", OrderedDict())
+        verify.run_hardy_trials(pair, 40, 60, seed=8)
+        assert verify.run_hardy_trials(pair, 200, 150, seed=5) == cold

@@ -1,6 +1,8 @@
 """Hardy inequality on test functions, gradients, and the minimizer."""
 
 import math
+import warnings
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from phardy.numerics import ExponentPair, PrecisionInfeasibleError
+from phardy import verify
+from phardy.numerics import (ExponentPair, PrecisionInfeasibleError,
+                             required_precision)
 from phardy.verify import (
     CompactFunction,
     _p_laplacian,
+    _trial_sums,
     _weight_array,
     check_hardy,
     hardy_lhs,
@@ -24,7 +29,7 @@ from phardy.verify import (
     rayleigh_quotient,
     run_hardy_trials,
 )
-from phardy.weights import WeightKind
+from phardy.weights import WeightKind, weight_values_float
 
 F = Fraction
 SQRT2 = math.sqrt(2)
@@ -84,6 +89,103 @@ class TestCheckHardy:
             cls = check_hardy(phi, pair, WeightKind.CLASSICAL)
             assert imp.passed and cls.passed
             assert imp.slack <= cls.slack + 1e-12 * max(1.0, abs(cls.slack))
+
+
+def _reference_weight(pair: ExponentPair, kind: WeightKind, n: int,
+                      bits: int) -> mpf:
+    """The closed form at n, with p rounded once from the exact rational."""
+    p = pair.p_exact
+    with mp.workprec(bits):
+        p_m = mpf(p.numerator) / p.denominator
+        pm1 = mpf(p.numerator - p.denominator) / p.denominator
+        s = pm1 / p_m
+        if kind is WeightKind.CLASSICAL:
+            return s ** p_m / mpf(n) ** p_m
+        x = mpf(1) / n
+        return ((1 - (1 - x) ** s) ** pm1) - (((1 + x) ** s - 1) ** pm1)
+
+
+class TestWeightTable:
+    """One float table per (p, kind), extended by the rows a request lacks."""
+
+    KINDS = (WeightKind.IMPROVED, WeightKind.CLASSICAL)
+    EXPONENTS = (F(1001, 1000), F(5, 2), F(73, 4))
+
+    @pytest.fixture
+    def rows_computed(self, monkeypatch):
+        """An empty table cache, and a count of the rows computed per
+        (p, kind, n)."""
+        monkeypatch.setattr(verify, "_WEIGHT_TABLES", OrderedDict())
+        counts = Counter()
+
+        def counted(pair, kind, n_max, target_digits=20, first=1):
+            counts.update((pair, kind, n) for n in range(first, n_max + 1))
+            return weight_values_float(pair, kind, n_max, target_digits,
+                                       first=first)
+
+        monkeypatch.setattr(verify, "weight_values_float", counted)
+        return counts
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", EXPONENTS, ids=str)
+    def test_grown_in_steps_equals_one_table(self, rows_computed, p, kind):
+        pair = ExponentPair(p)
+        for n in (10, 130, 60, 200):
+            arr = _weight_array(pair, kind, n)
+            assert arr.shape == (n,)
+        whole = np.array(weight_values_float(pair, kind, 200))
+        assert arr.tobytes() == whole.tobytes()
+        assert rows_computed == Counter(
+            {(pair, kind, n): 1 for n in range(1, 201)})
+
+    @pytest.mark.parametrize("p", EXPONENTS, ids=str)
+    def test_closed_form_rows_extend_a_series_table(self, rows_computed, p):
+        # 1..300 in one range takes the correction series from n0 <= 64 on;
+        # 1..150 and 151..300 are too short to repay it and keep the
+        # closed form.  Both routes give the same doubles.
+        pair = ExponentPair(p)
+        _weight_array(pair, WeightKind.IMPROVED, 150)
+        arr = _weight_array(pair, WeightKind.IMPROVED, 300)
+        whole = np.array(weight_values_float(pair, WeightKind.IMPROVED, 300))
+        assert arr.tobytes() == whole.tobytes()
+        assert max(rows_computed.values()) == 1
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", EXPONENTS, ids=str)
+    def test_rows_are_correctly_rounded(self, rows_computed, p, kind):
+        pair = ExponentPair(p)
+        _weight_array(pair, kind, 60)
+        arr = _weight_array(pair, kind, 200)
+        for n in range(1, 201):
+            bits = 4 * required_precision(pair, n, 20)
+            ref = _reference_weight(pair, kind, n, bits)
+            with mp.workprec(bits):
+                assert arr[n - 1] == float(ref), n
+
+    def test_arrays_are_read_only(self, rows_computed):
+        pair = ExponentPair(F(5, 2))
+        short = _weight_array(pair, WeightKind.IMPROVED, 20)
+        grown = _weight_array(pair, WeightKind.IMPROVED, 40)
+        again = _weight_array(pair, WeightKind.IMPROVED, 30)
+        for arr in (short, grown, again):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert verify._WEIGHT_TABLES[(pair, WeightKind.IMPROVED)].size == 40
+
+    def test_cache_keeps_the_most_recently_used_tables(self, rows_computed,
+                                                       monkeypatch):
+        monkeypatch.setattr(verify, "PAIR_CACHE_SIZE", 2)
+        pairs = [ExponentPair(p) for p in (2, 3, 4)]
+        for pair in pairs[:2]:
+            _weight_array(pair, WeightKind.CLASSICAL, 5)
+        _weight_array(pairs[0], WeightKind.CLASSICAL, 3)    # used again
+        _weight_array(pairs[2], WeightKind.CLASSICAL, 5)
+        assert list(verify._WEIGHT_TABLES) == [
+            (pairs[0], WeightKind.CLASSICAL), (pairs[2], WeightKind.CLASSICAL)]
+        _weight_array(pairs[1], WeightKind.CLASSICAL, 5)
+        assert rows_computed[(pairs[1], WeightKind.CLASSICAL, 1)] == 2
+        assert rows_computed[(pairs[0], WeightKind.CLASSICAL, 1)] == 1
 
 
 class TestRandomCompact:
@@ -349,6 +451,53 @@ class TestTrials:
         assert a == b
         assert a["all_pass"] and a["improved_slack_below_classical"]
         assert a["min_slack_improved"] >= 0
+
+    @pytest.mark.parametrize("p", [F(1003, 1000), F(7, 3), F(73, 4)],
+                             ids=str)
+    def test_shared_sums_equal_the_public_ones(self, p):
+        # A batch computes each trial's energy and |phi|^p once for both
+        # weights; its sums are hardy_lhs's and hardy_rhs's, bit for bit,
+        # and its slacks those of check_hardy.
+        pair = ExponentPair(p)
+        trials, support, seed = 45, 120, 3
+        dists = ("uniform", "gaussian", "sparse")
+        slack = {WeightKind.IMPROVED: [], WeightKind.CLASSICAL: []}
+        sums = _trial_sums(pair, trials, support, seed, dists)
+        for t, (lhs, rhs) in enumerate(sums):
+            rng = np.random.default_rng([seed, t])
+            n = int(rng.integers(1, support + 1))
+            phi = random_compact(int(rng.integers(2 ** 31)), n, dists[t % 3])
+            assert lhs == hardy_lhs(phi, pair)
+            for kind, values in slack.items():
+                assert rhs[kind] == hardy_rhs(phi, pair, kind)
+                values.append(check_hardy(phi, pair, kind).slack)
+        assert t == trials - 1
+        summary = run_hardy_trials(pair, trials, support, seed)
+        assert summary["min_slack_improved"] == min(slack[WeightKind.IMPROVED])
+        assert summary["min_slack_classical"] == min(
+            slack[WeightKind.CLASSICAL])
+
+    @pytest.mark.parametrize("p", [700, 1000])
+    def test_sums_beyond_doubles_are_refused(self, p):
+        # |phi(n) - phi(n-1)|^p overflows, and 0 * inf would read as a
+        # failed trial; the batch refuses instead, without numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionInfeasibleError, match=f"p = {p}:"):
+                run_hardy_trials(ExponentPair(p), 30, 20, seed=1)
+
+    def test_large_p_within_doubles_passes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_hardy_trials(ExponentPair(500), 30, 20, seed=1)
+        assert summary["all_pass"] and summary["improved_slack_below_classical"]
+
+    def test_check_hardy_refuses_sums_beyond_doubles(self):
+        phi = CompactFunction([8.0, -8.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionInfeasibleError, match="p = 1000:"):
+                check_hardy(phi, ExponentPair(1000), WeightKind.CLASSICAL)
 
     def test_csv_export_of_minimizer(self):
         phi = CompactFunction([0.5, -0.25])
