@@ -2,9 +2,14 @@
 test functions, and a certified bracket for the finite-section constant.
 
 This layer runs in double precision for speed.  The weights it consumes
-come from the high-precision weight module as plain floats: one table
+come from the weight module as doubles, each the double nearest the
+weight: a cheap fixed-precision pass decides most rows by a rounding test,
+and the rest go through the digit-contract route.  There is one table
 w(1..n) per (p, kind), which a longer request extends by the rows it lacks,
-so each row is computed once (see `_weight_array`).  The quotient
+so each row is computed once (see `_weight_array`).  A batch of random
+trials (`run_hardy_trials`) lays all its test functions out in one array,
+so its powers and products are formed once per batch and each trial costs
+little beyond its random draws (`_trial_sums`).  The quotient
 
     Q(phi) = sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
 
@@ -119,12 +124,14 @@ def _weight_array(pair: ExponentPair, kind: WeightKind, n_max: int):
 
     Each (pair, kind) has one table, of the PAIR_CACHE_SIZE most recently
     used ones kept.  A request beyond its end extends it by the missing
-    rows only, so no row is computed twice.  Each row is float() of a value
-    within about 2^-B relative of the weight, B = contract_bits(20) = 99,
-    by whichever route (closed form or series) the range it was computed in
-    takes.  So it is the double nearest the weight unless the weight lies
-    that close to a rounding midpoint, and a table grown in steps equals
-    one computed whole.
+    rows only, so no row is computed twice.  The rows come from
+    `weight_values_float` in two phases: a fixed-precision pass whose error
+    bound decides most rows as the correctly rounded double, and for the
+    rest, float() of a value within about 2^-B relative of the weight,
+    B = contract_bits(20) = 99, by whichever route (closed form or series)
+    the digit contract takes.  So every row is the double nearest the
+    weight, unless an undecided one lies within 2^-B of a rounding
+    midpoint, and a table grown in steps equals one computed whole.
     """
     table = _WEIGHT_TABLES.pop((pair, kind), _NO_ROWS)
     if table.size < n_max:
@@ -159,20 +166,26 @@ def hardy_rhs(phi: CompactFunction, pair: ExponentPair, kind: WeightKind) -> flo
     return _mass(phi.values, w, pair.p_float())
 
 
+def _pass_rule(lhs, rhs, tolerance: float = 1e-12):
+    """(slack, passed), elementwise over floats or arrays of finite sums:
+    energy lhs dominates weighted p-norm rhs, the slack dipping below zero
+    only by the relative tolerance (double-precision rounding allowance)."""
+    slack = lhs - rhs
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return slack, slack >= -tolerance * scale
+
+
 def _inequality_report(lhs: float, rhs: float, pair: ExponentPair,
                        tolerance: float = 1e-12) -> InequalityReport:
-    """The pass rule: energy lhs dominates weighted p-norm rhs, the slack
-    dipping below zero only by the relative tolerance (double-precision
-    rounding allowance).  Sums outside the double range decide nothing, so
-    they are refused rather than compared."""
+    """`_pass_rule` for one function.  Sums outside the double range decide
+    nothing, so they are refused rather than compared."""
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise PrecisionInfeasibleError(
             f"p = {pair.p_exact}: a test function's sums leave the double "
             f"range (energy {lhs}, weighted p-norm {rhs})")
-    slack = lhs - rhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return InequalityReport(lhs=lhs, rhs=rhs, slack=slack,
-                            passed=bool(slack >= -tolerance * scale))
+    slack, passed = _pass_rule(lhs, rhs, tolerance)
+    return InequalityReport(lhs=lhs, rhs=rhs, slack=float(slack),
+                            passed=bool(passed))
 
 
 def check_hardy(phi: CompactFunction, pair: ExponentPair, kind: WeightKind,
@@ -194,6 +207,12 @@ def random_compact(seed: int, N: int, distribution: str,
     entries kept independently with the given density; at least one nonzero
     entry is forced).
     """
+    return CompactFunction(_random_values(seed, N, distribution, density))
+
+
+def _random_values(seed: int, N: int, distribution: str,
+                   density: float = 0.1) -> np.ndarray:
+    """The values phi(1..N) of `random_compact`."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     try:
@@ -212,7 +231,7 @@ def random_compact(seed: int, N: int, distribution: str,
         values = values * mask
         if not np.any(values):
             values[int(rng.integers(N))] = 1.0
-    return CompactFunction(values)
+    return values
 
 
 def rayleigh_quotient(phi: CompactFunction, pair: ExponentPair,
@@ -454,7 +473,9 @@ def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
     `_newton_step`), so the gap closes to about N e relative; it stalls
     where doubles cannot resolve the ground state, as for p near 1, whose
     differences near the peak fall below a unit of its values.
-    Non-convergence is flagged, never raised.
+    Non-convergence is flagged, never raised; a start whose weighted p-norm
+    leaves the double range, as at large p, is refused
+    (PrecisionInfeasibleError).
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
@@ -465,7 +486,13 @@ def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
     pf = pair.p_float()
     w = _weight_array(pair, kind, N)
     u = _ground_state_taper(pair, N)
-    u = u / _mass(u, w, pf) ** (1 / pf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = _mass(u, w, pf)
+    if not (np.isfinite(mass) and mass > 0):
+        raise PrecisionInfeasibleError(
+            f"p = {pair.p_exact}: the starting ground state's weighted "
+            f"p-norm leaves the double range ({mass})")
+    u = u / mass ** (1 / pf)
     upper = _quotient(u, w, pf)
     best = u
     lower, worst_site = _certified_lower_bound(u, w, pf)
@@ -496,17 +523,61 @@ def minimize_rayleigh(pair: ExponentPair, kind: WeightKind, N: int,
 
 
 _KINDS = (WeightKind.IMPROVED, WeightKind.CLASSICAL)
+_ZERO = np.zeros(1)
+# Test-function values a batch lays out at once (see `_trial_sums`): a
+# block's arrays take a few hundred kB, whatever the batch size.
+TRIAL_BLOCK_VALUES = 1 << 12
+
+
+def _block_sums(functions, tables: dict, pf: float):
+    """Energy and {kind: weighted p-norm} of each values array of functions.
+
+    The values are laid out in one array, each function's between zeros
+    that it shares with its neighbours,
+
+        0, phi_1(1..n_1), 0, phi_2(1..n_2), 0, ...,
+
+    so that |phi(n) - phi(n-1)|^p, |phi|^p and w |phi|^p are formed once
+    for all of them.  A function's sums are the sums (np.add.reduce, as
+    np.sum) of its own contiguous slices, the n + 1 differences from its
+    leading zero and the n values: the elements of `hardy_lhs` and
+    `hardy_rhs`, summed in the same pairwise order, hence the same doubles.
+    np.add.reduceat, or supports padded to one length, would change that
+    order.
+    """
+    sizes = np.array([values.size for values in functions])
+    blocks = [_ZERO]
+    for values in functions:
+        blocks += (values, _ZERO)
+    laid = np.concatenate(blocks)
+    stop = np.cumsum(sizes + 1)
+    start = stop - sizes
+    # Row of each position in the tables (which start with a 0 for the
+    # zeros): 0 at a function's leading zero, then 1..n.
+    rows = np.arange(laid.size - 1) - np.repeat(start - 1, sizes + 1)
+    # Overflow shows as a non-finite sum, which the batch refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.abs(np.diff(laid)) ** pf
+        power = np.abs(laid[:-1]) ** pf
+        mass = {kind: table[rows] * power for kind, table in tables.items()}
+    bounds = list(zip(start.tolist(), stop.tolist()))
+    lhs = [energy[lo - 1:hi].sum() for lo, hi in bounds]
+    rhs = {kind: [terms[lo:hi].sum() for lo, hi in bounds]
+           for kind, terms in mass.items()}
+    return lhs, rhs
 
 
 def _trial_sums(pair: ExponentPair, trials: int, support: int, seed: int,
                 distributions):
-    """Energy and {kind: weighted p-norm} of each trial's test function, in
-    trial order, equal bit for bit to `hardy_lhs` and `hardy_rhs`.
+    """(energy, {kind: weighted p-norm}): arrays over the trials, in trial
+    order, equal bit for bit to `hardy_lhs` and `hardy_rhs` of each trial's
+    test function.
 
     Every trial's support size n and function seed are drawn first, from
     that trial's own stream, and the weight tables are then filled once, up
-    to the largest n drawn.  Each trial's energy and |phi|^p are computed
-    once and shared by the two weighted sums.
+    to the largest n drawn.  The test functions are then drawn in trial
+    order and summed in blocks of about TRIAL_BLOCK_VALUES values
+    (`_block_sums`).
     """
     pf = pair.p_float()
     draws = []
@@ -515,16 +586,20 @@ def _trial_sums(pair: ExponentPair, trials: int, support: int, seed: int,
         n = int(rng.integers(1, support + 1))
         draws.append((n, int(rng.integers(2 ** 31))))
     n_top = max(n for n, _ in draws)
-    tables = {kind: _weight_array(pair, kind, n_top) for kind in _KINDS}
-    for t, (n, phi_seed) in enumerate(draws):
-        phi = random_compact(phi_seed, n, distributions[t % len(distributions)])
-        # Overflow shows as a non-finite sum, which the pass rule refuses.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = _energy(phi.padded(), pf)
-            power = np.abs(phi.values) ** pf
-            rhs = {kind: float(np.sum(tables[kind][:n] * power))
-                   for kind in _KINDS}
-        yield lhs, rhs
+    tables = {kind: np.concatenate((_ZERO, _weight_array(pair, kind, n_top)))
+              for kind in _KINDS}
+    per_block = max(1, TRIAL_BLOCK_VALUES // support)
+    lhs, rhs = [], {kind: [] for kind in _KINDS}
+    for first in range(0, trials, per_block):
+        functions = [
+            _random_values(phi_seed, n, distributions[t % len(distributions)])
+            for t, (n, phi_seed) in enumerate(draws[first:first + per_block],
+                                              first)]
+        block_lhs, block_rhs = _block_sums(functions, tables, pf)
+        lhs += block_lhs
+        for kind in _KINDS:
+            rhs[kind] += block_rhs[kind]
+    return np.array(lhs), {kind: np.array(sums) for kind, sums in rhs.items()}
 
 
 def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
@@ -535,33 +610,38 @@ def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
     on execution order; all of them are drawn before the weight tables are
     filled, once, up to the largest support drawn (`_trial_sums`).  Reports
     slack statistics and whether the improved weight's slack stayed below
-    the classical one's on every trial.  A trial whose sums overflow
-    doubles is refused (PrecisionInfeasibleError), as in `check_hardy`.
+    the classical one's on every trial, both over whole arrays with
+    `check_hardy`'s pass rule.  The first trial whose sums leave the double
+    range is refused (PrecisionInfeasibleError), as in `check_hardy`.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if support < 1:
         raise ValueError(f"support must be positive, got {support}")
-    min_slack = dict.fromkeys(_KINDS, float("inf"))
-    all_pass = True
-    comparisons_ok = True
-    for lhs, rhs in _trial_sums(pair, trials, support, seed, distributions):
-        slack = {}
+    lhs, rhs = _trial_sums(pair, trials, support, seed, distributions)
+    finite = np.isfinite(lhs)
+    for kind in _KINDS:
+        finite &= np.isfinite(rhs[kind])
+    if not finite.all():
+        # The pass rule raises on the first such trial, in trial order.
+        t = int(np.argmin(finite))
         for kind in _KINDS:
-            report = _inequality_report(lhs, rhs[kind], pair)
-            slack[kind] = report.slack
-            min_slack[kind] = min(min_slack[kind], report.slack)
-            all_pass = all_pass and report.passed
-        allowance = 1e-12 * max(1.0, abs(slack[WeightKind.CLASSICAL]))
-        if slack[WeightKind.IMPROVED] > slack[WeightKind.CLASSICAL] + allowance:
-            comparisons_ok = False
+            _inequality_report(float(lhs[t]), float(rhs[kind][t]), pair)
+    slack, all_pass = {}, True
+    for kind in _KINDS:
+        slack[kind], passed = _pass_rule(lhs, rhs[kind])
+        all_pass = all_pass and bool(passed.all())
+    classical = slack[WeightKind.CLASSICAL]
+    allowance = 1e-12 * np.maximum(1.0, np.abs(classical))
+    comparisons_ok = not np.any(slack[WeightKind.IMPROVED]
+                                > classical + allowance)
     return {
         "trials": trials,
         "support": support,
         "seed": seed,
         "distributions": list(distributions),
-        "min_slack_improved": min_slack[WeightKind.IMPROVED],
-        "min_slack_classical": min_slack[WeightKind.CLASSICAL],
+        "min_slack_improved": float(np.min(slack[WeightKind.IMPROVED])),
+        "min_slack_classical": float(np.min(classical)),
         "all_pass": all_pass,
         "improved_slack_below_classical": comparisons_ok,
     }

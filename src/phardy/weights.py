@@ -20,6 +20,16 @@ rational p by a Cauchy majorant (:func:`_series_constants`), and the
 series is used only from the index n0 at which that bound is below the
 digit contract; the rows below n0, and every table the series cannot
 repay, keep the closed form.
+
+The variational layer needs each weight only as the double nearest it
+(:func:`weight_values_float`).  Those rows come in two phases, after Ziv's
+rounding test (A. Ziv, ACM TOMS 17, 1991): a cheap pass at one fixed
+precision gives each row a value and a derived error bound, and keeps the
+row when both ends of the bound round to the same normal double; only the
+remaining rows take the digit-contract route above.  The cheap pass takes
+the improved weight in its ground-state form (D_{n-1}^(p-1) - D_n^(p-1)) /
+u(n)^(p-1), u(m) = m^(1/q), D_m = u(m+1) - u(m), whose flux powers each
+serve two rows, with the powers of n from a smallest-prime-factor sieve.
 """
 
 from __future__ import annotations
@@ -37,7 +47,9 @@ from functools import lru_cache
 from itertools import groupby
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import to_str
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_div,
+                          mpf_mul, mpf_neg, mpf_pow, mpf_sub, round_nearest,
+                          to_rational, to_str)
 
 from .numerics import (
     PAIR_CACHE_SIZE,
@@ -245,15 +257,15 @@ def _series_kernel(pair: ExponentPair, contract: int) -> _SeriesKernel:
     return _SeriesKernel(pair, contract)
 
 
-def _series_for(pair: ExponentPair, n_min: int, n_max: int,
-                target_digits: int):
-    """The series kernel for the indices [n_min, n_max] at target_digits, or
-    None where the rows n >= n0 cannot repay its coefficients (or no order
-    reaches the contract): those tables keep the closed form."""
+def _series_for(pair: ExponentPair, ns, target_digits: int):
+    """The series kernel for the ascending indices ns at target_digits, or
+    None where the rows n >= n0 among them cannot repay its coefficients
+    (or no order reaches the contract): those tables keep the closed
+    form.  The rows are counted, so a sparse list of indices, such as the
+    rows a rounding test leaves, is judged by its size, not its span."""
     contract = contract_bits(target_digits)
     least = _least_order(contract)
-    if least > SERIES_MAX_ORDER or \
-            n_max - n_min + 1 < SERIES_ROWS_PER_ORDER * least:
+    if least > SERIES_MAX_ORDER or len(ns) < SERIES_ROWS_PER_ORDER * least:
         return None
     reach = _series_reach(pair, contract)
     if reach is None:
@@ -262,7 +274,7 @@ def _series_for(pair: ExponentPair, n_min: int, n_max: int,
     rows = SERIES_ROWS_PER_ORDER * order
     if pair.p_exact == 2:
         rows *= SERIES_ROWS_FACTOR_P2
-    if n_max - max(n_min, start) + 1 < rows:
+    if len(ns) - bisect_left(ns, start) < rows:
         return None
     return _series_kernel(pair, contract)
 
@@ -288,8 +300,8 @@ def _at_own_precision(pair: ExponentPair, kind: WeightKind, ns,
     evaluated together, improved weights from the series kernel where the
     range repays it."""
     kernel = None
-    if kind is WeightKind.IMPROVED and len(ns):
-        kernel = _series_for(pair, ns[0], ns[-1], target_digits)
+    if kind is WeightKind.IMPROVED:
+        kernel = _series_for(pair, ns, target_digits)
     out = []
     for bits, run in groupby(
             ns, key=lambda n: required_precision(pair, n, target_digits)):
@@ -428,7 +440,7 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     bits = (required_precision(pair, n_max, target_digits)
             + math.ceil(2 * math.log2(n_max)))
     ns = range(n_min, n_max + 1)
-    kernel = _series_for(pair, n_min, n_max, target_digits)
+    kernel = _series_for(pair, ns, target_digits)
     near = _closed_form_count(ns, kernel)
     rows = []
     with mp.workprec(bits):
@@ -456,15 +468,223 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
                        target_digits=target_digits)
 
 
-def weight_values_float(pair: ExponentPair, kind: WeightKind, n_max: int,
-                        target_digits: int = 20, first: int = 1):
-    """Double-precision weight samples w(first..n_max) for the variational
-    layer.
+# -- Float rows by a rounding test -------------------------------------------
 
-    High-precision evaluation happens here once, each n at its own
-    ``required_precision`` as :func:`eval_w` gives it; consumers get plain
-    floats.
+# The digit contract of the rows the rounding test leaves undecided.
+FLOAT_DIGITS = 20
+# Tables of up to this many rows pay its cancellation, so that they share one
+# working precision per pair, and with it the powers of n (_sieve_powers).
+FLOAT_SHARED_ROWS = 1022
+# Lists of those powers kept, most recently used first: a table grown in
+# steps reuses its own, and memory stays small.
+SHARED_POWER_LISTS = 4
+_MIN_NORMAL = 2.0 ** -1022
+# Second-order terms and the doubles the bounds are formed in (see
+# _improved_pass), while the relative bound is below _MAX_REL.
+_PAD = 1 + 2.0 ** -20
+_MAX_REL = 2.0 ** -40
+
+
+def _float_pass_bits(pair: ExponentPair, n_max: int) -> int:
+    """64 bits plus the cancellation of the improved form up to n_max (at
+    least FLOAT_SHARED_ROWS), log2(p q (n + 2)^2), plus 8 for the
+    log2(n)-sized factors of the bound (see _improved_pass)."""
+    rows = max(n_max, FLOAT_SHARED_ROWS) + 2
+    pq = pair.p_exact * pair.q_exact
+    return 72 + math.ceil(math.log2(pq.numerator) - math.log2(pq.denominator)
+                          + 2 * math.log2(rows))
+
+
+def _smallest_prime_factors(top: int) -> list:
+    """spf[m] for m = 0..top: the least prime factor of m >= 2, so m itself
+    at a prime; spf[0] = 0 and spf[1] = 1."""
+    spf = list(range(top + 1))
+    for prime in range(2, math.isqrt(top) + 1):
+        if spf[prime] == prime:
+            for m in range(prime * prime, top + 1, prime):
+                if spf[m] == m:
+                    spf[m] = prime
+    return spf
+
+
+def _rounded_exponent(exponent: Fraction, bits: int):
+    """(e, d): the exponent as a pow takes it, rounded to bits, and the
+    relative error of a pow x^e per unit of |ln x| beyond its own 2 eta:
+    e's distance from the exact exponent, plus 2 eta |e| from the logarithm
+    inside the pow (mpmath takes x^e as exp(e log x)), eta = 2^(1-bits)."""
+    value = from_rational(exponent.numerator, exponent.denominator, bits,
+                          round_nearest)
+    num, den = to_rational(value)
+    gap = abs(num * exponent.denominator - exponent.numerator * den)
+    return value, (gap / (den * exponent.denominator)
+                   + 2.0 ** (2 - bits) * abs(float(exponent)))
+
+
+@lru_cache(maxsize=SHARED_POWER_LISTS)
+def _shared_powers(exponent, bits: int) -> list:
+    """The one list of powers kept for (exponent, bits); `_sieve_powers`
+    appends to it and every caller reads it, so it only ever grows."""
+    return [fzero, fone]
+
+
+def _sieve_powers(exponent, top: int, spf, bits: int) -> list:
+    """[0, 1, 2^e, ..., top^e] rounded to bits (raw mpf values), e the
+    rounded exponent: a pow at each prime, one product per composite
+    m = spf(m) (m / spf(m)).  Entry 0 only stands for u(0) = 0.  Tables of
+    up to FLOAT_SHARED_ROWS rows share one list per (e, bits), which a
+    longer table extends."""
+    shared = top <= FLOAT_SHARED_ROWS + 1
+    out = _shared_powers(exponent, bits) if shared else [fzero, fone]
+    for m in range(len(out), top + 1):
+        prime = spf[m]
+        out.append(mpf_pow(from_int(m), exponent, bits, round_nearest)
+                   if prime == m else
+                   mpf_mul(out[prime], out[m // prime], bits, round_nearest))
+    return out
+
+
+def _rounded_double(value, rel: float):
+    """The double that every real within rel |value| of the raw mpf value
+    rounds to, if it is one normal double and rel < _MAX_REL; else None.
+
+    With value = man 2^exp, E = floor(man rel) + 1 exceeds rel |value| in
+    units of 2^exp (rel's pad covers the rounding of man rel).  Python's float(int) rounds correctly and math.ldexp is
+    exact on a normal result, so ldexp(float(M), exp) is the double nearest
+    M 2^exp.  Rounding is monotone: when man - E and man + E give the same
+    normal double, so does every real between them.
     """
-    return [float(value) for value in
-            _at_own_precision(pair, kind, range(first, n_max + 1),
-                              target_digits)]
+    sign, man, exp, _ = value
+    if sign or not man or not rel < _MAX_REL:
+        return None
+    err = int(man * rel) + 1
+    low = math.ldexp(float(man - err), exp)
+    if low >= _MIN_NORMAL and low == math.ldexp(float(man + err), exp):
+        return low
+    return None
+
+
+def _improved_pass(pair: ExponentPair, ns: range, bits: int) -> list:
+    """(value, rel) per n of ns: the improved weight rounded to bits (a raw
+    mpf value), within rel |value| of the true weight.
+
+    Ground-state form: with u(m) = m^s, s = 1/q, beta = p - 1 and
+    D_m = u(m+1) - u(m),
+
+        w(n) = (D_{n-1}^beta - D_n^beta) / n^(s beta),
+
+    the closed form with n^s multiplied into each bracket.  Each flux power
+    F_m = D_m^beta serves the rows n = m and m + 1; u and n^(s beta) come
+    from `_sieve_powers`.  With unit eta = 2^(1-bits), each operation errs
+    by at most 2 eta relative, and a pow x^e by 2 eta plus d_e |ln x|
+    (`_rounded_exponent`: d_s, d_b, d_t for s, beta, s beta).  To first
+    order, with N = n_max = ns[-1] and Omega(k) <= log2(k) prime factors:
+
+    * sieve: u(k) carries Omega(k) pows, Omega(k) - 1 products and
+      d_s ln k, so relative R_u = (4 log2(N+1) - 2) eta + d_s ln(N+1) for
+      k <= N + 1 (u(0) and u(1) are exact); n^(s beta) likewise R_v with
+      d_t;
+    * flux: D_m >= s (m+1)^(s-1) = s u(m+1)/(m+1), as x^(s-1) decreases, so
+      the subtraction amplifies R_u to 2 R_u (m+1)/s, plus 2 eta of its
+      own.  The pow multiplies that by beta (beta/s = p), adds
+      d_b |ln D_m| <= d_b Lambda, Lambda = ln q + ln(N+1)/p (since
+      s (N+1)^(s-1) <= D_m <= 1), and 2 eta;
+    * numerator: pointwise in the integral D_m = int_0^1 s (m+y)^(s-1) dy,
+      D_n <= (n/(n+1))^(1-s) D_{n-1}, and (1-s) beta = s, so
+      1 - F_n/F_{n-1} >= 1 - (1 + 1/n)^(-s) >= s/(n + 1 + s): both fluxes
+      are at most (n+2)/s times their difference, whose relative error is
+      then (rho_F(n-1) + rho_F(n)) (n+2) q + 2 eta, with
+      rho_F(n-1) + rho_F(n) <= A (2n+1) + B, A = 2 p R_u,
+      B = 4 p eta + 2 d_b Lambda;
+    * the quotient adds R_v and 2 eta.
+
+    So rel(n) = (A (2n+1) + B) (n+2) q + R_v + 4 eta.  The neglected
+    products of these terms, and the roundings of the doubles rel is formed
+    in, stay far below the pad of 2^-20 relative while rel < _MAX_REL; no
+    row with a wider bound is decided.
+    """
+    p, s = pair.p_exact, pair.inv_q_exact
+    n_max = ns[-1]
+    eta = 2.0 ** (1 - bits)
+    log_top = math.log(n_max + 1)
+    sieve_units = (4 * math.log2(n_max + 1) - 2) * eta
+    pf, q = float(p), float(pair.q_exact)
+    beta, d_beta = _rounded_exponent(p - 1, bits)
+    s_rounded, d_s = _rounded_exponent(s, bits)
+    t_rounded, d_t = _rounded_exponent(s * (p - 1), bits)
+    spf = _smallest_prime_factors(n_max + 1)
+    u = _sieve_powers(s_rounded, n_max + 1, spf, bits)
+    v = u if p == 2 else _sieve_powers(t_rounded, n_max, spf, bits)
+    a = 2 * pf * (sieve_units + d_s * log_top)
+    b = 4 * pf * eta + 2 * d_beta * (math.log(q) + log_top / pf)
+    c = sieve_units + d_t * log_top + 4 * eta
+    out = []
+
+    def flux(m):
+        return mpf_pow(mpf_sub(u[m + 1], u[m], bits, round_nearest), beta,
+                       bits, round_nearest)
+
+    previous = flux(ns[0] - 1)
+    for n in ns:
+        following = flux(n)
+        numerator = mpf_sub(previous, following, bits, round_nearest)
+        out.append((mpf_div(numerator, v[n], bits, round_nearest),
+                    ((a * (2 * n + 1) + b) * (n + 2) * q + c) * _PAD))
+        previous = following
+    return out
+
+
+def _classical_pass(pair: ExponentPair, ns: range, bits: int) -> list:
+    """(value, rel) per n of ns, as `_improved_pass` gives them, for the
+    classical weight s^p n^-p.
+
+    s^p is one pow of the rounded s: relative error p q d_s + d_p ln q
+    + 2 eta to first order, d_s and d_p from `_rounded_exponent` (d_s
+    bounds the rounded s's distance).  n^-p comes from `_sieve_powers`
+    (R_v as in `_improved_pass`, with d_p), and the product adds 2 eta.  No
+    subtraction: one rel for every row.
+    """
+    p = pair.p_exact
+    n_max = ns[-1]
+    eta = 2.0 ** (1 - bits)
+    q = float(pair.q_exact)
+    s, d_s = _rounded_exponent(pair.inv_q_exact, bits)
+    p_rounded, d_p = _rounded_exponent(p, bits)
+    constant = mpf_pow(s, p_rounded, bits, round_nearest)
+    powers = _sieve_powers(mpf_neg(p_rounded), n_max,
+                           _smallest_prime_factors(n_max), bits)
+    rel = (4 * eta + float(p) * q * d_s + d_p * math.log(q)
+           + (4 * math.log2(n_max + 1) - 2) * eta
+           + d_p * math.log(n_max + 1)) * _PAD
+    return [(mpf_mul(constant, powers[n], bits, round_nearest), rel)
+            for n in ns]
+
+
+def weight_values_float(pair: ExponentPair, kind: WeightKind, n_max: int,
+                        first: int = 1) -> list:
+    """w(first..n_max) as doubles, for the variational layer: each the
+    double nearest the weight.
+
+    Two phases.  A cheap pass at one fixed precision (`_float_pass_bits`)
+    gives each row a value and an error bound, and keeps the row when every
+    real within the bound rounds to the same normal double
+    (`_rounded_double`): the improved weight in its ground-state form
+    (`_improved_pass`), the classical one as s^p n^-p (`_classical_pass`),
+    the powers of n from a smallest-prime-factor sieve so that only primes
+    take a pow.  Each other row, such as one beyond the normal range, is
+    float() of the weight at its own ``required_precision`` for
+    FLOAT_DIGITS digits (`_at_own_precision`, as :func:`eval_w` gives it),
+    within about 2^-99 relative.  A p that rounds to 1 in doubles is
+    refused (PrecisionInfeasibleError), as everywhere in the double layer.
+    """
+    pair.p_float()
+    ns = range(first, n_max + 1)
+    if not ns:
+        return []
+    fast = _improved_pass if kind is WeightKind.IMPROVED else _classical_pass
+    rows = [_rounded_double(value, rel)
+            for value, rel in fast(pair, ns, _float_pass_bits(pair, n_max))]
+    undecided = [n for n, row in zip(ns, rows) if row is None]
+    if undecided:
+        exact = iter(_at_own_precision(pair, kind, undecided, FLOAT_DIGITS))
+        rows = [float(next(exact)) if row is None else row for row in rows]
+    return rows

@@ -372,13 +372,15 @@ class TestEdgeInputs:
         # |phi(n) - phi(n-1)|^p overflows doubles: refused, not failed.
         (["verify", "--p", "1000", "--trials", "30", "--support", "20",
           "--seed", "1"], 2, "p = 1000:"),
+        # The starting ground state's u^p overflows: refused, not NaN.
+        (["rayleigh", "--p", "1000", "--N", "10"], 2, "p = 1000:"),
     ], ids=["p-rounds-to-1", "p-near-1-series-rows",
             "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
             "rayleigh-tol-inf", "rayleigh-tol-negative",
             "rayleigh-negative-max-iters", "lemmas-p-rounds-to-1",
             "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1",
-            "verify-sums-beyond-doubles"])
+            "verify-sums-beyond-doubles", "rayleigh-sums-beyond-doubles"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr

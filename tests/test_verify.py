@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from phardy import verify
+from phardy import verify, weights
 from phardy.numerics import (ExponentPair, PrecisionInfeasibleError,
                              required_precision)
 from phardy.verify import (
@@ -105,6 +105,17 @@ def _reference_weight(pair: ExponentPair, kind: WeightKind, n: int,
         return ((1 - (1 - x) ** s) ** pm1) - (((1 + x) ** s - 1) ** pm1)
 
 
+FLOAT_PASS_P = (F(1001, 1000), F(1014, 1000), F(3, 2), F(2), F(7, 3),
+                F(39, 2), F(73, 4))
+
+
+def _float_pass(pair: ExponentPair, kind: WeightKind, ns: range) -> list:
+    """(value, rel) of each row from the cheap pass of the float table."""
+    fast = (weights._improved_pass if kind is WeightKind.IMPROVED
+            else weights._classical_pass)
+    return fast(pair, ns, weights._float_pass_bits(pair, ns[-1]))
+
+
 class TestWeightTable:
     """One float table per (p, kind), extended by the rows a request lacks."""
 
@@ -118,10 +129,9 @@ class TestWeightTable:
         monkeypatch.setattr(verify, "_WEIGHT_TABLES", OrderedDict())
         counts = Counter()
 
-        def counted(pair, kind, n_max, target_digits=20, first=1):
+        def counted(pair, kind, n_max, first=1):
             counts.update((pair, kind, n) for n in range(first, n_max + 1))
-            return weight_values_float(pair, kind, n_max, target_digits,
-                                       first=first)
+            return weight_values_float(pair, kind, n_max, first=first)
 
         monkeypatch.setattr(verify, "weight_values_float", counted)
         return counts
@@ -161,6 +171,67 @@ class TestWeightTable:
             ref = _reference_weight(pair, kind, n, bits)
             with mp.workprec(bits):
                 assert arr[n - 1] == float(ref), n
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", FLOAT_PASS_P, ids=str)
+    def test_decided_rows_are_correctly_rounded(self, p, kind):
+        pair, ns = ExponentPair(p), range(1, 2001)
+        rows = _float_pass(pair, kind, ns)
+        decided = 0
+        for n, (value, rel) in zip(ns, rows):
+            row = weights._rounded_double(value, rel)
+            if row is not None:
+                decided += 1
+                bits = 4 * required_precision(pair, n, 20)
+                with mp.workprec(bits):
+                    assert row == float(_reference_weight(pair, kind, n,
+                                                          bits)), n
+        assert decided >= 0.99 * len(ns)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", FLOAT_PASS_P, ids=str)
+    def test_error_bound_holds_at_200_bits(self, p, kind):
+        # The derived bound against a 200-bit closed form: the largest
+        # fraction of it used stays below 1 (at most 0.083 on these rows,
+        # at p = 7/3, classical, n = 1248).
+        pair, ns = ExponentPair(p), range(1, 2001)
+        used = 0
+        with mp.workprec(200):
+            for n, (value, rel) in zip(ns, _float_pass(pair, kind, ns)):
+                value = mp.make_mpf(value)
+                error = abs(value - _reference_weight(pair, kind, n, 200))
+                used = max(used, float(error / value) / rel)
+        assert 0 < used < 1
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    def test_undecided_rows_take_the_precise_route(self, monkeypatch, kind):
+        # With an infinite bound no row is decided; every row then comes
+        # from the digit-contract route, with the same doubles.
+        pair = ExponentPair(F(7, 3))
+        table = weight_values_float(pair, kind, 300)
+        routed = []
+        precise = weights._at_own_precision
+
+        def counted(pair, kind, ns, digits):
+            routed.extend(ns)
+            return precise(pair, kind, ns, digits)
+
+        monkeypatch.setattr(weights, "_at_own_precision", counted)
+        monkeypatch.setattr(weights, "_PAD", math.inf)
+        assert weight_values_float(pair, kind, 300) == table
+        assert routed == list(range(1, 301))
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", [500, 1000])
+    def test_rows_beyond_the_normal_range_are_unchanged(self, p, kind):
+        # Weights below the normal range (n^-p underflows from n = 5 at
+        # p = 500, n = 3 at p = 1000) are left to the digit-contract route,
+        # whose doubles they keep.
+        pair = ExponentPair(p)
+        table = weight_values_float(pair, kind, 12)
+        assert min(table) < 2.0 ** -1022
+        assert table == [float(value) for value in weights._at_own_precision(
+            pair, kind, range(1, 13), 20)]
 
     def test_arrays_are_read_only(self, rows_computed):
         pair = ExponentPair(F(5, 2))
@@ -317,6 +388,16 @@ class TestMinimizeRayleigh:
             assert result.quotient >= 1 - 1e-9
             assert np.any(result.minimizer.values != 0)
 
+    @pytest.mark.parametrize("kind", [WeightKind.IMPROVED,
+                                      WeightKind.CLASSICAL],
+                             ids=lambda k: k.value)
+    def test_start_beyond_doubles_is_refused(self, kind):
+        # n^(1 - 1/p) to the power 1000 overflows; refused, not NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionInfeasibleError, match="p = 1000:"):
+                minimize_rayleigh(ExponentPair(1000), kind, 10)
+
     def test_rejects_tiny_support(self):
         with pytest.raises(ValueError):
             minimize_rayleigh(ExponentPair(2), WeightKind.CLASSICAL, 1)
@@ -443,6 +524,15 @@ def test_not_above_capped_descent(p, kind, N):
     assert result.lower_bound <= result.quotient
 
 
+def _trial_functions(trials, support, seed, dists):
+    """Each trial's test function, drawn as a batch draws it."""
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        n = int(rng.integers(1, support + 1))
+        yield random_compact(int(rng.integers(2 ** 31)), n,
+                             dists[t % len(dists)])
+
+
 class TestTrials:
     def test_deterministic_summary(self):
         pair = ExponentPair(2)
@@ -455,27 +545,52 @@ class TestTrials:
     @pytest.mark.parametrize("p", [F(1003, 1000), F(7, 3), F(73, 4)],
                              ids=str)
     def test_shared_sums_equal_the_public_ones(self, p):
-        # A batch computes each trial's energy and |phi|^p once for both
-        # weights; its sums are hardy_lhs's and hardy_rhs's, bit for bit,
-        # and its slacks those of check_hardy.
+        # A batch lays all its test functions out in one array and sums
+        # each trial over its own slices; its sums are hardy_lhs's and
+        # hardy_rhs's, bit for bit, and its slacks those of check_hardy.
         pair = ExponentPair(p)
         trials, support, seed = 45, 120, 3
         dists = ("uniform", "gaussian", "sparse")
         slack = {WeightKind.IMPROVED: [], WeightKind.CLASSICAL: []}
-        sums = _trial_sums(pair, trials, support, seed, dists)
-        for t, (lhs, rhs) in enumerate(sums):
-            rng = np.random.default_rng([seed, t])
-            n = int(rng.integers(1, support + 1))
-            phi = random_compact(int(rng.integers(2 ** 31)), n, dists[t % 3])
-            assert lhs == hardy_lhs(phi, pair)
+        lhs, rhs = _trial_sums(pair, trials, support, seed, dists)
+        assert lhs.shape == (trials,)
+        for t, phi in enumerate(_trial_functions(trials, support, seed,
+                                                 dists)):
+            assert lhs[t] == hardy_lhs(phi, pair)
             for kind, values in slack.items():
-                assert rhs[kind] == hardy_rhs(phi, pair, kind)
+                assert rhs[kind].shape == (trials,)
+                assert rhs[kind][t] == hardy_rhs(phi, pair, kind)
                 values.append(check_hardy(phi, pair, kind).slack)
-        assert t == trials - 1
         summary = run_hardy_trials(pair, trials, support, seed)
         assert summary["min_slack_improved"] == min(slack[WeightKind.IMPROVED])
         assert summary["min_slack_classical"] == min(
             slack[WeightKind.CLASSICAL])
+
+    @given(p=st.sampled_from([F(1001, 1000), F(7, 3), F(73, 4)]),
+           support=st.integers(1, 200), trials=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 31 - 1),
+           dists=st.sampled_from([("sparse",), ("gaussian", "sparse"),
+                                  ("uniform", "gaussian", "sparse")]))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_sums_equal_the_public_ones(self, p, support, trials,
+                                              seed, dists):
+        pair = ExponentPair(p)
+        lhs, rhs = _trial_sums(pair, trials, support, seed, dists)
+        functions = _trial_functions(trials, support, seed, dists)
+        for t, phi in enumerate(functions):
+            assert lhs[t] == hardy_lhs(phi, pair), t
+            for kind in (WeightKind.IMPROVED, WeightKind.CLASSICAL):
+                assert rhs[kind][t] == hardy_rhs(phi, pair, kind), t
+
+    def test_batch_sums_over_several_blocks(self, monkeypatch):
+        # A batch larger than a block is summed in blocks, to the same sums.
+        pair = ExponentPair(F(5, 2))
+        whole = _trial_sums(pair, 40, 60, 9, ("gaussian", "sparse"))
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_VALUES", 130)
+        blocks = _trial_sums(pair, 40, 60, 9, ("gaussian", "sparse"))
+        assert blocks[0].tobytes() == whole[0].tobytes()
+        for kind, sums in whole[1].items():
+            assert blocks[1][kind].tobytes() == sums.tobytes()
 
     @pytest.mark.parametrize("p", [700, 1000])
     def test_sums_beyond_doubles_are_refused(self, p):
@@ -491,6 +606,26 @@ class TestTrials:
             warnings.simplefilter("error")
             summary = run_hardy_trials(ExponentPair(500), 30, 20, seed=1)
         assert summary["all_pass"] and summary["improved_slack_below_classical"]
+
+    def test_first_trial_beyond_doubles_is_named(self):
+        # Uniform values on [-1, 1] keep |phi(n) - phi(n-1)|^700 finite, so
+        # trial 0 passes; a later gaussian trial overflows, and the error
+        # names its sums.
+        pair, trials, support, seed = ExponentPair(700), 12, 20, 4
+        dists = ("uniform", "gaussian")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [(hardy_lhs(phi, pair),
+                     hardy_rhs(phi, pair, WeightKind.IMPROVED))
+                    for phi in _trial_functions(trials, support, seed, dists)]
+        first = next(t for t, pair_sums in enumerate(sums)
+                     if not np.all(np.isfinite(pair_sums)))
+        assert first > 0
+        lhs, rhs = sums[first]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionInfeasibleError) as info:
+                run_hardy_trials(pair, trials, support, seed, dists)
+        assert f"(energy {lhs}, weighted p-norm {rhs})" in str(info.value)
 
     def test_check_hardy_refuses_sums_beyond_doubles(self):
         phi = CompactFunction([8.0, -8.0])

@@ -202,7 +202,7 @@ class TestTableKernel:
         digits = 20
         table = compare_weights(pair, 7, 300, digits)
         bits = table.precision_bits
-        kernel = _series_for(pair, 7, 300, digits)
+        kernel = _series_for(pair, range(7, 301), digits)
         assert (kernel is None) == (p == 2)
         start = 301 if kernel is None else kernel.start
         assert 7 < start
@@ -350,7 +350,7 @@ class TestDigitContract:
     def test_series_rows_of_a_table_at_large_n(self, p):
         pair = ExponentPair(p)
         n_min, n_max, digits = 10 ** 12, 10 ** 12 + 200, 15
-        assert _series_for(pair, n_min, n_max, digits) is not None
+        assert _series_for(pair, range(n_min, n_max + 1), digits) is not None
         table = compare_weights(pair, n_min, n_max, digits)
         ranged = eval_w(pair, range(n_min, n_max + 1), digits)
         ref_bits = 4 * table.precision_bits
@@ -430,12 +430,20 @@ class TestSeriesChoice:
         ("2", 1, 400, 15),                      # p = 2: cheap closed form
     ])
     def test_closed_form_tables(self, p, n_min, n_max, digits):
-        assert _series_for(ExponentPair(F(p)), n_min, n_max, digits) is None
+        assert _series_for(ExponentPair(F(p)), range(n_min, n_max + 1),
+                           digits) is None
+
+    def test_sparse_rows_are_counted_not_spanned(self):
+        # A few rows spread over 1..10^4, as a rounding test leaves them,
+        # cannot repay the coefficients; the whole range can.
+        pair = ExponentPair(F("1.137"))
+        assert _series_for(pair, list(range(1, 10 ** 4 + 1, 500)), 15) is None
+        assert _series_for(pair, range(1, 10 ** 4 + 1), 15) is not None
 
     @pytest.mark.parametrize("p, n_max", [("1.137", 10 ** 4), ("2", 10 ** 4),
                                           ("5/2", 400), ("3", 400)])
     def test_large_table_takes_the_series(self, p, n_max):
-        kernel = _series_for(ExponentPair(F(p)), 1, n_max, 15)
+        kernel = _series_for(ExponentPair(F(p)), range(1, n_max + 1), 15)
         assert kernel is not None and kernel.start <= SERIES_MAX_START
 
     def test_contract_out_of_reach_keeps_the_closed_form(self):
@@ -452,7 +460,7 @@ class TestSeriesChoice:
         monkeypatch.setattr(weights, "_series_constants", lambda pair: None)
         monkeypatch.setattr(weights, "_series_reach",
                             weights._series_reach.__wrapped__)
-        assert _series_for(pair, 1, 10 ** 4, 15) is None
+        assert _series_for(pair, range(1, 10 ** 4 + 1), 15) is None
         table = compare_weights(pair, 400, 402, 15)
         assert table.rows[0].w_improved.value == _one_point_improved(
             pair, 400, table.precision_bits)
@@ -463,6 +471,6 @@ class TestSeriesChoice:
         near, nearer = (_series_constants(ExponentPair(1 + F(1, 10 ** e)))[0]
                         for e in (30, 300))
         assert abs(near - nearer) < F(1, 10 ** 12)
-        kernel = _series_for(ExponentPair(1 + F(1, 10 ** 300)), 1, 10 ** 4,
-                             15)
+        kernel = _series_for(ExponentPair(1 + F(1, 10 ** 300)),
+                             range(1, 10 ** 4 + 1), 15)
         assert kernel is not None
