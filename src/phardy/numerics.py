@@ -1,13 +1,12 @@
-"""Arbitrary-precision scaffolding: exact rationals, fixed-precision reals,
-exact generalized binomial coefficients, and the Hölder-conjugate exponent
-pair.
+"""Arbitrary-precision scaffolding: exact rationals and generalized binomial
+coefficients, precision-tagged reals, fixed-point sums, and the Hölder pair.
 
 Exact rational arithmetic rides on ``fractions.Fraction`` (always stored
 reduced, positive denominator); the exponent p is always such a rational,
 and is rounded only where a weight or bound is evaluated.  High-precision
-real arithmetic rides on mpmath (round-to-nearest), wrapped in
-:class:`PrecReal` so that every value carries its working precision and
-values of different precisions never get compared silently.
+real arithmetic rides on mpmath (round-to-nearest), its results tagged with
+their precision (:class:`PrecReal`); sums of exact coefficients with a
+proven error run in Python-int fixed point (:func:`horner_fixed`).
 """
 
 from __future__ import annotations
@@ -31,22 +30,15 @@ _LOG2_10 = math.log2(10)
 PAIR_CACHE_SIZE = 128
 
 
-class PrecisionMismatchError(ValueError):
-    """Two PrecReal values of different working precision were combined."""
-
-
 class PrecisionInfeasibleError(ValueError):
     """A precision request the numeric backend will not honor."""
 
 
 @dataclass(frozen=True)
 class PrecReal:
-    """A real number tagged with the binary precision it was computed at.
-
-    Arithmetic and comparisons are only defined between values of equal
-    precision; mixing precisions raises :class:`PrecisionMismatchError`.
-    All operations round to nearest at the declared precision.
-    """
+    """An mpf value tagged with its binary precision, the one it was computed
+    at and is printed at; arithmetic is the caller's, on ``value`` inside
+    ``mp.workprec(precision_bits)``."""
 
     value: mpf
     precision_bits: int
@@ -56,53 +48,6 @@ class PrecReal:
             raise PrecisionInfeasibleError(
                 f"precision_bits must be positive, got {self.precision_bits}")
 
-    def _check(self, other: "PrecReal") -> None:
-        if not isinstance(other, PrecReal):
-            raise TypeError(f"expected PrecReal, got {type(other).__name__}")
-        if other.precision_bits != self.precision_bits:
-            raise PrecisionMismatchError(
-                f"cannot combine PrecReal at {self.precision_bits} bits with "
-                f"PrecReal at {other.precision_bits} bits")
-
-    def __add__(self, other):
-        self._check(other)
-        with mp.workprec(self.precision_bits):
-            return PrecReal(self.value + other.value, self.precision_bits)
-
-    def __sub__(self, other):
-        self._check(other)
-        with mp.workprec(self.precision_bits):
-            return PrecReal(self.value - other.value, self.precision_bits)
-
-    def __mul__(self, other):
-        self._check(other)
-        with mp.workprec(self.precision_bits):
-            return PrecReal(self.value * other.value, self.precision_bits)
-
-    def __truediv__(self, other):
-        self._check(other)
-        with mp.workprec(self.precision_bits):
-            return PrecReal(self.value / other.value, self.precision_bits)
-
-    def __neg__(self):
-        return PrecReal(-self.value, self.precision_bits)
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.value < other.value
-
-    def __le__(self, other):
-        self._check(other)
-        return self.value <= other.value
-
-    def __gt__(self, other):
-        self._check(other)
-        return self.value > other.value
-
-    def __ge__(self, other):
-        self._check(other)
-        return self.value >= other.value
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -111,19 +56,6 @@ class PrecReal:
         with mp.workprec(self.precision_bits):
             return mp.nstr(self.value, digits, strip_zeros=False)
 
-    @staticmethod
-    def from_rational(value: Fraction | int, precision_bits: int) -> "PrecReal":
-        value = Fraction(value)
-        with mp.workprec(precision_bits):
-            raw = mpf(value.numerator) / value.denominator
-        return PrecReal(raw, precision_bits)
-
-    @staticmethod
-    def from_str(text: str, precision_bits: int) -> "PrecReal":
-        with mp.workprec(precision_bits):
-            raw = mpf(text)
-        return PrecReal(raw, precision_bits)
-
 
 def to_mpf(x) -> mpf:
     """x as an mpf at the current working precision; a Fraction is divided
@@ -131,6 +63,34 @@ def to_mpf(x) -> mpf:
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     return mpf(x)
+
+
+def floor_scaled(c: Fraction, scale: int) -> int:
+    """floor(c 2^scale), the fixed-point integer of an exact rational c."""
+    return (c.numerator << scale) // c.denominator
+
+
+def horner_fixed(coeffs, y: int, shift: int) -> int:
+    """acc = floor(acc y / 2^shift) + C over coeffs, highest order first,
+    from acc = 0: a Horner sum in Python-int fixed point.
+
+    Error lemma (Brent & Zimmermann, *Modern Computer Arithmetic*, 2010,
+    section 4): let C_j = floor(c_j 2^B) for exact c_j, let y >= 0 satisfy
+    0 <= t - y 2^-shift <= delta 2^-B for a real t >= 0, and let
+    P_j = c_j + t P_(j+1) be the exact partial sums.  The error
+    e_j = acc_j - 2^B P_j, in units of 2^-B, obeys
+
+        |e_j| < t |e_(j+1)| + delta |P_(j+1)| + 2,
+
+    since acc_(j+1) y 2^-shift - 2^B t P_(j+1) = e_(j+1) y 2^-shift -
+    2^B P_(j+1) (t - y 2^-shift), and each floor loses under one unit (the
+    coefficient's none when c_j 2^B is an integer, such as 0).  Callers
+    supply t, delta, a bound on |P| and their own truncation tail.
+    """
+    acc = 0
+    for c in coeffs:
+        acc = (acc * y >> shift) + c
+    return acc
 
 
 class ExponentPair:

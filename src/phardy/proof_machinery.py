@@ -27,11 +27,10 @@ doubles.  Above 53 bits (the decomposition check, at DECOMPOSITION_BITS):
 
 * the series g and E are Horner sums in Python-int fixed point at scale
   2^B, B = bits + FIXED_GUARD_BITS, over the integers floor(a_k 2^B) of the
-  exact coefficients (Brent & Zimmermann, *Modern Computer Arithmetic*,
-  2010, section 4).  Each step floors once and each coefficient is floored
-  once; since x <= 1/2 damps earlier errors, the sum errs by at most 3 units
-  of 2^-B (5 if x itself is not a multiple of 2^-B), and it is converted to
-  mpf once (:func:`eval_g`, :func:`eval_E`);
+  exact coefficients (:func:`numerics.horner_fixed`, which states the
+  per-step error lemma).  Since x <= 1/2 damps earlier errors, each sum
+  errs by at most 3 units of 2^-B (5 if x itself is not a multiple of
+  2^-B), and it is converted to mpf once (:func:`eval_g`, :func:`eval_E`);
 * the allowances that only scale a tail (F's slope and rounding terms, the
   decomposition's bracket slack) are doubles, each enlarged by a relative
   pad derived where it is computed and rounded toward +infinity with
@@ -56,6 +55,8 @@ from .numerics import (
     PAIR_CACHE_SIZE,
     ExponentPair,
     binom_general_rational,
+    floor_scaled,
+    horner_fixed,
     to_mpf,
 )
 from .series import SeriesValue, _g_argument_series
@@ -132,24 +133,29 @@ def _arithmetic(precision_bits: int):
     return mp.workprec(precision_bits), to_mpf, mpf(2) ** (1 - precision_bits)
 
 
-def _scale_bits(precision_bits: int) -> int:
-    """B, the scale 2^B of the fixed-point sums at precision_bits > 53."""
-    return precision_bits + FIXED_GUARD_BITS
-
-
 def _table(coeffs, precision_bits: int) -> tuple:
     """Exact coefficients as doubles up to 53 bits, above that as the
     integers floor(c 2^B) of the fixed-point sums."""
     if precision_bits <= 53:
         return tuple(float(c) for c in coeffs)
-    scale = _scale_bits(precision_bits)
-    return tuple((c.numerator << scale) // c.denominator for c in coeffs)
+    scale = precision_bits + FIXED_GUARD_BITS
+    return tuple(floor_scaled(c, scale) for c in coeffs)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
     """The a_k table in the arithmetic of precision_bits."""
     return _table(g_series(pair, order), precision_bits)
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _g_table(pair: ExponentPair, order: int, bits: int, sign: int) -> tuple:
+    """g(sign x)'s Horner table in the arithmetic of bits: +-a_order, ...,
+    +-a_1, and above 53 bits a closing 0 for the multiplication by x."""
+    a = _a_table(pair, order, bits)
+    signed = tuple(a[k] if sign < 0 or k % 2 == 0 else -a[k]
+                   for k in range(order, 0, -1))
+    return signed if bits <= 53 else signed + (0,)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -169,16 +175,17 @@ def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple
     return _table(out, precision_bits)
 
 
-def _fixed(x, scale_bits: int) -> tuple:
-    """(floor(x 2^scale_bits), whether the floor dropped anything) for x > 0
-    given as a double, an mpf or a Fraction."""
+def _fixed(x, precision_bits: int) -> tuple:
+    """(B, floor(x 2^B), whether that floor dropped anything) for a double,
+    mpf or Fraction x > 0; B = precision_bits + FIXED_GUARD_BITS."""
+    scale = precision_bits + FIXED_GUARD_BITS
     if isinstance(x, mpf):
         man, exp = x.man_exp
         num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     else:
         num, den = x.as_integer_ratio()
-    value, rest = divmod(num << scale_bits, den)
-    return value, rest != 0
+    value, rest = divmod(num << scale, den)
+    return scale, value, rest != 0
 
 
 def _fixed_result(value: int, units: int, top: int, factor: Fraction, X: int,
@@ -191,7 +198,7 @@ def _fixed_result(value: int, units: int, top: int, factor: Fraction, X: int,
     up with a_order <= (top + 1) 2^-B (top = floor(a_order 2^B)) and
     x <= (X + inexact) 2^-B.  The tail converts to mpf rounding up.
     """
-    scale = _scale_bits(precision_bits)
+    scale = precision_bits + FIXED_GUARD_BITS
     x_hi = X + inexact
     truncation = -(-factor.numerator * (top + 1) * x_hi ** (order + 1)
                    // (factor.denominator * ((1 << scale) - x_hi)
@@ -246,40 +253,31 @@ def eval_g(pair: ExponentPair, x, sign: int, order: int = DEFAULT_ORDER,
     coefficients decay weakly; a rounding allowance is added to it.
 
     Up to 53 bits the sum is a Horner loop in doubles, allowed 8 units per
-    step of (1 + |acc|) x.  Above 53 bits it runs in fixed point at scale
-    2^B, B = precision_bits + FIXED_GUARD_BITS: A_k = floor(a_k 2^B) from the
-    exact a_k, X = floor(x 2^B), exact for a double x and for an mpf x whose
-    last bit lies above 2^-B (delta = 1 if the floor dropped anything, else
-    0), and each step is acc = floor(acc X / 2^B) +- A_k.  With P_k the
-    exact Horner partial sum, the error e_k = acc_k - 2^B P_k obeys
-
-        |e_k| < x |e_(k+1)| + delta |P_(k+1)| + 2,
-
-    one unit for the shift's floor and one for the coefficient's.
+    step of (1 + |acc|) x.  Above 53 bits it is :func:`numerics.horner_fixed`
+    at scale 2^B, B = precision_bits + FIXED_GUARD_BITS, over the signed
+    A_k = floor(a_k 2^B) and a closing 0 (the final multiplication), in
+    X = floor(x 2^B); delta = 1 if that floor dropped anything, else 0.
     |P_k| <= a_1/(1-x) < 1 (a_1 = 1/(2p)) and x <= 1/2 give
-    |e_k| < 2(2 + delta), and the final shift by X leaves less than
+    |e_k| < 2(2 + delta), and the closing step leaves less than
     x 2(2 + delta) + delta + 1 <= 3 + 2 delta units of 2^-B.  The sum is
     converted to mpf once, which rounds by one unit 2^(1-bits) of |g|.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     xf = _check_x(x)
-    a = _a_table(pair, order, precision_bits)
+    table = _g_table(pair, order, precision_bits, sign)
+    top = abs(table[0])                 # a_order in the table's arithmetic
     if precision_bits > 53:
-        scale = _scale_bits(precision_bits)
-        X, inexact = _fixed(x, scale)
-        acc = 0
-        for k in range(order, 0, -1):
-            acc = (acc * X >> scale) + (a[k] if sign < 0 or k % 2 == 0 else -a[k])
-        return _fixed_result(acc * X >> scale, 3 + 2 * inexact, a[order],
-                             Fraction(1), X, inexact, order, precision_bits)
+        scale, X, inexact = _fixed(x, precision_bits)
+        return _fixed_result(horner_fixed(table, X, scale), 3 + 2 * inexact,
+                             top, Fraction(1), X, inexact, order,
+                             precision_bits)
     unit = 2.0 ** (-precision_bits)
     acc = 0
-    for k in range(order, 0, -1):
-        c = a[k] if (sign < 0 or k % 2 == 0) else -a[k]
+    for c in table:
         acc = acc * xf + c
     value = acc * xf
-    tail = a[order] * xf ** (order + 1) / (1 - xf)
+    tail = top * xf ** (order + 1) / (1 - xf)
     # Horner partials stay below 1 + |acc|; the final multiply scales
     # everything by x, so the rounding allowance carries the same factor.
     tail += 8 * (order + 1) * unit * (1 + abs(acc)) * xf
@@ -294,13 +292,14 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     binomial coefficients; disagreement beyond tolerance is a hard error.
     The returned value is the a_k form.
 
-    Above 53 bits both sums run in fixed point as in :func:`eval_g`, in
-    steps of Y = X^2 at scale 2^(2B): y = x^2 <= 1/4, Y falls short of
-    y 2^(2B) by less than delta 2^B, and |P| < a_3/(1-y) < 2/3, so
-    |e| < (4/3)(2 + delta).  The sum is multiplied by X^3 = X Y at scale
-    2^(3B) (x^3 <= 1/8, again short by less than delta 2^-B), which leaves
-    less than 3 + 2 delta units of 2^-B.  The a_k route then multiplies by
-    2(p-1) exactly and floors: 2(p-1)(3 + 2 delta) + 1 units.  The binomial
+    Above 53 bits both sums are :func:`numerics.horner_fixed` over the odd
+    k, with X and delta as in :func:`eval_g`, in t = x^2 <= 1/4 as X^2 at
+    shift 2B (short of t by less than 2x delta 2^-B <= delta 2^-B);
+    |P| < a_3/(1-t) < 2/3 gives |e| < (4/3)(2 + delta).  The sum is
+    multiplied by X^3 at shift 3B, a step with a 0 coefficient in x^3 <=
+    1/8 (again short by less than delta 2^-B), which leaves less than
+    3 + 2 delta units of 2^-B.  The a_k route then multiplies by 2(p-1)
+    exactly and floors: 2(p-1)(3 + 2 delta) + 1 units.  The binomial
     route's table holds 2(p-1)a_k, whose largest, 2(p-1)a_3 =
     2p|binom(1/q, 4)|, is below 1/2, so it errs by 3 + 2 delta units; the
     two must agree to within the sum of the two bounds.
@@ -310,17 +309,11 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     e_bin = _e_binom_table(pair, order, precision_bits)
     top = order if order % 2 == 1 else order - 1
     if precision_bits > 53:
-        scale = _scale_bits(precision_bits)
-        X, inexact = _fixed(x, scale)
-        X2 = X * X
-        acc = acc_b = 0
-        for k in range(top, 2, -2):
-            acc = (acc * X2 >> 2 * scale) + a[k]
-            acc_b = (acc_b * X2 >> 2 * scale) + e_bin[k]
-        X3 = X2 * X
+        scale, X, inexact = _fixed(x, precision_bits)
+        value, value_b = (horner_fixed(c[top:2:-2], X * X, 2 * scale) * X ** 3
+                          >> 3 * scale for c in (a, e_bin))
         two_pm1 = 2 * (pair.p_exact - 1)
-        value = (acc * X3 >> 3 * scale) * two_pm1.numerator // two_pm1.denominator
-        value_b = acc_b * X3 >> 3 * scale
+        value = value * two_pm1.numerator // two_pm1.denominator
         units = 3 + 2 * inexact
         if abs(value - value_b) > (two_pm1 + 1) * units + 1:
             raise AgreementError(
@@ -332,8 +325,7 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     unit = 2.0 ** (-precision_bits)
     p = pair.p_float()
     x2 = x * x
-    acc = 0
-    acc_b = 0
+    acc = acc_b = 0
     for k in range(top, 2, -2):
         acc = acc * x2 + a[k]
         acc_b = acc_b * x2 + e_bin[k]
@@ -699,7 +691,8 @@ def check_n1_case() -> GridCheckReport:
         pair = ExponentPair(p)
         w1 = eval_w1_closed(pair, N1_DIGITS)
         wc = eval_w_classical(pair, 1, N1_DIGITS)
-        margin = float((w1 - wc).value) - threshold
+        with mp.workprec(w1.precision_bits):
+            margin = float(w1.value - wc.value) - threshold
         points.append((float(pair.p_float()), 1.0, margin,
                        float(w1.value), float(wc.value)))
     return _build_report(

@@ -383,7 +383,16 @@ def _newton_step(u: np.ndarray, w: np.ndarray, pf: float):
     pair_sum = padded[:-1] + padded[1:]
     slope = np.maximum(diff, _UNIT * pair_sum) ** (q - 1) * pair_sum
     shift = q * _UNIT * (slope[:-1] + slope[1:])
-    v = w + 2 * shift / (_quotient(u, w, pf) * u ** q)
+    start = _quotient(u, w, pf)
+    with np.errstate(over="ignore"):
+        scale = start * u ** q
+    margin = 2 * shift / scale
+    beyond = np.isinf(scale)        # Q u^(p-1) beyond doubles: by logarithms
+    if beyond.any():
+        with np.errstate(divide="ignore"):
+            margin[beyond] = np.exp(np.log(2 * shift[beyond] / start)
+                                    - q * np.log(u[beyond]))
+    v = w + margin
     mass = v * u ** pf
     quotient = _quotient(u, v, pf)
     resid = quotient * mass - u * _p_laplacian(padded, pf)[0]

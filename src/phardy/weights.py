@@ -56,7 +56,10 @@ from .numerics import (
     ExponentPair,
     PrecReal,
     contract_bits,
+    floor_scaled,
+    horner_fixed,
     required_precision,
+    to_mpf,
 )
 from .series import expand_correction
 
@@ -78,8 +81,7 @@ def _improved_values(pair: ExponentPair, xs, precision_bits: int) -> list:
         s = pm1 / p                      # 1/q, as pair.inv_q_mpf rounds it
         out = []
         for x in xs:
-            xm = mpf(x) if not hasattr(x, "numerator") else \
-                mpf(x.numerator) / x.denominator
+            xm = to_mpf(x)
             out.append((1 - (1 - xm) ** s) ** pm1 - ((1 + xm) ** s - 1) ** pm1)
         return out
 
@@ -219,16 +221,13 @@ class _SeriesKernel:
     """a(1/n) from floor(c_k 2^S), k = 2, 4, ..., K, for n >= n0 = ``start``,
     to within a relative 2^-(contract+1) before its final rounding.
 
-    Horner in y = 1/n^2 on the Python-int fixed point 2^S: with
-    Y = floor(2^S y), D_j = floor(c_2j 2^S) and acc_j = floor(acc_{j+1} Y /
-    2^S) + D_j, the error e_j of acc_j against 2^S P_j(y), where
-    P_j(y) = sum_{i>=j} c_2i y^(i-j), obeys
-    |e_j| <= y |e_{j+1}| + |acc_{j+1}| 2^-S + 2; |acc_{j+1}| 2^-S is at most
-    |P_{j+1}(y)| + 1, so |e_1| <= E = 3/(1 - y) + sum_{i>=2} (i-1) |c_2i|
-    y^(i-2), at most its value at y0 = 1/n0^2.  Since a(x)/x^2 >= a_floor
-    for x <= 1/n0, S = contract + 3 + ceil(log2(E/a_floor)) keeps the
-    rounding below 2^-(contract+2) of a(x); the tail is below as much by
-    the choice of n0.
+    :func:`numerics.horner_fixed` in y = 1/n^2 as floor(2^S y) (delta = 1):
+    with P_j(y) = sum_{i>=j} c_2i y^(i-j), |e_j| < y |e_{j+1}| +
+    |P_{j+1}(y)| + 2, so |e_1| < 2/(1 - y) + sum_{i>=2} (i-1) |c_2i|
+    y^(i-2) < E = 3/(1 - y) + sum_{i>=2} (i-1) |c_2i| y^(i-2), at most its
+    value at y0 = 1/n0^2.  Since a(x)/x^2 >= a_floor for x <= 1/n0,
+    S = contract + 3 + ceil(log2(E/a_floor)) keeps the rounding below
+    2^-(contract+2) of a(x); the tail is below as much by the choice of n0.
     """
 
     def __init__(self, pair: ExponentPair, contract: int):
@@ -239,16 +238,13 @@ class _SeriesKernel:
                                  for i, c in enumerate(coeffs[1:], 1))
         self.scale = (contract + 3
                       + math.ceil(math.log2(float(err) / float(a_floor))))
-        self.fixed = tuple((c.numerator << self.scale) // c.denominator
+        self.fixed = tuple(floor_scaled(c, self.scale)
                            for c in reversed(coeffs))
 
     def correction(self, n: int) -> mpf:
         """a(1/n) at the working precision, for n >= start."""
         scale = self.scale
-        y = (1 << scale) // (n * n)
-        acc = 0
-        for c in self.fixed:
-            acc = (acc * y >> scale) + c
+        acc = horner_fixed(self.fixed, (1 << scale) // (n * n), scale)
         return mpf((acc, -scale)) / (n * n)
 
 

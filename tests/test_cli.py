@@ -34,13 +34,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_phardy(*argv):
+def run_phardy(*argv, python_args=()):
     """The CLI in its own process, so that an uncaught exception shows as a
-    traceback on stderr rather than as a failure of the calling test."""
+    traceback on stderr rather than as a failure of the calling test;
+    python_args go to the interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "phardy.cli", *argv],
+    return subprocess.run([sys.executable, *python_args, "-m", "phardy.cli",
+                           *argv],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
 
@@ -389,6 +391,17 @@ class TestEdgeInputs:
             assert result.stderr.startswith("error: ")
         if text is not None:
             assert text in (result.stdout if expected == 0 else result.stderr)
+
+
+    def test_large_p_rayleigh_does_not_overflow(self):
+        # Q u^(p-1) exceeds the double range at most sites of the first
+        # Newton step; the margin there is formed without overflow.
+        result = run_phardy("rayleigh", "--p", "150", "--N", "100",
+                            python_args=("-W", "error::RuntimeWarning"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        payload = json.loads(result.stdout)
+        assert payload["lower_bound"] <= payload["quotient"]
 
 
 class TestFlags:

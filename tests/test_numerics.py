@@ -1,4 +1,5 @@
-"""Exact rationals, fixed-precision reals, and generalized binomials."""
+"""Exact rationals, precision-tagged reals, generalized binomials, and the
+fixed-point Horner sum."""
 
 import math
 from fractions import Fraction
@@ -6,15 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
 from phardy.numerics import (
     ExponentPair,
     PrecReal,
     PrecisionInfeasibleError,
-    PrecisionMismatchError,
     binom_general_rational,
     binom_rational_sequence,
+    floor_scaled,
+    horner_fixed,
     required_precision,
 )
 
@@ -116,26 +118,58 @@ class TestRequiredPrecision:
 
 
 class TestPrecReal:
-    def test_mixed_precision_comparison_is_error(self):
-        a = PrecReal.from_str("1.5", 64)
-        b = PrecReal.from_str("1.5", 128)
-        with pytest.raises(PrecisionMismatchError):
-            _ = a < b
-        with pytest.raises(PrecisionMismatchError):
-            _ = a + b
+    def test_precision_must_be_positive(self):
+        with pytest.raises(PrecisionInfeasibleError):
+            PrecReal(mpf(1), 0)
 
-    def test_arithmetic_and_decimal_output(self):
-        a = PrecReal.from_rational(Fraction(1, 3), 160)
-        b = PrecReal.from_rational(Fraction(1, 6), 160)
-        total = a + b
-        text = total.to_decimal(30)
-        assert text.startswith("0.5000000000")
-        assert float(total) == 0.5
+    def test_decimal_output_and_float(self):
+        with mp.workprec(160):
+            half = mpf(1) / 3 + mpf(1) / 6
+        x = PrecReal(half, 160)
+        assert x.to_decimal(30).startswith("0.5000000000")
+        assert float(x) == 0.5
 
     def test_digit_count_carried(self):
-        x = PrecReal.from_rational(Fraction(2, 3), 200)
+        with mp.workprec(200):
+            x = PrecReal(mpf(2) / 3, 200)
         digits = x.to_decimal(25).replace("0.", "")
         assert len(digits) == 25
+
+
+class TestHornerFixed:
+    """The fixed-point Horner sum against the exact Fraction sum, within
+    the error lemma of :func:`numerics.horner_fixed`."""
+
+    @given(coeffs=st.lists(st.fractions(min_value=-1, max_value=1,
+                                        max_denominator=10 ** 6),
+                           min_size=1, max_size=12),
+           t=st.fractions(min_value=0, max_value=Fraction(3, 4),
+                          max_denominator=10 ** 9),
+           scale=st.integers(min_value=4, max_value=80),
+           wide=st.booleans(), delta=st.sampled_from([0, 1]),
+           closing_zero=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_error_within_the_lemma(self, coeffs, t, scale, wide, delta,
+                                    closing_zero):
+        # The real t is held as y = floor(t 2^shift), shift = scale or
+        # 2 scale, as the series kernel and g (shift = B) and E (shift = 2B)
+        # hold theirs; with delta = 0, t is first made a multiple of
+        # 2^-shift.
+        shift = 2 * scale if wide else scale
+        if delta == 0:
+            t = Fraction(math.floor(t * 2 ** shift), 2 ** shift)
+        y = math.floor(t * 2 ** shift)
+        assert 0 <= t - Fraction(y, 2 ** shift) <= Fraction(delta, 2 ** scale)
+        coeffs = coeffs + [Fraction(0)] * closing_zero
+        table = [floor_scaled(c, scale) for c in coeffs]
+        assert table == [math.floor(c * 2 ** scale) for c in coeffs]
+        exact = bound = Fraction(0)
+        for j, c in enumerate(coeffs):
+            floors = 1 if (c * 2 ** scale).denominator == 1 else 2
+            bound = t * bound + delta * abs(exact) + floors
+            exact = c + t * exact
+            acc = horner_fixed(table[:j + 1], y, shift)
+            assert abs(acc - exact * 2 ** scale) < bound
 
 
 class TestExponentPair:

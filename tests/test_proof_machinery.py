@@ -303,6 +303,10 @@ class TestFixedPoint:
         a = pm.g_series(pair, 12)
         table = pm._a_table(pair, 12, 113)
         assert all(t == math.floor(c * 2 ** scale) for t, c in zip(table, a))
+        # g(x)'s Horner table: highest order first, odd orders negated, and
+        # a closing 0 for the multiplication by x.
+        assert pm._g_table(pair, 12, 113, +1) == tuple(
+            (-1) ** k * table[k] for k in range(12, 0, -1)) + (0,)
 
 
 class TestDoubleAllowances:
