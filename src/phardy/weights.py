@@ -21,15 +21,18 @@ series is used only from the index n0 at which that bound is below the
 digit contract; the rows below n0, and every table the series cannot
 repay, keep the closed form.
 
-The variational layer needs each weight only as the double nearest it
-(:func:`weight_values_float`).  Those rows come in two phases, after Ziv's
-rounding test (A. Ziv, ACM TOMS 17, 1991): a cheap pass at one fixed
-precision gives each row a value and a derived error bound, and keeps the
-row when both ends of the bound round to the same normal double; only the
-remaining rows take the digit-contract route above.  The cheap pass takes
-the improved weight in its ground-state form (D_{n-1}^(p-1) - D_n^(p-1)) /
-u(n)^(p-1), u(m) = m^(1/q), D_m = u(m+1) - u(m), whose flux powers each
-serve two rows, with the powers of n from a smallest-prime-factor sieve.
+The closed form has two routes: four pows per row (:func:`eval_w`, sparse
+tables), or the sieve passes, which take the improved weight in its
+ground-state form (D_{n-1}^(p-1) - D_n^(p-1)) / u(n)^(p-1), u(m) = m^(1/q),
+D_m = u(m+1) - u(m), each flux power serving two rows and the powers of n
+from a smallest-prime-factor sieve, each value with a derived error bound.
+A dense table (:func:`compare_weights`) takes the passes, at the least
+precision at which every cell's bound meets the digit contract.  The
+variational layer needs each weight only as the nearest double
+(:func:`weight_values_float`): after Ziv's rounding test (A. Ziv, ACM
+TOMS 17, 1991), the passes at one fixed precision keep each row whose
+bound's ends round to one normal double, and only the others take the
+digit-contract route.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from functools import lru_cache
 from itertools import groupby
 
 from mpmath import iv, mp, mpf
-from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_div,
-                          mpf_mul, mpf_neg, mpf_pow, mpf_sub, round_nearest,
+from mpmath.libmp import (fone, from_int, from_man_exp, from_rational, fzero,
+                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg, mpf_pow,
+                          mpf_pow_int, mpf_sub, round_nearest, to_float,
                           to_rational, to_str)
 
 from .numerics import (
@@ -70,7 +74,7 @@ class WeightKind(enum.Enum):
 
 
 def _improved_values(pair: ExponentPair, xs, precision_bits: int) -> list:
-    """The closed form at each x of xs, in one precision context.
+    """The closed form at each x of xs, raw, in one precision context.
 
     p, p - 1 and 1/q are formed once; each value rounds exactly as a
     one-point evaluation at the same precision does.
@@ -82,16 +86,17 @@ def _improved_values(pair: ExponentPair, xs, precision_bits: int) -> list:
         out = []
         for x in xs:
             xm = to_mpf(x)
-            out.append((1 - (1 - xm) ** s) ** pm1 - ((1 + xm) ** s - 1) ** pm1)
+            out.append(((1 - (1 - xm) ** s) ** pm1
+                        - ((1 + xm) ** s - 1) ** pm1)._mpf_)
         return out
 
 
 def _classical_values(pair: ExponentPair, ns, precision_bits: int) -> list:
-    """((p-1)/p)^p / n^p at each n of ns, the constant formed once."""
+    """((p-1)/p)^p / n^p at each n of ns, the constant formed once (raw)."""
     with mp.workprec(precision_bits):
         p = pair.p_mpf(precision_bits)
         c = ((p - 1) / p) ** p
-        return [c / mpf(n) ** p for n in ns]
+        return [(c / mpf(n) ** p)._mpf_ for n in ns]
 
 
 # -- The correction series at large n ---------------------------------------
@@ -102,15 +107,16 @@ SERIES_RADIUS = Fraction(1, 2)
 # proven tail meets the contract from some n0 <= SERIES_MAX_START on.
 SERIES_MAX_ORDER = 48
 SERIES_MAX_START = 64
-# Cost model of that choice, measured on one core at D = 15..60 (K = 18..48):
-# expanding the exact c_2..c_K costs about K^2/60 ms, and a table row taken
-# from the series rather than the closed form saves 50-90 us, so the
-# coefficients repay themselves after 5 K (K = 18) to 11 K (K = 48) rows.
-# A table takes the series only if its rows n >= n0 number at least 10 K.
-# At p = 2 the closed form is two square roots and a row saves about 18 us,
-# so there the count is four times higher.
+# Cost model of that choice, measured on a 2-core VM at D = 15..60
+# (K = 18..48, 120-300 bits): the exact c_2..c_K cost 6-80 ms, and a row from
+# them 6-20 us.  A closed-form row by direct pows costs 55-87 us, so the
+# coefficients repay themselves after 5 K to 11 K rows n >= n0, and a table
+# takes the series from 10 K such rows on; four times more where a
+# closed-form row is cheaper, at p = 2 (two square roots, 19-27 us) and in a
+# dense table, integer p included (the sieve passes, 19-47 us; break-even
+# 24 K to 51 K rows).
 SERIES_ROWS_PER_ORDER = 10
-SERIES_ROWS_FACTOR_P2 = 4
+SERIES_ROWS_FACTOR_CHEAP = 4
 
 
 @contextmanager
@@ -241,11 +247,12 @@ class _SeriesKernel:
         self.fixed = tuple(floor_scaled(c, self.scale)
                            for c in reversed(coeffs))
 
-    def correction(self, n: int) -> mpf:
-        """a(1/n) at the working precision, for n >= start."""
+    def correction(self, n: int, bits: int):
+        """a(1/n) rounded to bits, a raw mpf value, for n >= start."""
         scale = self.scale
         acc = horner_fixed(self.fixed, (1 << scale) // (n * n), scale)
-        return mpf((acc, -scale)) / (n * n)
+        return mpf_div(from_man_exp(acc, -scale, bits, round_nearest),
+                       from_int(n * n), bits, round_nearest)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -253,12 +260,14 @@ def _series_kernel(pair: ExponentPair, contract: int) -> _SeriesKernel:
     return _SeriesKernel(pair, contract)
 
 
-def _series_for(pair: ExponentPair, ns, target_digits: int):
+def _series_for(pair: ExponentPair, ns, target_digits: int,
+                dense: bool = False):
     """The series kernel for the ascending indices ns at target_digits, or
     None where the rows n >= n0 among them cannot repay its coefficients
     (or no order reaches the contract): those tables keep the closed
-    form.  The rows are counted, so a sparse list of indices, such as the
-    rows a rounding test leaves, is judged by its size, not its span."""
+    form, from the sieve passes if dense, else by direct pows.  The rows
+    are counted, so a sparse list of indices, such as the rows a rounding
+    test leaves, is judged by its size, not its span."""
     contract = contract_bits(target_digits)
     least = _least_order(contract)
     if least > SERIES_MAX_ORDER or len(ns) < SERIES_ROWS_PER_ORDER * least:
@@ -268,25 +277,38 @@ def _series_for(pair: ExponentPair, ns, target_digits: int):
         return None
     order, start, _ = reach
     rows = SERIES_ROWS_PER_ORDER * order
-    if pair.p_exact == 2:
-        rows *= SERIES_ROWS_FACTOR_P2
+    if dense or pair.p_exact == 2:
+        rows *= SERIES_ROWS_FACTOR_CHEAP
     if len(ns) - bisect_left(ns, start) < rows:
         return None
     return _series_kernel(pair, contract)
 
 
-def _closed_form_count(ns, kernel) -> int:
-    """How many of the ascending indices ns lie below the kernel's start."""
-    return len(ns) if kernel is None else bisect_left(ns, kernel.start)
+def _from_series(kernel, ns, classical, bits: int):
+    """Raw (w, a) per n of ns: a(1/n) from the kernel, w = wc (1 + a)."""
+    excess = [kernel.correction(n, bits) for n in ns]
+    return [mpf_mul(wc, mpf_add(fone, a, bits, round_nearest), bits,
+                    round_nearest) for wc, a in zip(classical, excess)], excess
 
 
-def _from_series(pair: ExponentPair, kernel, ns, precision_bits: int) -> list:
-    """w_classical (1 + a) at each n of ns, a from the kernel."""
-    if not ns:
-        return []
-    classical = _classical_values(pair, ns, precision_bits)
-    with mp.workprec(precision_bits):
-        return [wc * (1 + kernel.correction(n)) for n, wc in zip(ns, classical)]
+def _columns(pair: ExponentPair, ns, near: int, kernel, bits: int,
+             dense: bool):
+    """Raw (w, wc, a) per n of the ascending ns at bits: every wc, and w on
+    the first near rows, from the sieve passes if dense, else by direct
+    pows, a = (w - wc)/wc there; the other rows' a and w from the kernel."""
+    if dense:
+        classical = [value for value, _ in _classical_pass(pair, ns, bits)]
+        improved = [w for w, _ in _improved_pass(pair, ns[:near], bits)
+                    ] if near else []
+    else:
+        classical = _classical_values(pair, ns, bits)
+        improved = _improved_values(pair, [Fraction(1, n) for n in ns[:near]],
+                                    bits)
+    series_w, series_a = _from_series(kernel, ns[near:], classical[near:],
+                                      bits)
+    excess = [mpf_div(mpf_sub(w, wc, bits, round_nearest), wc, bits,
+                      round_nearest) for w, wc in zip(improved, classical)]
+    return improved + series_w, classical, excess + series_a
 
 
 def _at_own_precision(pair: ExponentPair, kind: WeightKind, ns,
@@ -295,9 +317,8 @@ def _at_own_precision(pair: ExponentPair, kind: WeightKind, ns,
     ``required_precision``; consecutive indices that share a budget are
     evaluated together, improved weights from the series kernel where the
     range repays it."""
-    kernel = None
-    if kind is WeightKind.IMPROVED:
-        kernel = _series_for(pair, ns, target_digits)
+    kernel = (_series_for(pair, ns, target_digits)
+              if kind is WeightKind.IMPROVED else None)
     out = []
     for bits, run in groupby(
             ns, key=lambda n: required_precision(pair, n, target_digits)):
@@ -305,22 +326,21 @@ def _at_own_precision(pair: ExponentPair, kind: WeightKind, ns,
         if kind is WeightKind.CLASSICAL:
             values = _classical_values(pair, run, bits)
         else:
-            near = _closed_form_count(run, kernel)
+            near = bisect_left(run, kernel.start) if kernel else len(run)
             values = _improved_values(
                 pair, [Fraction(1, n) for n in run[:near]], bits)
-            values += _from_series(pair, kernel, run[near:], bits)
-        out += [PrecReal(value, bits) for value in values]
+            if near < len(run):
+                values += _from_series(kernel, run[near:], _classical_values(
+                    pair, run[near:], bits), bits)[0]
+        out += [PrecReal(mp.make_mpf(value), bits) for value in values]
     return out
 
 
 def eval_w_closed_x(pair: ExponentPair, x, precision_bits: int) -> mpf:
-    """The weight as a function of x = 1/n, evaluated at fixed precision.
-
-    Valid on (0, 1/2] and at x = 1 (n = 1, where mpmath takes 0^(1/q) as 0);
-    raw mpf result at the caller's precision.  Every closed-form value of
-    the improved weight in the package comes from the same kernel.
-    """
-    return _improved_values(pair, (x,), precision_bits)[0]
+    """The weight as a function of x = 1/n at fixed precision, an mpf by
+    the direct route, as every value outside a dense table is.  Valid on
+    (0, 1/2] and at x = 1 (n = 1, where mpmath takes 0^(1/q) as 0)."""
+    return mp.make_mpf(_improved_values(pair, (x,), precision_bits)[0])
 
 
 def eval_w(pair: ExponentPair, n, target_digits: int):
@@ -422,46 +442,83 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
                     target_digits: int) -> WeightTable:
     """Tabulate both weights on [n_min, n_max] at a shared precision.
 
-    The relative excess a = w/w_classical - 1 is computed with a single
-    subtraction at full internal precision on the closed-form rows; the
-    subtraction is the cancellation-prone quantity of interest, so it is
-    never assembled from rounded intermediates.  The excess is of order
-    n^-2, so the subtraction cancels about 2*log2(n) bits, which are added
-    to the weights' budget.  Where the table repays it, the rows from the
-    series kernel's start on take a from the correction series instead, and
-    w = w_classical (1 + a).  The whole table is one precision context.
-    """
+    The relative excess a = w/w_classical - 1 is of order n^-2, so forming
+    it as (w - w_classical)/w_classical cancels about 2*log2(n) bits, which
+    are added to the weights' budget.  Where the table repays it, the rows
+    from the series kernel's start on take a from the correction series,
+    with no subtraction, and w = w_classical (1 + a).  A dense table (rows
+    at least half of 1..n_max) takes the others from the sieve passes, at
+    the least precision from that budget up at which every cell's bound
+    meets ``contract_bits`` (`_bits_for`), chosen at a = c_2/n^2 (a n^2
+    falls to c_2 = 3/8 - 1/(8p) for every p tried) and checked at the
+    computed a.  Sparse tables, such as an edge row at n = 10^12, and any
+    with a bound that is not finite, take the direct pows of `eval_w`."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     bits = (required_precision(pair, n_max, target_digits)
             + math.ceil(2 * math.log2(n_max)))
+    contract = contract_bits(target_digits)
     ns = range(n_min, n_max + 1)
-    kernel = _series_for(pair, ns, target_digits)
-    near = _closed_form_count(ns, kernel)
+    # Measured cold at n_max = 1000, D = 15-40: the passes, which sieve all
+    # of 1..n_max, cost about as much as the direct pows on half the rows.
+    dense = 2 * len(ns) >= n_max
+    kernel = _series_for(pair, ns, target_digits, dense)
+    near = bisect_left(ns, kernel.start) if kernel else len(ns)
+    c2 = 3 / 8 - 1 / (8 * float(pair.p_exact))
+    checked = dense and _bits_for(pair, ns, near, bits, contract, [
+        (n, c2 / n ** 2) for n in ns[near - 1:near]])
+    while checked:                  # else: the direct pows, below
+        bits = checked
+        columns = _columns(pair, ns, near, kernel, bits, dense=True)
+        checked = _bits_for(pair, ns, near, bits, contract,
+                            [(n, to_float(a)) for n, a in
+                             zip(ns[:near], columns[2])])
+        if checked == bits:
+            break
+    else:
+        columns = _columns(pair, ns, near, kernel, bits, dense=False)
+    # Positivity of the excess is certified only above the precision floor.
+    threshold = mpf_pow_int(from_int(10), 2 - target_digits, bits,
+                            round_nearest)
     rows = []
-    with mp.workprec(bits):
-        # Positivity of the excess is certified only above the precision floor.
-        threshold = mpf(10) ** (-(target_digits - 2))
-        classical = _classical_values(pair, ns, bits)
-        improved = _improved_values(
-            pair, [Fraction(1, n) for n in ns[:near]], bits)
-        excess = [(w - wc) / wc for w, wc in zip(improved, classical)]
-        excess += [kernel.correction(n) for n in ns[near:]]
-        improved += [wc * (1 + a)
-                     for wc, a in zip(classical[near:], excess[near:])]
-        for n, w_imp, w_cls, ratio in zip(ns, improved, classical, excess):
-            if not w_imp > 0:
-                raise ArithmeticError(
-                    f"improved weight not positive at n={n}: {w_imp}")
-            rows.append(WeightRow(
-                n=n,
-                w_improved=PrecReal(w_imp, bits),
-                w_classical=PrecReal(w_cls, bits),
-                ratio_minus_one=PrecReal(ratio, bits),
-                verified_positive=bool(ratio > threshold),
-            ))
+    for n, w, wc, a in zip(ns, *columns):
+        if not mpf_gt(w, fzero):
+            raise ArithmeticError(f"improved weight not positive at n={n}: "
+                                  f"{to_str(w, 15)}")
+        rows.append(WeightRow(n, *(PrecReal(mp.make_mpf(v), bits)
+                                   for v in (w, wc, a)), mpf_gt(a, threshold)))
     return WeightTable(pair=pair, rows=rows, precision_bits=bits,
                        target_digits=target_digits)
+
+
+def _bits_for(pair: ExponentPair, ns: range, near: int, bits: int,
+              contract: int, excess: list):
+    """The least precision from bits up at which the bound of every cell of
+    the dense table over ns (its first near rows closed-form) is at most
+    2^-contract, a taken at the (n, a) of excess; None if one is not
+    finite.  In units of eta, w and wc within r_w and r_c (`_pass_bounds`):
+    a closed-form row's a = (w - wc)/wc is within ((1 + a) r_w + r_c)/a
+    + r_c + 4 (subtraction, division, two roundings), above the bounds of
+    its w and wc and largest at the last such row; a series row's a within
+    the kernel's 2^-(contract+1) relative plus 4 (met from contract + 4
+    bits on), its w = wc (1 + a) within r_c + 8 more, held to the other
+    half.  u eta <= 2^-contract from contract + 1 + frexp(u)[1] bits on."""
+    while True:
+        try:
+            r_w = _pass_bounds(pair, ns[near - 1], bits)[0]
+            r_c = _pass_bounds(pair, ns[-1], bits)[1]
+        except OverflowError:               # q beyond the doubles
+            return None
+        units = [2 * (r_c + 8)] if near < len(ns) else []
+        units += [(((1 + a) * r_w(n) + r_c) / a + r_c + 4) * _PAD
+                  if a > 0 else math.inf for n, a in excess]
+        worst = max(units)
+        if not math.isfinite(worst):
+            return None
+        need = contract + 1 + math.frexp(worst)[1]
+        if need <= bits:
+            return bits
+        bits = need
 
 
 # -- Float rows by a rounding test -------------------------------------------
@@ -503,17 +560,19 @@ def _smallest_prime_factors(top: int) -> list:
     return spf
 
 
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _rounded_exponent(exponent: Fraction, bits: int):
     """(e, d): the exponent as a pow takes it, rounded to bits, and the
-    relative error of a pow x^e per unit of |ln x| beyond its own 2 eta:
-    e's distance from the exact exponent, plus 2 eta |e| from the logarithm
-    inside the pow (mpmath takes x^e as exp(e log x)), eta = 2^(1-bits)."""
+    relative error of a pow x^e per unit of |ln x| beyond its own 2 eta, in
+    units of eta = 2^(1-bits): e's distance from the exact exponent, plus
+    2 eta |e| from the logarithm inside the pow (mpmath takes x^e as
+    exp(e log x)).  In units of eta, so that no precision underflows it."""
     value = from_rational(exponent.numerator, exponent.denominator, bits,
                           round_nearest)
     num, den = to_rational(value)
     gap = abs(num * exponent.denominator - exponent.numerator * den)
-    return value, (gap / (den * exponent.denominator)
-                   + 2.0 ** (2 - bits) * abs(float(exponent)))
+    return value, ((gap << (bits - 1)) / (den * exponent.denominator)
+                   + 2 * abs(float(exponent)))
 
 
 @lru_cache(maxsize=SHARED_POWER_LISTS)
@@ -559,9 +618,26 @@ def _rounded_double(value, rel: float):
     return None
 
 
+def _pass_bounds(pair: ExponentPair, n_max: int, bits: int):
+    """(rel(n) of `_improved_pass`, rel of `_classical_pass`) for rows
+    n <= n_max, in units of eta (see there)."""
+    p, s = pair.p_exact, pair.inv_q_exact
+    pf, q = float(p), float(pair.q_exact)
+    log_top = math.log(n_max + 1)
+    sieve_units = 4 * math.log2(n_max + 1) - 2
+    d_beta, d_s, d_t, d_p = (_rounded_exponent(e, bits)[1]
+                             for e in (p - 1, s, s * (p - 1), p))
+    a = 2 * pf * (sieve_units + d_s * log_top)
+    b = 4 * pf + 2 * d_beta * (math.log(q) + log_top / pf)
+    c = sieve_units + d_t * log_top + 4
+    return (lambda n: ((a * (2 * n + 1) + b) * (n + 2) * q + c) * _PAD,
+            (4 + pf * q * d_s + d_p * math.log(q) + sieve_units
+             + d_p * log_top) * _PAD)
+
+
 def _improved_pass(pair: ExponentPair, ns: range, bits: int) -> list:
     """(value, rel) per n of ns: the improved weight rounded to bits (a raw
-    mpf value), within rel |value| of the true weight.
+    mpf value), within rel eta |value| of the true weight, eta = 2^(1-bits).
 
     Ground-state form: with u(m) = m^s, s = 1/q, beta = p - 1 and
     D_m = u(m+1) - u(m),
@@ -570,10 +646,10 @@ def _improved_pass(pair: ExponentPair, ns: range, bits: int) -> list:
 
     the closed form with n^s multiplied into each bracket.  Each flux power
     F_m = D_m^beta serves the rows n = m and m + 1; u and n^(s beta) come
-    from `_sieve_powers`.  With unit eta = 2^(1-bits), each operation errs
-    by at most 2 eta relative, and a pow x^e by 2 eta plus d_e |ln x|
-    (`_rounded_exponent`: d_s, d_b, d_t for s, beta, s beta).  To first
-    order, with N = n_max = ns[-1] and Omega(k) <= log2(k) prime factors:
+    from `_sieve_powers`.  Each operation errs by at most 2 eta relative,
+    and a pow x^e by 2 eta plus d_e |ln x| (`_rounded_exponent`: d_s, d_b,
+    d_t for s, beta, s beta).  To first order, with N = n_max = ns[-1] and
+    Omega(k) <= log2(k) prime factors:
 
     * sieve: u(k) carries Omega(k) pows, Omega(k) - 1 products and
       d_s ln k, so relative R_u = (4 log2(N+1) - 2) eta + d_s ln(N+1) for
@@ -593,26 +669,20 @@ def _improved_pass(pair: ExponentPair, ns: range, bits: int) -> list:
       B = 4 p eta + 2 d_b Lambda;
     * the quotient adds R_v and 2 eta.
 
-    So rel(n) = (A (2n+1) + B) (n+2) q + R_v + 4 eta.  The neglected
-    products of these terms, and the roundings of the doubles rel is formed
-    in, stay far below the pad of 2^-20 relative while rel < _MAX_REL; no
-    row with a wider bound is decided.
+    So rel(n) eta = (A (2n+1) + B) (n+2) q + R_v + 4 eta
+    (`_pass_bounds`).  The neglected products of these terms, and the
+    roundings of the doubles rel is formed in, stay far below the pad of
+    2^-20 relative while rel eta < _MAX_REL; no row with a wider bound is
+    decided, and no table cell has one (its contract is below 2^-40).
     """
     p, s = pair.p_exact, pair.inv_q_exact
     n_max = ns[-1]
-    eta = 2.0 ** (1 - bits)
-    log_top = math.log(n_max + 1)
-    sieve_units = (4 * math.log2(n_max + 1) - 2) * eta
-    pf, q = float(p), float(pair.q_exact)
-    beta, d_beta = _rounded_exponent(p - 1, bits)
-    s_rounded, d_s = _rounded_exponent(s, bits)
-    t_rounded, d_t = _rounded_exponent(s * (p - 1), bits)
+    rel = _pass_bounds(pair, n_max, bits)[0]
+    beta, s_rounded, t_rounded = (_rounded_exponent(e, bits)[0]
+                                  for e in (p - 1, s, s * (p - 1)))
     spf = _smallest_prime_factors(n_max + 1)
     u = _sieve_powers(s_rounded, n_max + 1, spf, bits)
     v = u if p == 2 else _sieve_powers(t_rounded, n_max, spf, bits)
-    a = 2 * pf * (sieve_units + d_s * log_top)
-    b = 4 * pf * eta + 2 * d_beta * (math.log(q) + log_top / pf)
-    c = sieve_units + d_t * log_top + 4 * eta
     out = []
 
     def flux(m):
@@ -623,8 +693,7 @@ def _improved_pass(pair: ExponentPair, ns: range, bits: int) -> list:
     for n in ns:
         following = flux(n)
         numerator = mpf_sub(previous, following, bits, round_nearest)
-        out.append((mpf_div(numerator, v[n], bits, round_nearest),
-                    ((a * (2 * n + 1) + b) * (n + 2) * q + c) * _PAD))
+        out.append((mpf_div(numerator, v[n], bits, round_nearest), rel(n)))
         previous = following
     return out
 
@@ -637,20 +706,15 @@ def _classical_pass(pair: ExponentPair, ns: range, bits: int) -> list:
     + 2 eta to first order, d_s and d_p from `_rounded_exponent` (d_s
     bounds the rounded s's distance).  n^-p comes from `_sieve_powers`
     (R_v as in `_improved_pass`, with d_p), and the product adds 2 eta.  No
-    subtraction: one rel for every row.
+    subtraction: one rel for every row (`_pass_bounds`).
     """
-    p = pair.p_exact
     n_max = ns[-1]
-    eta = 2.0 ** (1 - bits)
-    q = float(pair.q_exact)
-    s, d_s = _rounded_exponent(pair.inv_q_exact, bits)
-    p_rounded, d_p = _rounded_exponent(p, bits)
+    s, p_rounded = (_rounded_exponent(e, bits)[0]
+                    for e in (pair.inv_q_exact, pair.p_exact))
     constant = mpf_pow(s, p_rounded, bits, round_nearest)
     powers = _sieve_powers(mpf_neg(p_rounded), n_max,
                            _smallest_prime_factors(n_max), bits)
-    rel = (4 * eta + float(p) * q * d_s + d_p * math.log(q)
-           + (4 * math.log2(n_max + 1) - 2) * eta
-           + d_p * math.log(n_max + 1)) * _PAD
+    rel = _pass_bounds(pair, n_max, bits)[1]
     return [(mpf_mul(constant, powers[n], bits, round_nearest), rel)
             for n in ns]
 
@@ -677,8 +741,9 @@ def weight_values_float(pair: ExponentPair, kind: WeightKind, n_max: int,
     if not ns:
         return []
     fast = _improved_pass if kind is WeightKind.IMPROVED else _classical_pass
-    rows = [_rounded_double(value, rel)
-            for value, rel in fast(pair, ns, _float_pass_bits(pair, n_max))]
+    bits = _float_pass_bits(pair, n_max)
+    rows = [_rounded_double(value, math.ldexp(rel, 1 - bits))
+            for value, rel in fast(pair, ns, bits)]
     undecided = [n for n, row in zip(ns, rows) if row is None]
     if undecided:
         exact = iter(_at_own_precision(pair, kind, undecided, FLOAT_DIGITS))

@@ -110,10 +110,13 @@ FLOAT_PASS_P = (F(1001, 1000), F(1014, 1000), F(3, 2), F(2), F(7, 3),
 
 
 def _float_pass(pair: ExponentPair, kind: WeightKind, ns: range) -> list:
-    """(value, rel) of each row from the cheap pass of the float table."""
+    """(value, rel) of each row from the cheap pass of the float table, rel
+    relative (the pass gives it in units of 2^(1-bits))."""
     fast = (weights._improved_pass if kind is WeightKind.IMPROVED
             else weights._classical_pass)
-    return fast(pair, ns, weights._float_pass_bits(pair, ns[-1]))
+    bits = weights._float_pass_bits(pair, ns[-1])
+    return [(value, math.ldexp(rel, 1 - bits))
+            for value, rel in fast(pair, ns, bits)]
 
 
 class TestWeightTable:

@@ -1,6 +1,7 @@
 """Weight evaluation, closed form and correction series, against independent
 high-precision oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -194,44 +195,36 @@ def _one_point_classical(pair, n, bits):
 class TestTableKernel:
     @pytest.mark.parametrize("p", KERNEL_P)
     def test_compare_weights_rows_equal_one_point(self, p):
-        # Rows below the series kernel's start equal the one-point closed
-        # form bit for bit; from the start on, w and the excess agree with a
-        # 4x-precision reference within 2^-B relative, B = contract_bits(D).
-        # At p = 2 a table this size keeps the closed form throughout.
+        # A sparse table takes the direct pows: its rows equal the one-point
+        # closed form bit for bit.  A dense one takes the sieve passes, too
+        # cheap for the series kernel to repay at this size (by direct pows
+        # the rows 7..300 would take it, except at p = 2): every cell is
+        # within 2^-B relative of a 4x-precision reference,
+        # B = contract_bits(D), at no fewer bits than the budget.
         pair = ExponentPair(p)
         digits = 20
-        table = compare_weights(pair, 7, 300, digits)
-        bits = table.precision_bits
         kernel = _series_for(pair, range(7, 301), digits)
         assert (kernel is None) == (p == 2)
-        start = 301 if kernel is None else kernel.start
-        assert 7 < start
-        contract = contract_bits(digits)
-        assert [row.n for row in table.rows] == list(range(7, 301))
+        assert _series_for(pair, range(7, 301), digits, dense=True) is None
+        dense = compare_weights(pair, 7, 300, digits)
+        assert [row.n for row in dense.rows] == list(range(7, 301))
+        assert dense.precision_bits >= (required_precision(pair, 300, digits)
+                                        + math.ceil(2 * math.log2(300)))
+        _assert_cells_meet_contract(dense)
+        sparse = compare_weights(pair, 200, 300, digits)
+        bits = sparse.precision_bits
         with mp.workprec(bits):
             threshold = mpf(10) ** -18
-        for row in table.rows:
+        for row in sparse.rows:
+            w = _one_point_improved(pair, row.n, bits)
             wc = _one_point_classical(pair, row.n, bits)
+            assert row.w_improved.value == w
+            assert w == eval_w_closed_x(pair, F(1, row.n), bits)
             assert row.w_classical.value == wc
-            if row.n < start:
-                w = _one_point_improved(pair, row.n, bits)
-                assert row.w_improved.value == w
-                assert row.w_improved.value == eval_w_closed_x(
-                    pair, F(1, row.n), bits)
-                with mp.workprec(bits):
-                    excess = (w - wc) / wc
-                assert row.ratio_minus_one.value == excess
-            else:
-                excess = row.ratio_minus_one.value
-                w, _, ref = _reference(p, row.n, 4 * bits)
-                with mp.workprec(4 * bits):
-                    assert abs(excess - ref) <= mp.ldexp(ref, -contract)
-                    assert abs(row.w_improved.value - w) <= \
-                        mp.ldexp(w, -contract)
+            with mp.workprec(bits):
+                excess = (w - wc) / wc
+            assert row.ratio_minus_one.value == excess
             assert row.verified_positive == bool(excess > threshold)
-            assert {row.w_improved.precision_bits,
-                    row.w_classical.precision_bits,
-                    row.ratio_minus_one.precision_bits} == {bits}
 
     @pytest.mark.parametrize("p", KERNEL_P)
     def test_ranges_take_each_index_at_its_own_budget(self, p):
@@ -282,6 +275,26 @@ def _reference(p: Fraction, n: int, bits: int):
         w = b ** pm1 * mp.expm1(pm1 * mp.log(a / b))
         wc = s ** p_m / mpf(n) ** p_m
         return w, wc, w / wc - 1
+
+
+def _assert_cells_meet_contract(table, step=1, scale=4):
+    """Every cell of every step-th row within 2^-B relative of the
+    reference at scale times the table's precision, B = contract_bits(D),
+    tagged with that precision, and the row's flag as its excess states."""
+    bits, digits = table.precision_bits, table.target_digits
+    contract = contract_bits(digits)
+    with mp.workprec(bits):
+        threshold = mpf(10) ** (2 - digits)
+    for row in table.rows[::step]:
+        refs = _reference(table.pair.p_exact, row.n, scale * bits)
+        cells = (row.w_improved, row.w_classical, row.ratio_minus_one)
+        with mp.workprec(scale * bits):
+            for cell, ref in zip(cells, refs):
+                assert cell.precision_bits == bits
+                assert abs(cell.value - ref) <= mp.ldexp(abs(ref), -contract), \
+                    (row.n, cell.value, ref)
+        assert row.verified_positive == bool(
+            row.ratio_minus_one.value > threshold)
 
 
 NEAR_ONE = st.integers(1, 19).map(lambda e: 1 + F(1, 10 ** e))
@@ -339,8 +352,7 @@ class TestDigitContract:
         kernel = _series_kernel(pair, contract)
         assert kernel.start <= SERIES_MAX_START < n
         bits = required_precision(pair, n, digits)
-        with mp.workprec(bits):
-            value = kernel.correction(n)
+        value = mp.make_mpf(kernel.correction(n, bits))
         ref_bits = 4 * (bits + math.ceil(2 * math.log2(n)))
         _, _, ref = _reference(p, n, ref_bits)
         with mp.workprec(ref_bits):
@@ -364,6 +376,85 @@ class TestDigitContract:
                                        single.value),
                                       refs + (refs[0],)):
                     assert abs(value - ref) <= tol * abs(ref), (row.n, value)
+
+
+class TestDenseTables:
+    """A dense table, rows at least half of 1..n_max, takes the sieve passes
+    at the least precision at which every cell's derived bound meets the
+    digit contract; checked here against the reference, over p near 1, in
+    the middle, large and integer, n_max <= 300 and D from 15 to 80."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.one_of(
+               NEAR_ONE,
+               st.fractions(F(11, 10), 5, max_denominator=100),
+               st.fractions(5, 20, max_denominator=100),
+               st.integers(2, 20).map(F)),
+           n_max=st.integers(1, 300), lead=st.integers(0, 150),
+           digits=st.integers(15, 80))
+    def test_cells_meet_the_contract(self, p, n_max, lead, digits):
+        n_min = 1 + min(lead, n_max // 2)
+        pair = ExponentPair(p)
+        table = compare_weights(pair, n_min, n_max, digits)
+        assert table.precision_bits >= (required_precision(pair, n_max, digits)
+                                        + math.ceil(2 * math.log2(n_max)))
+        _assert_cells_meet_contract(table)
+
+    def test_deep_table_bounds_are_positive_and_meet_the_contract(self):
+        # At 2,989 bits eta = 2^(1-bits) is below the least double; the
+        # bounds, in units of eta, stay positive and finite.
+        pair, digits, ns = ExponentPair(F(49, 10)), 879, range(1, 40)
+        table = compare_weights(pair, 1, 39, digits)
+        bits, contract = table.precision_bits, contract_bits(digits)
+        assert bits > 1075
+        rels = [rel for _, rel in weights._improved_pass(pair, ns, bits)]
+        rels.append(weights._classical_pass(pair, ns, bits)[0][1])
+        assert all(0 < rel < math.inf for rel in rels)
+        assert _series_for(pair, ns, digits) is None
+        excess = [(row.n, float(row.ratio_minus_one.value))
+                  for row in table.rows]
+        assert weights._bits_for(pair, ns, 39, bits, contract, excess) == bits
+        assert weights._bits_for(pair, ns, 39, contract + 1, contract,
+                                 excess) > contract + 1
+        # The reference's cancellations are under 100 bits of the 2,989
+        # more that it carries at twice the precision.
+        _assert_cells_meet_contract(table, scale=2)
+
+    @pytest.mark.parametrize("p", [F(101, 100), F(16, 5), F(27, 2)])
+    def test_series_rows_of_a_dense_table(self, p):
+        # From the kernel's start on, w = wc (1 + a) with wc from the sieve
+        # pass and a from the kernel.
+        pair = ExponentPair(p)
+        kernel = _series_for(pair, range(1, 1001), 15, dense=True)
+        assert kernel is not None
+        table = compare_weights(pair, 1, 1000, 15)
+        _assert_cells_meet_contract(table, 7)
+        _assert_cells_meet_contract(
+            dataclasses.replace(table, rows=table.rows[kernel.start - 1:]), 50)
+
+    def test_sparse_range_takes_the_direct_pows(self, monkeypatch):
+        pows, closed = [], []
+        pow_of, closed_values = weights.mpf_pow, weights._improved_values
+
+        def counted_pow(*args):
+            pows.append(args)
+            return pow_of(*args)
+
+        def counted_closed(pair, xs, bits):
+            closed.extend(xs)
+            return closed_values(pair, xs, bits)
+
+        monkeypatch.setattr(weights, "mpf_pow", counted_pow)
+        monkeypatch.setattr(weights, "_improved_values", counted_closed)
+        weights._shared_powers.cache_clear()
+        pair = ExponentPair(F(7, 3))
+        compare_weights(pair, 100, 160, 20)           # 61 rows of 1..160
+        assert not pows and len(closed) == 61
+        del closed[:]
+        compare_weights(pair, 1, 160, 20)
+        # One flux pow per row, one pow per prime for each of n^s, n^(s
+        # beta) and n^-p, and s^p; the direct route takes four per row.
+        assert not closed and 160 < len(pows) < 2 * 160
 
 
 TAIL_P = [1 + F(1, 1000), F(1137, 1000), F(3, 2), F(2), F(5, 2), F(16, 5),
@@ -446,13 +537,29 @@ class TestSeriesChoice:
         kernel = _series_for(ExponentPair(F(p)), range(1, n_max + 1), 15)
         assert kernel is not None and kernel.start <= SERIES_MAX_START
 
+    @pytest.mark.parametrize("p, n_max, digits, series", [
+        ("19/4", 608, 41, False),       # a mid table: the passes are cheaper
+        ("27/2", 4000, 15, True),       # a wide table: the series repays
+        ("3", 4000, 15, True),          # integer p: the same 40 K rows
+    ])
+    def test_dense_tables_weigh_the_sieve_passes(self, p, n_max, digits,
+                                                  series):
+        # The same rows by direct pows take the series in each case.
+        pair, ns = ExponentPair(F(p)), range(1, n_max + 1)
+        assert _series_for(pair, ns, digits) is not None
+        assert (_series_for(pair, ns, digits, dense=True) is not None) == series
+
     def test_contract_out_of_reach_keeps_the_closed_form(self):
+        # Every row from the closed form: the ground-state pass in a dense
+        # table, the direct pows in a sparse one.
         pair = ExponentPair(F(5, 2))
         assert _series_reach(pair, contract_bits(80)) is None
-        table = compare_weights(pair, 1, 400, 80)
-        for row in table.rows[::57]:
+        assert _series_for(pair, range(1, 401), 80) is None
+        _assert_cells_meet_contract(compare_weights(pair, 1, 400, 80), 57)
+        sparse = compare_weights(pair, 300, 400, 80)
+        for row in sparse.rows[::57]:
             assert row.w_improved.value == _one_point_improved(
-                pair, row.n, table.precision_bits)
+                pair, row.n, sparse.precision_bits)
 
     def test_unenclosed_majorant_keeps_the_closed_form(self, monkeypatch):
         # Were the enclosure of M(r) to fail, tables keep the closed form.
