@@ -11,6 +11,7 @@ rationals too.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -273,6 +274,9 @@ def cmd_rayleigh(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Built once per process.  The handlers look cmd_* up by module-global name
+# at call time, so a wrapper installed on one sees every later call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Every subcommand takes --out; each other flag only where it is read.
     common = argparse.ArgumentParser(add_help=False)
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index range (default: 1..10)")
     w.add_argument("--digits", type=int, default=40, metavar="D",
                    help="decimal digits of every value (default: 40)")
-    w.set_defaults(handler=cmd_weight)
+    w.set_defaults(handler=lambda args: cmd_weight(args))
 
     s = sub.add_parser("series", parents=[common, formats],
                        help="exact expansion coefficients")
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expand the relative correction series instead; "
                         "positivity of its even coefficients is reported, "
                         "never asserted (open conjecture for non-integer p)")
-    s.set_defaults(handler=cmd_series)
+    s.set_defaults(handler=lambda args: cmd_series(args))
 
     v = sub.add_parser("verify", parents=[common],
                        help="Hardy inequality on random test functions, or "
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None, metavar="S",
                    help=f"master RNG seed of the trials (default: "
                         f"{trials['seed']})")
-    v.set_defaults(handler=cmd_verify)
+    v.set_defaults(handler=lambda args: cmd_verify(args))
 
     l = sub.add_parser("lemmas", parents=[common],
                        help="grid checks of every proof lemma")
@@ -344,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--x-grid", default=None, metavar="START:STOP:STEP")
     l.add_argument("--only", default=None, choices=tuple(pm.LEMMAS),
                    help="run a single check")
-    l.set_defaults(handler=cmd_lemmas)
+    l.set_defaults(handler=lambda args: cmd_lemmas(args))
 
     r = sub.add_parser("rayleigh", parents=[common],
                        help="certified bracket [lower_bound, quotient] for "
@@ -366,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0, metavar="S",
                    help="unused (the minimizer is deterministic); accepted "
                         "for existing command lines")
-    r.set_defaults(handler=cmd_rayleigh)
+    r.set_defaults(handler=lambda args: cmd_rayleigh(args))
     return parser
 
 

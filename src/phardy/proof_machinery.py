@@ -34,22 +34,26 @@ doubles.  Above 53 bits (the decomposition check, at DECOMPOSITION_BITS):
 * the allowances that only scale a tail (F's slope and rounding terms, the
   decomposition's bracket slack) are doubles, each enlarged by a relative
   pad derived where it is computed and rounded toward +infinity with
-  math.nextafter (:func:`_up`); every value (h, the weight, both sides of
-  the decomposition) and every sum of tails stays in mpf.
+  math.nextafter (:func:`_up`);
+* every value (h, the weight, both sides of the decomposition) and every
+  sum of tails is a raw mpmath.libmp value, each operation rounded to
+  nearest at the working precision as mpf arithmetic rounds it (log1p and
+  expm1 by :func:`numerics.mpf_log1p` and :func:`numerics.mpf_expm1`).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_ceiling, round_nearest
+from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_pow, mpf_shift,
+                          mpf_sub, round_ceiling, round_nearest, to_float)
 
 from .numerics import (
     PAIR_CACHE_SIZE,
@@ -57,10 +61,12 @@ from .numerics import (
     binom_general_rational,
     floor_scaled,
     horner_fixed,
+    mpf_expm1,
+    mpf_log1p,
     to_mpf,
 )
 from .series import SeriesValue, _g_argument_series
-from .weights import eval_w1_closed, eval_w_classical, eval_w_closed_x
+from .weights import _improved_values, eval_w1_closed, eval_w_classical
 
 DEFAULT_ORDER = 40
 
@@ -117,20 +123,6 @@ def g_series(pair: ExponentPair, order: int) -> tuple:
             raise AgreementError(
                 f"a_k must decay weakly: a_{k}={coeffs[k]} > a_{k-1}={coeffs[k-1]}")
     return coeffs
-
-
-def _arithmetic(precision_bits: int):
-    """The arithmetic of one working precision: doubles up to 53 bits, mpf above.
-
-    Returns (context, number, unit): the context to evaluate in, the
-    conversion of exact values into the arithmetic, and the unit
-    roundoff every rounding allowance is a multiple of (2^-bits for doubles,
-    2^(1-bits) for mpf).  The double path stays out of mp.workprec, whose
-    entry costs as much as a whole double evaluation of g.
-    """
-    if precision_bits <= 53:
-        return nullcontext(), float, 2.0 ** (-precision_bits)
-    return mp.workprec(precision_bits), to_mpf, mpf(2) ** (1 - precision_bits)
 
 
 def _table(coeffs, precision_bits: int) -> tuple:
@@ -352,12 +344,10 @@ def _h_slope(alpha: float, s: float, unit: float) -> float:
     return abs(alpha) * n / (1 + s)
 
 
-def _h_rounding(alpha, t, u, h, unit) -> float:
+def _h_rounding(u: float, at: float, h: float, unit: float) -> float:
     """The rounding allowance of h(t), 8 units of |u| e^|u| + |alpha t| + |h|,
-    in doubles (derived in :func:`eval_F`)."""
-    u = float(u)
-    return 8 * float(unit) * (abs(u) * math.exp(abs(u)) + abs(float(alpha * t))
-                              + abs(float(h)))
+    from u, alpha t and h as doubles (derived in :func:`eval_F`)."""
+    return 8 * unit * (abs(u) * math.exp(abs(u)) + abs(at) + abs(h))
 
 
 def _slope_bound(alpha: float, lo: float, hi: float) -> float:
@@ -366,10 +356,15 @@ def _slope_bound(alpha: float, lo: float, hi: float) -> float:
     return _up(max(_h_slope(alpha, s, _DOUBLE_UNIT) for s in (lo, hi)), 4)
 
 
-def _rounding_bound(alpha, t, u, h, unit) -> float:
+def _rounding_bound(u: float, at: float, h: float, unit: float) -> float:
     """Above 53 bits: h(t)'s rounding allowance, a padded double upper bound
     (derived in :func:`eval_F`)."""
-    return _up(_h_rounding(alpha, t, u, h, unit), abs(float(u)) + 8)
+    return _up(_h_rounding(u, at, h, unit), abs(u) + 8)
+
+
+def _not_positive(pair: ExponentPair, x, gap) -> AgreementError:
+    return AgreementError(f"1 + g - tail = {gap} is not positive at "
+                          f"p={pair.p_float()}, x={float(x)}")
 
 
 def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
@@ -378,8 +373,10 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
 
     h(t) = expm1(alpha log1p(t)) - alpha t, alpha = p - 1 rounded once, does
     not cancel for small t; the only truncation is g's, at series_order.
-    Tail bound per h, for the computed g = t with tail tau, in units of
-    _arithmetic (each operation, log1p and expm1 errs by at most 2 units):
+    Tail bound per h, for the computed g = t with tail tau, in units of the
+    arithmetic, 2^-bits for doubles and 2^(1-bits) above (each operation,
+    log1p and expm1 errs by at most 2 units; numerics.mpf_log1p and
+    mpf_expm1 state their bound of one):
 
     * inner error: h'(s) = alpha((1+s)^(alpha-1) - 1) is monotone, so
       |h(g) - h(t)| <= max(|h'(lo)|, |h'(hi)|) tau for lo, hi = t -+ tau,
@@ -392,8 +389,9 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
       |h|: in all 8 units of |u| e^|u| + |alpha t| + |h|.  (e^|u| is taken
       in doubles: it only scales an allowance.)
 
-    Above 53 bits h's value, the guard below and the sums of the tail stay
-    in mpf, and both allowances are doubles (units of 2^-53 there), each
+    Above 53 bits h's value, the guard below and the sums of the tail are
+    raw mpf values at precision_bits, rounded to nearest operation by
+    operation, and both allowances are doubles (units of 2^-53 there), each
     enlarged by its relative pad and rounded up (:func:`_up`):
 
     * the slope: lo and hi are rounded outward to doubles (float() of an
@@ -412,33 +410,65 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
     The final subtraction adds 4 units of |F|.  h' diverges at t = -1 when
     p < 2, so 1 + g - tail not positive (either sign) raises AgreementError.
     """
-    doubles = precision_bits <= 53
-    context, number, unit = _arithmetic(precision_bits)
-    log1p, expm1 = (math.log1p, math.expm1) if doubles else (mp.log1p, mp.expm1)
-    with context:
-        alpha = number(pair.p_exact - 1)
-        value = tail = number(0)
+    if precision_bits <= 53:
+        unit = 2.0 ** (-precision_bits)
+        alpha = float(pair.p_exact - 1)
+        value = tail = 0.0
         for sign in (-1, +1):
             t, tau = eval_g(pair, x, sign, series_order, precision_bits)
             reach = tau + 2 * unit * (abs(t) + tau)
             lo, hi = t - reach, t + reach
-            if not doubles:
-                lo = math.nextafter(float(lo), -math.inf)
-                hi = math.nextafter(float(hi), math.inf)
             if not (1 + t - reach > 0 and lo > -1):
-                raise AgreementError(
-                    f"1 + g - tail = {1 + t - tau} is not positive at "
-                    f"p={pair.p_float()}, x={float(x)}")
-            u = alpha * log1p(t)
-            h = expm1(u) - alpha * t
+                raise _not_positive(pair, x, 1 + t - tau)
+            u = alpha * math.log1p(t)
+            at = alpha * t
+            h = math.expm1(u) - at
             value -= sign * h
-            if doubles:
-                tail += _h_rounding(alpha, t, u, h, unit)
-                tail += max(_h_slope(alpha, s, unit) for s in (lo, hi)) * tau
-            else:
-                tail += _rounding_bound(alpha, t, u, h, unit)
-                tail += _up(_slope_bound(float(alpha), lo, hi) * _up(float(tau)))
+            tail += _h_rounding(u, at, h, unit)
+            tail += max(_h_slope(alpha, s, unit) for s in (lo, hi)) * tau
         return SeriesValue(value, tail + 4 * unit * abs(value))
+    bits = precision_bits
+    add, sub, mul = _raw_ops(bits)
+    alpha = _alpha_raw(pair, bits)
+    value = tail = fzero
+    for sign in (-1, +1):
+        t, tau = (v._mpf_ for v in eval_g(pair, x, sign, series_order, bits))
+        reach = add(tau, mpf_shift(add(mpf_abs(t), tau), 2 - bits))  # 2 unit
+        lo = math.nextafter(_float(sub(t, reach)), -math.inf)
+        hi = math.nextafter(_float(add(t, reach)), math.inf)
+        one_t = add(t, fone)
+        if not (mpf_gt(sub(one_t, reach), fzero) and lo > -1):
+            with mp.workprec(bits):
+                raise _not_positive(pair, x, mp.make_mpf(sub(one_t, tau)))
+        u = mul(alpha, mpf_log1p(t, bits))
+        at = mul(alpha, t)
+        h = sub(mpf_expm1(u, bits), at)
+        value = (add if sign < 0 else sub)(value, h)
+        tail = add(tail, from_float(_rounding_bound(
+            _float(u), _float(at), _float(h), 2.0 ** (1 - bits))))
+        tail = add(tail, from_float(
+            _up(_slope_bound(_float(alpha), lo, hi) * _up(_float(tau)))))
+    tail = add(tail, mpf_shift(mpf_abs(value), 3 - bits))       # 4 unit |F|
+    return SeriesValue(mp.make_mpf(value), mp.make_mpf(tail))
+
+
+def _raw_ops(bits: int) -> tuple:
+    """mpf_add, mpf_sub and mpf_mul on raw values at bits, rounding to
+    nearest as mpf arithmetic does."""
+    return tuple(lambda a, b, op=op: op(a, b, bits, round_nearest)
+                 for op in (mpf_add, mpf_sub, mpf_mul))
+
+
+def _float(value: tuple) -> float:
+    """A raw mpf as the double that float() of its mpf is."""
+    return to_float(value, rnd=round_nearest)
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _alpha_raw(pair: ExponentPair, precision_bits: int) -> tuple:
+    """alpha = p - 1 rounded once to precision_bits, as a raw mpf."""
+    with mp.workprec(precision_bits):
+        return to_mpf(pair.p_exact - 1)._mpf_
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +693,27 @@ def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
     rounding allowance of :func:`_bracket_slack`.
     """
     bits = DECOMPOSITION_BITS
+    add, sub, mul = _raw_ops(bits)
     with mp.workprec(bits):
-        q = pair.q_mpf(bits)
-        pm1 = pair.p_mpf(bits) - 1
+        q = pair.q_mpf(bits)._mpf_
+        pm1 = (pair.p_mpf(bits) - 1)._mpf_
+        xms = [to_mpf(x) for x in x_grid]
+    rows = iter(zip(xms, _improved_values(pair, xms, bits)))
 
-        def point(x):
-            xm = to_mpf(x)
-            lhs = eval_w_closed_x(pair, xm, bits)
-            e = eval_E(pair, xm, DEFAULT_ORDER, bits)
-            f = eval_F(pair, xm, DEFAULT_ORDER, bits)
-            prefactor = (xm / q) ** pm1
-            rhs = prefactor * (xm / q + e.value + f.value)
-            residual = abs(lhs - rhs)
-            tol = (prefactor * (e.tail_bound + f.tail_bound)
-                   + _bracket_slack(pair, xm, lhs, rhs, bits))
-            return float(tol - residual), float(residual), float(tol)
-        return _x_grid_check("bracket decomposition", pair, x_grid, point,
-                             precision_bits=bits)
+    def point(x):
+        xm, lhs = next(rows)            # point runs once per x, in grid order
+        e = eval_E(pair, xm, DEFAULT_ORDER, bits)
+        f = eval_F(pair, xm, DEFAULT_ORDER, bits)
+        xq = mpf_div(xm._mpf_, q, bits, round_nearest)
+        prefactor = mpf_pow(xq, pm1, bits, round_nearest)
+        rhs = mul(prefactor, add(add(xq, e.value._mpf_), f.value._mpf_))
+        residual = mpf_abs(sub(lhs, rhs))
+        slack = _bracket_slack(pair, xm, _float(lhs), _float(rhs), bits)
+        tol = add(mul(prefactor, add(e.tail_bound._mpf_, f.tail_bound._mpf_)),
+                  from_float(slack))
+        return _float(sub(tol, residual)), _float(residual), _float(tol)
+    return _x_grid_check("bracket decomposition", pair, x_grid, point,
+                         precision_bits=bits)
 
 
 def check_n1_case() -> GridCheckReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -75,7 +76,8 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
     O(order^2) ring operations: f = (1+h)^alpha satisfies
     (1+h) f' = alpha h' f, so f_0 = 1 and
     k f_k = sum_{j=1..k} ((alpha+1) j - k) h_j f_{k-j}.
-    Exact.
+    Exact, on Python ints: with alpha + 1 = a/b, each k f_k is summed over
+    a running common denominator (math.gcd) and reduced once.
     """
     if h.coeffs[0] != 0:
         raise ValueError("series_pow_binomial requires a zero constant term")
@@ -84,15 +86,20 @@ def series_pow_binomial(h: PowerSeries, alpha, order: int) -> PowerSeries:
         raise ValueError(
             f"h must carry coefficients up to the requested order {order}")
     alpha_1 = Fraction(alpha) + 1
-    terms = [(j, hj) for j, hj in enumerate(h.coeffs) if j and hj != 0]
+    a, b = alpha_1.numerator, alpha_1.denominator
+    terms = [(j, hj.numerator, hj.denominator)
+             for j, hj in enumerate(map(Fraction, h.coeffs)) if j and hj]
     f = [Fraction(1)]
     for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j, hj in terms:
+        num, den = 0, 1
+        for j, hn, hd in terms:
             if j > k:
                 break
-            acc += (alpha_1 * j - k) * hj * f[k - j]
-        f.append(acc / k)
+            fj = f[k - j]
+            tn, td = (a * j - b * k) * hn * fj.numerator, hd * fj.denominator
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + tn * (den // g), den // g * td
+        f.append(Fraction(num, den * b * k))
     return PowerSeries(tuple(f))
 
 

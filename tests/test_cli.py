@@ -494,6 +494,31 @@ class TestReproducibility:
         assert target.read_text() == out
 
 
+class TestParserOncePerProcess:
+    ARGV = ("lemmas", "--only", "decomposition", "--p", "3/2",
+            "--x-grid", "1/10:1/2:1/10")
+
+    def test_two_calls_share_one_parser_and_match_a_fresh_process(
+            self, capsys, monkeypatch):
+        parser = build_parser()
+        assert build_parser() is parser
+        calls = []
+        honest = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda argv=None: calls.append(argv) or honest(argv))
+        first = run_cli(capsys, *self.ARGV)
+        second = run_cli(capsys, *self.ARGV)
+        assert len(calls) == 2
+        assert first == second
+        fresh = run_phardy(*self.ARGV)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
+
+    def test_handlers_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        build_parser()
+        monkeypatch.setattr(cli, "cmd_lemmas", lambda args: 7)
+        assert main(list(self.ARGV)) == 7
+
+
 class TestWeightSerialization:
     """The table export writes each value as PrecReal.to_decimal does."""
 

@@ -4,10 +4,12 @@ fixed-point Horner sum."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, fzero, to_rational
 
 from phardy.numerics import (
     ExponentPair,
@@ -17,6 +19,8 @@ from phardy.numerics import (
     binom_rational_sequence,
     floor_scaled,
     horner_fixed,
+    mpf_expm1,
+    mpf_log1p,
     required_precision,
 )
 
@@ -170,6 +174,77 @@ class TestHornerFixed:
             exact = c + t * exact
             acc = horner_fixed(table[:j + 1], y, shift)
             assert abs(acc - exact * 2 ** scale) < bound
+
+
+@st.composite
+def raw_arguments(draw):
+    """(P, t): a precision P in 53..400 and a raw mpf t in (-1/2, 1/2] of at
+    most P bits, from 1/2 down to about 2^(-2P)."""
+    prec = draw(st.integers(min_value=53, max_value=400))
+    bits = draw(st.integers(min_value=1, max_value=prec))
+    man = draw(st.integers(min_value=1 - (1 << (bits - 1)),
+                           max_value=1 << (bits - 1)))
+    shift = draw(st.integers(min_value=0, max_value=2 * prec))
+    return prec, from_man_exp(man, -bits - shift)
+
+
+def _exact(raw) -> Fraction:
+    return Fraction(*to_rational(raw))
+
+
+class TestLog1pExpm1:
+    """The raw log1p and expm1 against mpmath at four times the precision:
+    within their stated bound of 2^-P (1 + 2^-7) relative."""
+
+    @given(raw_arguments())
+    @settings(max_examples=300, deadline=None)
+    def test_within_the_stated_bound(self, case):
+        prec, t = case
+        # The 4P-bit references err by under 2^(2-4P) relative.
+        rel = Fraction(129, 128 * 2 ** prec) + Fraction(4, 2 ** (4 * prec))
+        for raw, reference in ((mpf_log1p, mp.log1p), (mpf_expm1, mp.expm1)):
+            with mp.workprec(4 * prec):
+                exact = _exact(reference(mp.make_mpf(t))._mpf_)
+            assert abs(_exact(raw(t, prec)) - exact) <= rel * abs(exact)
+
+
+MPMATH_1_3 = mpmath.__version__.startswith("1.3.")
+
+
+@pytest.mark.skipif(not MPMATH_1_3, reason="bit equality with mp.log1p and "
+                    "mp.expm1 is a contract with mpmath 1.3.x only")
+class TestLog1pExpm1BitForBit:
+    @staticmethod
+    def assert_as_mpmath(t, prec):
+        with mp.workprec(prec):
+            assert mpf_log1p(t, prec) == mp.log1p(mp.make_mpf(t))._mpf_
+            assert mpf_expm1(t, prec) == mp.expm1(mp.make_mpf(t))._mpf_
+
+    @pytest.mark.parametrize("prec", [53, 64, 113, 200, 400])
+    def test_edge_arguments(self, prec):
+        cases = [
+            fzero,
+            # |t| < 2^-(P+10): the short series t -+ t^2/2
+            from_man_exp(3, -prec - 13), from_man_exp(-5, -prec - 14),
+            from_man_exp((1 << 60) - 1, -prec - 71),
+            # just above that threshold: the library log and exp
+            from_man_exp(1, -prec - 10), from_man_exp(-1, -prec - 10),
+            # exp(u) - 1 cancels about P bits: sum_accurately loops again
+            from_man_exp(1, -prec - 5), from_man_exp(-7, -prec),
+            from_man_exp(1, -1), from_man_exp(-(1 << 52) + 1, -53),
+            from_man_exp((1 << prec) // 3, -prec - 1),
+        ]
+        for t in cases:
+            self.assert_as_mpmath(t, prec)
+        with mp.workprec(prec):
+            u = from_man_exp(1, -prec - 5)
+            assert mp.mag(mp.exp(mp.make_mpf(u)) - 1) < -prec  # it cancels
+
+    @given(raw_arguments())
+    @settings(max_examples=300, deadline=None)
+    def test_random_arguments(self, case):
+        prec, t = case
+        self.assert_as_mpmath(t, prec)
 
 
 class TestExponentPair:

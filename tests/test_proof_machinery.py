@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from mpmath import mp, mpf
 from phardy import proof_machinery as pm
 from phardy.numerics import ExponentPair, to_mpf
 from phardy.series import SeriesValue
+from phardy.weights import eval_w_closed_x
 
 F = Fraction
 
@@ -200,10 +202,13 @@ class TestEvalF:
         shifts = {-1: shift_minus, +1: shift_plus}
 
         def shifted_g(pair, x, sign, order, precision_bits):
-            context, number, _ = pm._arithmetic(precision_bits)
-            with context:
+            # In eval_g's arithmetic: doubles up to 53 bits, mpf above.
+            if precision_bits <= 53:
                 g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
-                return SeriesValue(number(g), number(tau))
+                return SeriesValue(float(g), tau)
+            with mp.workprec(precision_bits):
+                g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
+                return SeriesValue(+g, mpf(tau))
 
         monkeypatch.setattr(pm, "eval_g", shifted_g)
         value, tail = pm.eval_F(pair, x, precision_bits=bits)
@@ -234,9 +239,9 @@ class TestEvalF:
     @pytest.mark.parametrize("bits", [53, 113])
     def test_g_bound_at_minus_one_is_an_error(self, monkeypatch, bits):
         # h'(t) diverges at t = -1 for p < 2, so F needs 1 + g - tail > 0.
-        monkeypatch.setattr(pm, "eval_g",
-                            lambda *args, **kwargs: SeriesValue(-0.99, 0.02))
-        with pytest.raises(pm.AgreementError):
+        monkeypatch.setattr(pm, "eval_g", lambda *args, **kwargs: SeriesValue(
+            mpf(-0.99), mpf(0.02)))
+        with pytest.raises(pm.AgreementError, match="is not positive"):
             pm.eval_F(ExponentPair(F(3, 2)), 0.3, precision_bits=bits)
 
 
@@ -330,7 +335,9 @@ class TestDoubleAllowances:
             lo = math.nextafter(float(ends[0]), -math.inf)
             hi = math.nextafter(float(ends[1]), math.inf)
             slope = pm._slope_bound(float(alpha), lo, hi)
-            rounding = pm._rounding_bound(alpha, t, u, h, unit)
+            with mp.workprec(bits):
+                rounding = pm._rounding_bound(float(u), float(alpha * t),
+                                              float(h), float(unit))
             with mp.workprec(400):
                 exact_alpha = to_mpf(p - 1)
                 exact_slope = max(
@@ -348,7 +355,7 @@ class TestDoubleAllowances:
         pair = ExponentPair(p)
         with mp.workprec(bits):
             xm = to_mpf(x)
-            lhs = pm.eval_w_closed_x(pair, xm, bits)
+            lhs = eval_w_closed_x(pair, xm, bits)
             rhs = lhs * (1 + mpf(2) ** -100)
         slack = pm._bracket_slack(pair, xm, lhs, rhs, bits)
         with mp.workprec(400):
@@ -363,18 +370,100 @@ class TestDoubleAllowances:
             assert slack >= exact_slack
 
 
+# 25 points of (0, 1/2]: doubles, exact rationals and the ends.
+X_SAMPLE = ([0.001, 0.5, F(1, 3), F(1, 7), 2.0 ** -10]
+            + [j / 40 for j in range(1, 20)] + [F(49, 100)])
+MPMATH_1_3 = mpmath.__version__.startswith("1.3.")
+
+
+def f_on_mpf_objects(pair, x, bits):
+    """eval_F above 53 bits as the same operations on mpf objects give it,
+    with mp.log1p and mp.expm1 (the derivation's arithmetic, term by
+    term)."""
+    with mp.workprec(bits):
+        unit = mpf(2) ** (1 - bits)
+        alpha = to_mpf(pair.p_exact - 1)
+        value = tail = mpf(0)
+        for sign in (-1, +1):
+            t, tau = pm.eval_g(pair, x, sign, pm.DEFAULT_ORDER, bits)
+            reach = tau + 2 * unit * (abs(t) + tau)
+            lo = math.nextafter(float(t - reach), -math.inf)
+            hi = math.nextafter(float(t + reach), math.inf)
+            u = alpha * mp.log1p(t)
+            h = mp.expm1(u) - alpha * t
+            value -= sign * h
+            tail += pm._rounding_bound(float(u), float(alpha * t), float(h),
+                                       float(unit))
+            tail += pm._up(pm._slope_bound(float(alpha), lo, hi)
+                           * pm._up(float(tau)))
+        return value, tail + 4 * unit * abs(value)
+
+
+class TestRawPaths:
+    """Above 53 bits F and the decomposition check run on raw libmp values;
+    they must give what the same operations on mpf objects give."""
+
+    @pytest.mark.skipif(not MPMATH_1_3, reason="the raw log1p and expm1 "
+                        "round as mpmath 1.3.x does")
+    @pytest.mark.parametrize("bits", [64, 113, 200])
+    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(7, 3), F(10)], ids=str)
+    def test_f_as_on_mpf_objects(self, p, bits):
+        pair = ExponentPair(p)
+        for x in X_SAMPLE:
+            with mp.workprec(bits):
+                xm = to_mpf(x)
+            value, tail = pm.eval_F(pair, xm, precision_bits=bits)
+            assert (value, tail) == f_on_mpf_objects(pair, xm, bits)
+
+    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(10)], ids=str)
+    def test_decomposition_points_as_one_point_compositions(self, monkeypatch,
+                                                            p):
+        seen = []
+        honest = pm._x_grid_check
+
+        def recording(description, pair, x_grid, point, **extra):
+            def recorded(x):
+                seen.append((x, point(x)))
+                return seen[-1][1]
+            return honest(description, pair, x_grid, recorded, **extra)
+
+        monkeypatch.setattr(pm, "_x_grid_check", recording)
+        pair = ExponentPair(p)
+        pm.check_decomposition_identity(pair, X_SAMPLE)
+        assert [x for x, _ in seen] == list(X_SAMPLE)
+        bits = pm.DECOMPOSITION_BITS
+        for x, got in seen:
+            with mp.workprec(bits):
+                xm = to_mpf(x)
+                q = pair.q_mpf(bits)
+                lhs = eval_w_closed_x(pair, xm, bits)
+                e = pm.eval_E(pair, xm, pm.DEFAULT_ORDER, bits)
+                f = pm.eval_F(pair, xm, pm.DEFAULT_ORDER, bits)
+                prefactor = (xm / q) ** (pair.p_mpf(bits) - 1)
+                rhs = prefactor * (xm / q + e.value + f.value)
+                residual = abs(lhs - rhs)
+                tol = (prefactor * (e.tail_bound + f.tail_bound)
+                       + pm._bracket_slack(pair, xm, lhs, rhs, bits))
+                assert got == (float(tol - residual), float(residual),
+                               float(tol))
+
+
 class TestDecompositionSensitivity:
     """A weight off by a relative epsilon must fail the decomposition check:
     the tolerance is tight enough to see it."""
 
     @staticmethod
     def bent(monkeypatch, digits):
-        honest = pm.eval_w_closed_x
+        # The check reads its closed-form column from _improved_values.
+        honest = pm._improved_values
 
-        def bent(pair, x, precision_bits):
-            return honest(pair, x, precision_bits) * (1 + mpf(10) ** -digits)
+        def bent(pair, xs, precision_bits):
+            with mp.workprec(precision_bits):
+                factor = 1 + mpf(10) ** -digits
+                return [(mp.make_mpf(w) * factor)._mpf_
+                        for w in honest(pair, xs, precision_bits)]
 
-        monkeypatch.setattr(pm, "eval_w_closed_x", bent)
+        monkeypatch.setattr(pm, "_improved_values", bent)
 
     @pytest.mark.parametrize("digits, p", [
         *[(28, p) for p in (F(3, 2), F(2), F(7, 2))],
@@ -473,7 +562,7 @@ class TestGridChecks:
         with mp.workprec(200):
             oracle = 2 - mp.sqrt(mpf(1) / 2) - mp.sqrt(mpf(3) / 2)
             pair = ExponentPair(2)
-            lhs = pm.eval_w_closed_x(pair, mpf(1) / 2, 200)
+            lhs = eval_w_closed_x(pair, mpf(1) / 2, 200)
             e = pm.eval_E(pair, mpf(1) / 2, precision_bits=200)
             f = pm.eval_F(pair, mpf(1) / 2, precision_bits=200)
             q = pair.q_mpf(200)

@@ -1,5 +1,6 @@
 """Power-series plumbing and the exact weight expansions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -157,6 +158,25 @@ class TestMillerRecurrence:
         assert (series_pow_binomial(h, alpha, order).coeffs
                 == _binomial_sum(h, alpha, order))
 
+    @pytest.mark.parametrize("alpha, seed, order", [
+        (3, 7, 12),             # an integer alpha: a polynomial in h
+        (-2, 8, 12),            # a negative integer alpha
+        (F(-5, 3), 9, 12),      # a negative fractional alpha
+        (F(7, 3), 10, 60),
+    ], ids=str)
+    def test_more_exponents_and_a_long_order(self, alpha, seed, order):
+        h = _random_h(seed, order)
+        f = series_pow_binomial(h, alpha, order)
+        assert f.coeffs == _binomial_sum(h, alpha, order)
+        assert all(type(c) is Fraction for c in f.coeffs)
+
+    def test_binomial_series_of_one_plus_x(self):
+        # (1 + x)^alpha has the coefficients binom(alpha, k) themselves.
+        h = PowerSeries((F(0), F(1)) + (F(0),) * 59)
+        for alpha in (F(-7, 2), F(1, 3), -4, 5):
+            assert (list(series_pow_binomial(h, alpha, 60).coeffs)
+                    == binom_rational_sequence(F(alpha), 60))
+
 
 class TestWeightExpansion:
     def test_published_table_p2(self):
@@ -204,7 +224,19 @@ class TestWeightExpansion:
         assert text == "k,c_k\n0,1/4\n1,0\n2,5/64\n"
 
 
+# SHA-256 of the newline-joined coefficient strings of
+# expand_correction(ExponentPair("7/3"), 80), from the Fraction-arithmetic
+# recurrence that the integer-pair one replaced.
+CORRECTION_7_3_ORDER_80 = (
+    "86ffafed7de746c8f2e4126e6be33f10a36c9c6129baea0638496304de98b76f")
+
+
 class TestCorrectionSeries:
+    def test_order_80_at_7_3_is_pinned(self):
+        series = expand_correction(ExponentPair("7/3"), 80)
+        text = "\n".join(map(str, series.coeffs))
+        assert hashlib.sha256(text.encode()).hexdigest() == CORRECTION_7_3_ORDER_80
+
     @pytest.mark.parametrize("p", [F(2), F(3), F(4), F(5), F(7, 2)])
     def test_second_and_fourth_coefficients(self, p):
         series = expand_correction(ExponentPair(p), 4)
