@@ -5,7 +5,12 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage
 error.  Every JSON report echoes its configuration under a "config" key so
 tables can be reproduced without a lab notebook.  p is accepted as an exact
 rational string ("3/2") or a decimal ("2.5"); decimals are parsed as exact
-rationals too.
+rationals too.  A command that would allocate more than MAX_POINTS rows,
+sites, trials or grid points is refused with exit code 2 before it
+allocates any.
+
+Only `verify`'s trials and `rayleigh` run the float layer (`verify.py`), so
+only they import it, and numpy with it.
 """
 
 from __future__ import annotations
@@ -29,16 +34,30 @@ from .series import (
     expand_w_integer_p,
     nonpositive_even_positions,
 )
-from .verify import minimize_rayleigh, run_hardy_trials
 from .weights import WeightKind, compare_weights, eval_w
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# The most weight rows, ground-state sites, Rayleigh sites, trials, support
+# sites or grid points one command accepts: ten times the largest size that
+# the tests, demos, README, benchmark and recorded timings use (10^5 weight
+# rows).  A size is counted before anything is allocated, so a larger one
+# is a usage error, not a MemoryError or a grid that is never done being
+# built.  A size below the limit may still take minutes and gigabytes:
+# 10^5 rows of `weight` at 15 digits peak near 0.2 GB.
+MAX_POINTS = 10 ** 6
+
 
 class UsageError(ValueError):
     pass
+
+
+def _check_size(what: str, count: int) -> None:
+    if count > MAX_POINTS:
+        raise UsageError(f"{what} needs {count} points; at most "
+                         f"{MAX_POINTS} are accepted")
 
 
 def _parse_p(text: str) -> Fraction:
@@ -71,6 +90,7 @@ def _parse_grid(text: str) -> list:
             f"cannot parse grid {text!r}; expected START:STOP:STEP") from None
     if step <= 0 or stop < start:
         raise UsageError(f"degenerate grid {text!r}")
+    _check_size(f"grid {text!r}", (stop - start) // step + 1)
     values = []
     v = start
     while v <= stop:
@@ -98,6 +118,7 @@ def _json_report(config: dict, body: dict) -> str:
 def cmd_weight(args) -> int:
     p = _parse_p(args.p)
     n_min, n_max = _parse_n_range(args.n)
+    _check_size(f"--n {args.n}", n_max - n_min + 1)
     pair = ExponentPair(p)
     table = compare_weights(pair, n_min, n_max, args.digits)
     if args.format == "csv":
@@ -170,6 +191,8 @@ def cmd_verify(args) -> int:
     pair = ExponentPair(p)
     if args.supersolution:
         n_min, n_max = _parse_n_range(settings["n"])
+        # The ground state is built on 0..n_max + 1 whatever n_min is.
+        _check_size(f"--n {settings['n']}", n_max + 2)
         digits = settings["digits"]
         if digits <= 12:
             raise UsageError(
@@ -204,6 +227,9 @@ def cmd_verify(args) -> int:
             "pass": passed,
         }), args.out)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
+    _check_size("--trials", settings["trials"])
+    _check_size("--support", settings["support"])
+    from .verify import run_hardy_trials
     summary = run_hardy_trials(pair, settings["trials"], settings["support"],
                                settings["seed"])
     config = {"subcommand": "verify", "mode": "trials", "p": str(p),
@@ -252,6 +278,8 @@ def cmd_rayleigh(args) -> int:
     p = _parse_p(args.p)
     pair = ExponentPair(p)
     kind = WeightKind(args.weight)
+    _check_size("--N", args.N)
+    from .verify import minimize_rayleigh
     result = minimize_rayleigh(pair, kind, args.N, max_iters=args.max_iters,
                                tol=args.tol)
     config = {"subcommand": "rayleigh", "p": str(p), "weight": args.weight,

@@ -167,6 +167,32 @@ def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple
     return _table(out, precision_bits)
 
 
+class _PairConstants(NamedTuple):
+    """What the point evaluators derive from p alone, formed once per pair:
+    for eval_E 2(p - 1) and, indexed by delta, its tail units and agreement
+    allowance; for _bracket_slack 1/q, p - 2 and |p - 1| + 1 as doubles."""
+    two_pm1: Fraction
+    e_units: tuple
+    e_agree: tuple
+    inv_q: float
+    p_minus_2: float
+    pm1_plus_1: float
+
+
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair_constants(pair: ExponentPair) -> _PairConstants:
+    two_pm1 = 2 * (pair.p_exact - 1)
+    units = (3, 5)                      # 3 + 2 delta, delta = 0 or 1
+    # |value - value_b| is an integer, so it exceeds the allowance
+    # (2(p-1) + 1) units + 1 exactly when it exceeds that allowance's floor.
+    return _PairConstants(
+        two_pm1,
+        tuple(math.ceil(two_pm1 * u) + 1 for u in units),
+        tuple(math.floor((two_pm1 + 1) * u + 1) for u in units),
+        float(pair.inv_q_exact), float(pair.p_exact - 2),
+        float(abs(pair.p_exact - 1) + 1))
+
+
 def _fixed(x, precision_bits: int) -> tuple:
     """(B, floor(x 2^B), whether that floor dropped anything) for a double,
     mpf or Fraction x > 0; B = precision_bits + FIXED_GUARD_BITS."""
@@ -304,14 +330,14 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
         scale, X, inexact = _fixed(x, precision_bits)
         value, value_b = (horner_fixed(c[top:2:-2], X * X, 2 * scale) * X ** 3
                           >> 3 * scale for c in (a, e_bin))
-        two_pm1 = 2 * (pair.p_exact - 1)
+        const = _pair_constants(pair)
+        two_pm1 = const.two_pm1
         value = value * two_pm1.numerator // two_pm1.denominator
-        units = 3 + 2 * inexact
-        if abs(value - value_b) > (two_pm1 + 1) * units + 1:
+        if abs(value - value_b) > const.e_agree[inexact]:
             raise AgreementError(
                 f"E formulas disagree at p={pair.p_float()}, x={xf}: "
                 f"{value} vs {value_b} units of 2^-{scale}")
-        return _fixed_result(value, math.ceil(two_pm1 * units) + 1, a[order],
+        return _fixed_result(value, const.e_units[inexact], a[order],
                              two_pm1, X, inexact, order, precision_bits)
     x = xf
     unit = 2.0 ** (-precision_bits)
@@ -674,14 +700,14 @@ def _bracket_slack(pair: ExponentPair, x, lhs, rhs, precision_bits: int) -> floa
     final pad of 8 units.
     """
     xf = float(x)
-    s = float(pair.inv_q_exact)
-    e = float(pair.p_exact - 2)
+    const = _pair_constants(pair)
+    s, e = const.inv_q, const.p_minus_2
     powers = 0.0
     for v in (-math.expm1(s * math.log1p(-xf)), math.expm1(s * math.log1p(xf))):
         log_v = math.log(v)
         powers += _up(math.exp(e * log_v), abs(e) * (11 + 4 * abs(log_v)) + 2)
     eps64 = 2.0 ** (7 - precision_bits)
-    return _up(eps64 * float(abs(pair.p_exact - 1) + 1) * powers
+    return _up(eps64 * const.pm1_plus_1 * powers
                + eps64 * (abs(float(lhs)) + abs(float(rhs)) + 1), 8)
 
 

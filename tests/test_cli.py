@@ -34,17 +34,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_phardy(*argv, python_args=()):
-    """The CLI in its own process, so that an uncaught exception shows as a
-    traceback on stderr rather than as a failure of the calling test;
-    python_args go to the interpreter."""
+def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cap_address_space(limit_bytes):
+    """A preexec_fn that caps the child's address space, so a size check
+    that regressed ends in a MemoryError, not in the machine's swap."""
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    return cap
+
+
+def run_phardy(*argv, python_args=(), memory_limit=None, timeout=300):
+    """The CLI in its own process, so that an uncaught exception shows as a
+    traceback on stderr rather than as a failure of the calling test;
+    python_args go to the interpreter, and memory_limit (bytes) caps the
+    child's address space."""
     return subprocess.run([sys.executable, *python_args, "-m", "phardy.cli",
                            *argv],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
+                          cwd=ROOT, env=_child_env(), capture_output=True,
+                          text=True, timeout=timeout,
+                          preexec_fn=memory_limit and _cap_address_space(
+                              memory_limit))
 
 
 class TestSeriesCommand:
@@ -393,6 +409,59 @@ class TestEdgeInputs:
             assert text in (result.stdout if expected == 0 else result.stderr)
 
 
+    HUGE = "100000000000"           # 10^11
+
+    @pytest.mark.parametrize("argv", [
+        ["weight", "--p", "2", "--n", f"1..{HUGE}", "--digits", "15"],
+        ["rayleigh", "--p", "2", "--N", HUGE],
+        ["verify", "--supersolution", "--p", "2", "--n", f"1..{HUGE}",
+         "--digits", "20"],
+        # One row, but the ground state runs up to n_max + 1.
+        ["verify", "--supersolution", "--p", "2", "--n", f"{HUGE}..{HUGE}",
+         "--digits", "20"],
+        ["verify", "--p", "2", "--trials", HUGE],
+        ["verify", "--p", "2", "--support", HUGE],
+        ["lemmas", "--p", "3/2", "--only", "ef", "--x-grid", "0:0.5:1e-15"],
+        ["lemmas", "--p-grid", "1.5:2:1e-12", "--only", "ak_lower"],
+    ], ids=["weight-rows", "rayleigh-N", "supersolution-rows",
+            "supersolution-ground-state", "trials", "support", "x-grid",
+            "p-grid"])
+    def test_huge_size_is_refused_before_allocating(self, argv):
+        # Capped at 2 GB and 60 s: without the check each of these ends in a
+        # MemoryError or is still allocating when the timeout stops it.
+        result = run_phardy(*argv, memory_limit=2 * 10 ** 9, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: "), result.stderr
+        assert f"at most {cli.MAX_POINTS} are accepted" in result.stderr
+
+    @pytest.mark.parametrize("argv, count", [
+        (["weight", "--p", "2", "--n", "3..7", "--digits", "15"], 5),
+        (["rayleigh", "--p", "2", "--N", "5"], 5),
+        (["verify", "--supersolution", "--p", "2", "--n", "2..3",
+          "--digits", "20"], 5),
+        (["verify", "--p", "2", "--trials", "5", "--support", "3"], 5),
+        (["verify", "--p", "2", "--trials", "3", "--support", "5"], 5),
+        (["lemmas", "--p", "3/2", "--only", "ef", "--x-grid",
+          "0.1:0.5:0.1"], 5),
+        (["lemmas", "--p", "3/2", "--only", "ef", "--x-grid",
+          "0.1:0.55:0.1"], 5),
+        (["lemmas", "--p-grid", "3/2:7/2:1/2", "--only", "ak_lower"], 5),
+    ], ids=["weight-rows", "rayleigh-N", "supersolution-ground-state",
+            "trials", "support", "x-grid", "x-grid-stop-between-points",
+            "p-grid"])
+    def test_size_limit_is_inclusive(self, capsys, monkeypatch, argv, count):
+        # Each command needs exactly `count` points: accepted at that limit,
+        # refused one below it.
+        monkeypatch.setattr(cli, "MAX_POINTS", count)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        monkeypatch.setattr(cli, "MAX_POINTS", count - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+        assert err.endswith(f" needs {count} points; at most {count - 1} "
+                            f"are accepted\n")
+
     def test_large_p_rayleigh_does_not_overflow(self):
         # Q u^(p-1) exceeds the double range at most sites of the first
         # Newton step; the margin there is formed without overflow.
@@ -517,6 +586,36 @@ class TestParserOncePerProcess:
         build_parser()
         monkeypatch.setattr(cli, "cmd_lemmas", lambda args: 7)
         assert main(list(self.ARGV)) == 7
+
+
+class TestLayersLoadedOnUse:
+    """Only the commands that run the float layer import it, and numpy."""
+
+    @pytest.mark.parametrize("argv, numpy_loaded", [
+        ([], False),
+        (["weight", "--p", "2", "--n", "1..10", "--digits", "15"], False),
+        (["series", "--p", "2", "--order", "6"], False),
+        (["series", "--p", "5/2", "--order", "6", "--correction"], False),
+        (["lemmas", "--p", "3/2", "--only", "ef"], False),
+        (["verify", "--supersolution", "--p", "2", "--n", "1..5",
+          "--digits", "20"], False),
+        (["verify", "--p", "2", "--trials", "3", "--support", "5"], True),
+        (["rayleigh", "--p", "2", "--N", "5"], True),
+    ], ids=["import-only", "weight", "series", "series-correction", "lemmas",
+            "verify-supersolution", "verify-trials", "rayleigh"])
+    def test_numpy_imported_only_where_used(self, argv, numpy_loaded):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import phardy.cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = phardy.cli.main(argv) if argv else 0\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)], cwd=ROOT,
+            env=_child_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [0, numpy_loaded]
 
 
 class TestWeightSerialization:

@@ -314,6 +314,28 @@ class TestFixedPoint:
             (-1) ** k * table[k] for k in range(12, 0, -1)) + (0,)
 
 
+class TestPairConstants:
+    """The per-pair constants are the values eval_E and _bracket_slack
+    formed at each point before they were cached."""
+
+    @pytest.mark.parametrize("p", [Fraction("1.001"), Fraction(3, 2),
+                                   Fraction(7, 3), Fraction(10)], ids=str)
+    def test_same_values_and_decisions(self, p):
+        pair = ExponentPair(p)
+        const = pm._pair_constants(pair)
+        two_pm1 = 2 * (p - 1)
+        assert const.two_pm1 == two_pm1
+        for delta in (0, 1):
+            units = 3 + 2 * delta
+            assert const.e_units[delta] == math.ceil(two_pm1 * units) + 1
+            allowance = (two_pm1 + 1) * units + 1
+            for n in range(math.floor(allowance) - 2, math.ceil(allowance) + 3):
+                assert (n > const.e_agree[delta]) == (n > allowance)
+        assert (const.inv_q, const.p_minus_2, const.pm1_plus_1) == (
+            float(pair.inv_q_exact), float(p - 2), float(abs(p - 1) + 1))
+        assert pm._pair_constants(ExponentPair(p)) is const
+
+
 class TestDoubleAllowances:
     """Above 53 bits the allowances that only scale a tail are doubles; each
     must be at least the same formula evaluated at 400 bits."""
