@@ -6,8 +6,8 @@ error.  Every JSON report echoes its configuration under a "config" key so
 tables can be reproduced without a lab notebook.  p is accepted as an exact
 rational string ("3/2") or a decimal ("2.5"); decimals are parsed as exact
 rationals too.  A command that would allocate more than MAX_POINTS rows,
-sites, trials or grid points is refused with exit code 2 before it
-allocates any.
+sites, trials or grid points, or a series order above MAX_ORDER, is
+refused with exit code 2 before it allocates any.
 
 Only `verify`'s trials and `rayleigh` run the float layer (`verify.py`), so
 only they import it, and numpy with it.
@@ -48,6 +48,12 @@ EXIT_USAGE = 2
 # built.  A size below the limit may still take minutes and gigabytes:
 # 10^5 rows of `weight` at 15 digits peak near 0.2 GB.
 MAX_POINTS = 10 ** 6
+# The largest `series --order`.  The exact coefficients' cost grows about as
+# the cube of the order (one-shot, 2-core VM: `series --correction --p 5/2`
+# 0.97 s at order 300 and 34 s at 1000, still running at 120 s at 2000;
+# `series --p 2` 3.2 s at 1000 and 38 s at 2000), so a size limit in
+# points would not bound it.  The benchmark reads order 80 at most.
+MAX_ORDER = 1000
 
 
 class UsageError(ValueError):
@@ -134,6 +140,9 @@ def cmd_series(args) -> int:
     p = _parse_p(args.p)
     if args.order < 0:
         raise UsageError(f"order must be nonnegative, got {args.order}")
+    if args.order > MAX_ORDER:
+        raise UsageError(f"order {args.order} is above the largest accepted, "
+                         f"{MAX_ORDER}")
     config = {"subcommand": "series", "p": str(p), "order": args.order,
               "correction": bool(args.correction), "format": args.format}
     if args.correction:

@@ -6,8 +6,7 @@ reduced, positive denominator); the exponent p is always such a rational,
 and is rounded only where a weight or bound is evaluated.  High-precision
 real arithmetic rides on mpmath (round-to-nearest), its results tagged with
 their precision (:class:`PrecReal`); sums of exact coefficients with a
-proven error run in Python-int fixed point (:func:`horner_fixed`), and
-log1p and expm1 also on raw libmp values (:func:`mpf_log1p`).
+proven error run in Python-int fixed point (:func:`horner_fixed`).
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_exp, mpf_log, mpf_pos,
-                          mpf_pow_int, mpf_shift, mpf_sub)
-from mpmath.libmp import round_nearest as _RN
 
 # Decimal-digit requests above this are rejected rather than silently
 # truncated; the mpfr backend would accept them but desk-scale use never
@@ -95,53 +91,6 @@ def horner_fixed(coeffs, y: int, shift: int) -> int:
     for c in coeffs:
         acc = (acc * y >> shift) + c
     return acc
-
-
-def mpf_log1p(t: tuple, prec: int) -> tuple:
-    """log(1 + t) for a raw mpf t > -1, rounded bit for bit as mpmath 1.3's
-    mp.log1p rounds it at working precision prec: at w = prec + 10 bits,
-    t - t^2/2 if |t| < 2^-w by mpmath's magnitude (exponent plus bit
-    count), else mpf_log of 1 + t rounded to 2w bits; then rounded to prec.
-    If mpf_log is within an ulp, the result is within 2^-prec (1 + 2^-7)
-    relative, under one unit 2^(1-prec): rounding 1 + t moves the log by
-    under 2^(2-w) relative, as |log(1 + t)| >= |t|/(1 + |t|) and
-    |t| >= 2^(-w-1), and the short series errs by |t|^2 relative.
-    """
-    wp = prec + 10
-    if t == fzero:
-        return fzero
-    if t[2] + t[3] < -wp:
-        v = mpf_sub(t, mpf_shift(mpf_pow_int(t, 2, wp, _RN), -1), wp, _RN)
-    else:
-        v = mpf_log(mpf_add(fone, t, 2 * wp, _RN), wp, _RN)
-    return mpf_pos(v, prec, _RN)
-
-
-def mpf_expm1(u: tuple, prec: int) -> tuple:
-    """exp(u) - 1 for a raw mpf u, rounded bit for bit as mpmath 1.3's
-    mp.expm1 at working precision prec: at w = prec + 10 bits, u + u^2/2 if
-    |u| < 2^-w, else mpmath's sum_accurately loop, which forms exp(u) - 1 at
-    w + g + 5 bits from g = 10 and, while the cancellation
-    c = max(mag exp(u), 1) - mag(exp(u) - 1) is not below g, adds
-    min(w + g + 5, c) to g; then rounded to prec.  If mpf_exp is within an
-    ulp, the bound is that of :func:`mpf_log1p`: on exit exp(u) < 2^(g+1)
-    |exp(u) - 1|, so exp's ulp is below 2^(-w-3) of the result.
-    """
-    wp = prec + 10
-    if u == fzero:
-        return fzero
-    if u[2] + u[3] < -wp:
-        v = mpf_add(u, mpf_shift(mpf_pow_int(u, 2, wp, _RN), -1), wp, _RN)
-    else:
-        guard = 10
-        while True:
-            e = mpf_exp(u, wp + guard + 5, _RN)
-            v = mpf_sub(e, fone, wp + guard + 5, _RN)
-            cancel = max(e[2] + e[3], 1) - (v[2] + v[3] if v[1] else -math.inf)
-            if cancel < guard:
-                break
-            guard += min(wp + guard + 5, cancel)
-    return mpf_pos(v, prec, _RN)
 
 
 class ExponentPair:

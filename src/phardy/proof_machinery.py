@@ -15,30 +15,22 @@ Every lemma bound feeding the positivity of E + F is implemented here as a
 predicate over (p, x) grids, reporting worst margins rather than bare
 booleans.  The six x-grid checks are point functions x -> (margin, lhs, rhs)
 run by one grid loop.  A check takes at most the exponent and the x-grid;
-its series order, precision and k- or p-range are module constants.
+its series order and k- or p-range are module constants, and the
+decomposition derives its reference precision from the two.
 
 Strictness semantics: a strict inequality is certified as "exceeds the
 combined truncation-plus-rounding tolerance", never as "compares greater in
 floating arithmetic".  Non-strict lemma bounds are allowed the same
 tolerance on the other side.
 
-Arithmetic: up to 53 bits (the x-grid lemmas) g, E and F are evaluated in
-doubles.  Above 53 bits (the decomposition check, at DECOMPOSITION_BITS):
-
-* the series g and E are Horner sums in Python-int fixed point at scale
-  2^B, B = bits + FIXED_GUARD_BITS, over the integers floor(a_k 2^B) of the
-  exact coefficients (:func:`numerics.horner_fixed`, which states the
-  per-step error lemma).  Since x <= 1/2 damps earlier errors, each sum
-  errs by at most 3 units of 2^-B (5 if x itself is not a multiple of
-  2^-B), and it is converted to mpf once (:func:`eval_g`, :func:`eval_E`);
-* the allowances that only scale a tail (F's slope and rounding terms, the
-  decomposition's bracket slack) are doubles, each enlarged by a relative
-  pad derived where it is computed and rounded toward +infinity with
-  math.nextafter (:func:`_up`);
-* every value (h, the weight, both sides of the decomposition) and every
-  sum of tails is a raw mpmath.libmp value, each operation rounded to
-  nearest at the working precision as mpf arithmetic rounds it (log1p and
-  expm1 by :func:`numerics.mpf_log1p` and :func:`numerics.mpf_expm1`).
+Arithmetic: g, E and F are evaluated in doubles, with the allowances
+derived where they are computed.  The decomposition check ties those same
+double evaluators, the ones `ef` runs, to the closed-form weight: it reads
+the weight at a reference precision derived from p and the grid's smallest
+x (:func:`_reference_bits`), rescales it to E + F, and allows the E and F
+tails, the rounding of their double sum and the rescaled closed form's own
+rounding (:func:`_bracket_slack`), every term relative to the quantity it
+bounds.
 """
 
 from __future__ import annotations
@@ -50,34 +42,25 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_float, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_pow, mpf_shift,
-                          mpf_sub, round_ceiling, round_nearest, to_float)
+from mpmath import mp
 
 from .numerics import (
     PAIR_CACHE_SIZE,
     ExponentPair,
     binom_general_rational,
-    floor_scaled,
-    horner_fixed,
-    mpf_expm1,
-    mpf_log1p,
-    to_mpf,
 )
 from .series import SeriesValue, _g_argument_series
 from .weights import _improved_values, eval_w1_closed, eval_w_classical
 
 DEFAULT_ORDER = 40
 
-# The x-grid checks evaluate g, E and F at DEFAULT_ORDER in doubles, the
-# decomposition at DECOMPOSITION_BITS.  The coefficient floor covers
-# k = 2..DEFAULT_ORDER and the binomial cap k in BINOM_K, so it needs p < 40.
-DECOMPOSITION_BITS = 113
-# Above 53 bits, g and E are summed in fixed point with this many bits beyond
-# the working precision; allowances that only scale a tail are doubles.
-FIXED_GUARD_BITS = 8
+# g, E and F are evaluated at DEFAULT_ORDER in doubles.  The coefficient
+# floor covers k = 2..DEFAULT_ORDER and the binomial cap k in BINOM_K, so it
+# needs p < 40.
 _DOUBLE_UNIT = 2.0 ** -53
+# The decomposition's reference precision keeps the closed form's rounding
+# this many bits below one unit of a double E + F (see _reference_bits).
+REFERENCE_GUARD_BITS = 8
 PAIRWISE_N_MAX = 15
 BINOM_K = range(2, 41)
 N1_DIGITS = 30
@@ -125,106 +108,54 @@ def g_series(pair: ExponentPair, order: int) -> tuple:
     return coeffs
 
 
-def _table(coeffs, precision_bits: int) -> tuple:
-    """Exact coefficients as doubles up to 53 bits, above that as the
-    integers floor(c 2^B) of the fixed-point sums."""
-    if precision_bits <= 53:
-        return tuple(float(c) for c in coeffs)
-    scale = precision_bits + FIXED_GUARD_BITS
-    return tuple(floor_scaled(c, scale) for c in coeffs)
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _a_table(pair: ExponentPair, order: int) -> tuple:
+    """The a_k table as doubles."""
+    return tuple(float(c) for c in g_series(pair, order))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _a_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
-    """The a_k table in the arithmetic of precision_bits."""
-    return _table(g_series(pair, order), precision_bits)
+def _g_table(pair: ExponentPair, order: int, sign: int) -> tuple:
+    """g(sign x)'s Horner table as doubles: +-a_order, ..., +-a_1."""
+    a = _a_table(pair, order)
+    return tuple(a[k] if sign < 0 or k % 2 == 0 else -a[k]
+                 for k in range(order, 0, -1))
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _g_table(pair: ExponentPair, order: int, bits: int, sign: int) -> tuple:
-    """g(sign x)'s Horner table in the arithmetic of bits: +-a_order, ...,
-    +-a_1, and above 53 bits a closing 0 for the multiplication by x."""
-    a = _a_table(pair, order, bits)
-    signed = tuple(a[k] if sign < 0 or k % 2 == 0 else -a[k]
-                   for k in range(order, 0, -1))
-    return signed if bits <= 53 else signed + (0,)
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _e_binom_table(pair: ExponentPair, order: int, precision_bits: int) -> tuple:
-    """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k.
+def _e_binom_table(pair: ExponentPair, order: int) -> tuple:
+    """Independent route to E's coefficients: -2p * binom(1/q, k+1), odd k,
+    as doubles.
 
     Each binomial is its own falling-factorial product, not the ratio-step
     sequence behind the a_k table, so the two routes compute the
     coefficients differently.  The table holds 2(p-1) a_k itself, where E
     from the a_k table multiplies by 2(p-1) after the sum.
     """
-    out = [0] * (order + 1)
+    out = [0.0] * (order + 1)
     p = pair.p_exact
     inv_q = pair.inv_q_exact
     for k in range(3, order + 1, 2):
-        out[k] = -2 * p * binom_general_rational(inv_q, k + 1)
-    return _table(out, precision_bits)
+        out[k] = float(-2 * p * binom_general_rational(inv_q, k + 1))
+    return tuple(out)
 
 
 class _PairConstants(NamedTuple):
-    """What the point evaluators derive from p alone, formed once per pair:
-    for eval_E 2(p - 1) and, indexed by delta, its tail units and agreement
-    allowance; for _bracket_slack 1/q, p - 2 and |p - 1| + 1 as doubles."""
-    two_pm1: Fraction
-    e_units: tuple
-    e_agree: tuple
+    """What _bracket_slack derives from p alone, formed once per pair, as
+    doubles: q, 1/q, p - 2, |p - 1| + 1 and 2p + 68."""
+    q: float
     inv_q: float
     p_minus_2: float
     pm1_plus_1: float
+    rescale_units: float
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_constants(pair: ExponentPair) -> _PairConstants:
-    two_pm1 = 2 * (pair.p_exact - 1)
-    units = (3, 5)                      # 3 + 2 delta, delta = 0 or 1
-    # |value - value_b| is an integer, so it exceeds the allowance
-    # (2(p-1) + 1) units + 1 exactly when it exceeds that allowance's floor.
-    return _PairConstants(
-        two_pm1,
-        tuple(math.ceil(two_pm1 * u) + 1 for u in units),
-        tuple(math.floor((two_pm1 + 1) * u + 1) for u in units),
-        float(pair.inv_q_exact), float(pair.p_exact - 2),
-        float(abs(pair.p_exact - 1) + 1))
-
-
-def _fixed(x, precision_bits: int) -> tuple:
-    """(B, floor(x 2^B), whether that floor dropped anything) for a double,
-    mpf or Fraction x > 0; B = precision_bits + FIXED_GUARD_BITS."""
-    scale = precision_bits + FIXED_GUARD_BITS
-    if isinstance(x, mpf):
-        man, exp = x.man_exp
-        num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    else:
-        num, den = x.as_integer_ratio()
-    value, rest = divmod(num << scale, den)
-    return scale, value, rest != 0
-
-
-def _fixed_result(value: int, units: int, top: int, factor: Fraction, X: int,
-                  inexact: bool, order: int, precision_bits: int) -> SeriesValue:
-    """A fixed-point sum value 2^-B as an mpf, with its tail bound.
-
-    The tail, in units of 2^-B, is `units` for the sum's roundings, one unit
-    2^(1-bits) of the value for its one conversion to precision_bits, and
-    the geometric truncation tail factor a_order x^(order+1)/(1-x), rounded
-    up with a_order <= (top + 1) 2^-B (top = floor(a_order 2^B)) and
-    x <= (X + inexact) 2^-B.  The tail converts to mpf rounding up.
-    """
-    scale = precision_bits + FIXED_GUARD_BITS
-    x_hi = X + inexact
-    truncation = -(-factor.numerator * (top + 1) * x_hi ** (order + 1)
-                   // (factor.denominator * ((1 << scale) - x_hi)
-                       << scale * order))
-    tail = truncation + units + (abs(value) >> (precision_bits - 1)) + 1
-    return SeriesValue(
-        mp.make_mpf(from_man_exp(value, -scale, precision_bits, round_nearest)),
-        mp.make_mpf(from_man_exp(tail, -scale, precision_bits, round_ceiling)))
+    p = pair.p_exact
+    return _PairConstants(float(pair.q_exact), float(pair.inv_q_exact),
+                          float(p - 2), float(abs(p - 1) + 1),
+                          float(2 * p + 68))
 
 
 def _up(value: float, units: float = 0) -> float:
@@ -233,13 +164,13 @@ def _up(value: float, units: float = 0) -> float:
 
     value is enlarged by that many units and nudged up one ulp with
     math.nextafter; the ulp covers the rounding of the enlargement, which is
-    at most half an ulp.  A bound below the normal double range would have
+    at most half an ulp.  A bound outside the normal double range would have
     lost the relative accuracy this rests on, so it is an error.
     """
     bound = math.nextafter(value + value * (units * _DOUBLE_UNIT), math.inf)
-    if not bound >= sys.float_info.min:
+    if not sys.float_info.min <= bound < math.inf:
         raise ValueError(
-            f"allowance {bound!r} lies below the normal double range")
+            f"allowance {bound!r} lies outside the normal double range")
     return bound
 
 
@@ -263,84 +194,42 @@ def _below_one(g_minus_hi, pair: ExponentPair, x):
     return g_minus_hi
 
 
-def eval_g(pair: ExponentPair, x, sign: int, order: int = DEFAULT_ORDER,
-           precision_bits: int = 53) -> SeriesValue:
-    """Truncated g(sign*x) with a geometric tail bound.
+def eval_g(pair: ExponentPair, x, sign: int,
+           order: int = DEFAULT_ORDER) -> SeriesValue:
+    """Truncated g(sign*x) in doubles, with a geometric tail bound.
 
     The tail bound a_order * x^(order+1)/(1-x) is rigorous here because the
-    coefficients decay weakly; a rounding allowance is added to it.
-
-    Up to 53 bits the sum is a Horner loop in doubles, allowed 8 units per
-    step of (1 + |acc|) x.  Above 53 bits it is :func:`numerics.horner_fixed`
-    at scale 2^B, B = precision_bits + FIXED_GUARD_BITS, over the signed
-    A_k = floor(a_k 2^B) and a closing 0 (the final multiplication), in
-    X = floor(x 2^B); delta = 1 if that floor dropped anything, else 0.
-    |P_k| <= a_1/(1-x) < 1 (a_1 = 1/(2p)) and x <= 1/2 give
-    |e_k| < 2(2 + delta), and the closing step leaves less than
-    x 2(2 + delta) + delta + 1 <= 3 + 2 delta units of 2^-B.  The sum is
-    converted to mpf once, which rounds by one unit 2^(1-bits) of |g|.
+    coefficients decay weakly.  The sum is a Horner loop, allowed 8 units
+    per step of (1 + |acc|) x for rounding.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     xf = _check_x(x)
-    table = _g_table(pair, order, precision_bits, sign)
-    top = abs(table[0])                 # a_order in the table's arithmetic
-    if precision_bits > 53:
-        scale, X, inexact = _fixed(x, precision_bits)
-        return _fixed_result(horner_fixed(table, X, scale), 3 + 2 * inexact,
-                             top, Fraction(1), X, inexact, order,
-                             precision_bits)
-    unit = 2.0 ** (-precision_bits)
+    table = _g_table(pair, order, sign)
     acc = 0
     for c in table:
         acc = acc * xf + c
     value = acc * xf
-    tail = top * xf ** (order + 1) / (1 - xf)
+    tail = abs(table[0]) * xf ** (order + 1) / (1 - xf)
     # Horner partials stay below 1 + |acc|; the final multiply scales
     # everything by x, so the rounding allowance carries the same factor.
-    tail += 8 * (order + 1) * unit * (1 + abs(acc)) * xf
+    tail += 8 * (order + 1) * _DOUBLE_UNIT * (1 + abs(acc)) * xf
     return SeriesValue(value, tail)
 
 
-def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
-           precision_bits: int = 53) -> SeriesValue:
-    """The odd correction term E(x) = 2(p-1) * sum_{odd k>=3} a_k x^k.
+def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER) -> SeriesValue:
+    """The odd correction term E(x) = 2(p-1) * sum_{odd k>=3} a_k x^k, in
+    doubles.
 
     Evaluated both from the a_k table and from the directly computed
     binomial coefficients; disagreement beyond tolerance is a hard error.
     The returned value is the a_k form.
-
-    Above 53 bits both sums are :func:`numerics.horner_fixed` over the odd
-    k, with X and delta as in :func:`eval_g`, in t = x^2 <= 1/4 as X^2 at
-    shift 2B (short of t by less than 2x delta 2^-B <= delta 2^-B);
-    |P| < a_3/(1-t) < 2/3 gives |e| < (4/3)(2 + delta).  The sum is
-    multiplied by X^3 at shift 3B, a step with a 0 coefficient in x^3 <=
-    1/8 (again short by less than delta 2^-B), which leaves less than
-    3 + 2 delta units of 2^-B.  The a_k route then multiplies by 2(p-1)
-    exactly and floors: 2(p-1)(3 + 2 delta) + 1 units.  The binomial
-    route's table holds 2(p-1)a_k, whose largest, 2(p-1)a_3 =
-    2p|binom(1/q, 4)|, is below 1/2, so it errs by 3 + 2 delta units; the
-    two must agree to within the sum of the two bounds.
     """
-    xf = _check_x(x)
-    a = _a_table(pair, order, precision_bits)
-    e_bin = _e_binom_table(pair, order, precision_bits)
+    x = _check_x(x)
+    a = _a_table(pair, order)
+    e_bin = _e_binom_table(pair, order)
     top = order if order % 2 == 1 else order - 1
-    if precision_bits > 53:
-        scale, X, inexact = _fixed(x, precision_bits)
-        value, value_b = (horner_fixed(c[top:2:-2], X * X, 2 * scale) * X ** 3
-                          >> 3 * scale for c in (a, e_bin))
-        const = _pair_constants(pair)
-        two_pm1 = const.two_pm1
-        value = value * two_pm1.numerator // two_pm1.denominator
-        if abs(value - value_b) > const.e_agree[inexact]:
-            raise AgreementError(
-                f"E formulas disagree at p={pair.p_float()}, x={xf}: "
-                f"{value} vs {value_b} units of 2^-{scale}")
-        return _fixed_result(value, const.e_units[inexact], a[order],
-                             two_pm1, X, inexact, order, precision_bits)
-    x = xf
-    unit = 2.0 ** (-precision_bits)
+    unit = _DOUBLE_UNIT
     p = pair.p_float()
     x2 = x * x
     acc = acc_b = 0
@@ -356,36 +245,24 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER,
     agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x ** 3
     if abs(value - value_b) > agree_tol:
         raise AgreementError(
-            f"E formulas disagree at p={pair.p_float()}, x={float(x)}: "
+            f"E formulas disagree at p={pair.p_float()}, x={x}: "
             f"{value} vs {value_b}")
     return SeriesValue(value, tail)
 
 
-def _h_slope(alpha: float, s: float, unit: float) -> float:
+def _h_slope(alpha: float, s: float) -> float:
     """|h'(s)| = |alpha| |expm1(alpha log1p(s)) - s| / (1+s) in doubles,
     the numerator padded by 16 units (derived in :func:`eval_F`)."""
     u = alpha * math.log1p(s)
     n = abs(math.expm1(u) - s)
-    n += 16 * unit * (abs(u) * math.exp(abs(u)) + abs(s) + n)
+    n += 16 * _DOUBLE_UNIT * (abs(u) * math.exp(abs(u)) + abs(s) + n)
     return abs(alpha) * n / (1 + s)
 
 
-def _h_rounding(u: float, at: float, h: float, unit: float) -> float:
+def _h_rounding(u: float, at: float, h: float) -> float:
     """The rounding allowance of h(t), 8 units of |u| e^|u| + |alpha t| + |h|,
     from u, alpha t and h as doubles (derived in :func:`eval_F`)."""
-    return 8 * unit * (abs(u) * math.exp(abs(u)) + abs(at) + abs(h))
-
-
-def _slope_bound(alpha: float, lo: float, hi: float) -> float:
-    """Above 53 bits: max |h'| over the double interval [lo, hi], a padded
-    double upper bound (derived in :func:`eval_F`)."""
-    return _up(max(_h_slope(alpha, s, _DOUBLE_UNIT) for s in (lo, hi)), 4)
-
-
-def _rounding_bound(u: float, at: float, h: float, unit: float) -> float:
-    """Above 53 bits: h(t)'s rounding allowance, a padded double upper bound
-    (derived in :func:`eval_F`)."""
-    return _up(_h_rounding(u, at, h, unit), abs(u) + 8)
+    return 8 * _DOUBLE_UNIT * (abs(u) * math.exp(abs(u)) + abs(at) + abs(h))
 
 
 def _not_positive(pair: ExponentPair, x, gap) -> AgreementError:
@@ -393,16 +270,15 @@ def _not_positive(pair: ExponentPair, x, gap) -> AgreementError:
                           f"p={pair.p_float()}, x={float(x)}")
 
 
-def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
-           precision_bits: int = 53) -> SeriesValue:
-    """The remainder F(x) = h(g(-x)) - h(g(x)), h(t) = (1+t)^(p-1) - 1 - (p-1)t.
+def eval_F(pair: ExponentPair, x,
+           series_order: int = DEFAULT_ORDER) -> SeriesValue:
+    """The remainder F(x) = h(g(-x)) - h(g(x)), h(t) = (1+t)^(p-1) - 1 - (p-1)t,
+    in doubles.
 
     h(t) = expm1(alpha log1p(t)) - alpha t, alpha = p - 1 rounded once, does
     not cancel for small t; the only truncation is g's, at series_order.
-    Tail bound per h, for the computed g = t with tail tau, in units of the
-    arithmetic, 2^-bits for doubles and 2^(1-bits) above (each operation,
-    log1p and expm1 errs by at most 2 units; numerics.mpf_log1p and
-    mpf_expm1 state their bound of one):
+    Tail bound per h, for the computed g = t with tail tau, in units of
+    2^-53 (each operation, log1p and expm1 errs by at most 2 units):
 
     * inner error: h'(s) = alpha((1+s)^(alpha-1) - 1) is monotone, so
       |h(g) - h(t)| <= max(|h'(lo)|, |h'(hi)|) tau for lo, hi = t -+ tau,
@@ -412,89 +288,27 @@ def eval_F(pair: ExponentPair, x, series_order: int = DEFAULT_ORDER,
     * rounding of h(t): u = alpha log1p(t) is off by 5 units of |u|, which
       expm1 amplifies by e^|u|; expm1 adds 2 units of |expm1(u)| <= |h| +
       |alpha t|, alpha t 3 units of itself and the subtraction 1 unit of
-      |h|: in all 8 units of |u| e^|u| + |alpha t| + |h|.  (e^|u| is taken
-      in doubles: it only scales an allowance.)
-
-    Above 53 bits h's value, the guard below and the sums of the tail are
-    raw mpf values at precision_bits, rounded to nearest operation by
-    operation, and both allowances are doubles (units of 2^-53 there), each
-    enlarged by its relative pad and rounded up (:func:`_up`):
-
-    * the slope: lo and hi are rounded outward to doubles (float() of an
-      mpf is within half an ulp and the mpf endpoint within 2^(1-bits) of
-      the exact one, so one nextafter step covers both); this only widens
-      the interval, over which |h'| is still largest at an end.  |h'| is
-      taken at each double end as in the double path, whose 16-unit pad
-      covers alpha = float(p-1) inside u; the quotient |alpha| n/(1+s)
-      adds 4 roundings (alpha, 1 + s, the product and the quotient), so a
-      4-unit pad.  tau is rounded up and the product nudged up;
-    * the rounding of h(t): u, alpha t and h convert to doubles within a
-      unit each (alpha t also carries its mpf rounding), e^|u| is off by
-      |u| units from u's conversion plus 2 of its own, and the product and
-      the two sums add 3: a pad of |u| + 8 units.
+      |h|: in all 8 units of |u| e^|u| + |alpha t| + |h|.
 
     The final subtraction adds 4 units of |F|.  h' diverges at t = -1 when
     p < 2, so 1 + g - tail not positive (either sign) raises AgreementError.
     """
-    if precision_bits <= 53:
-        unit = 2.0 ** (-precision_bits)
-        alpha = float(pair.p_exact - 1)
-        value = tail = 0.0
-        for sign in (-1, +1):
-            t, tau = eval_g(pair, x, sign, series_order, precision_bits)
-            reach = tau + 2 * unit * (abs(t) + tau)
-            lo, hi = t - reach, t + reach
-            if not (1 + t - reach > 0 and lo > -1):
-                raise _not_positive(pair, x, 1 + t - tau)
-            u = alpha * math.log1p(t)
-            at = alpha * t
-            h = math.expm1(u) - at
-            value -= sign * h
-            tail += _h_rounding(u, at, h, unit)
-            tail += max(_h_slope(alpha, s, unit) for s in (lo, hi)) * tau
-        return SeriesValue(value, tail + 4 * unit * abs(value))
-    bits = precision_bits
-    add, sub, mul = _raw_ops(bits)
-    alpha = _alpha_raw(pair, bits)
-    value = tail = fzero
+    unit = _DOUBLE_UNIT
+    alpha = float(pair.p_exact - 1)
+    value = tail = 0.0
     for sign in (-1, +1):
-        t, tau = (v._mpf_ for v in eval_g(pair, x, sign, series_order, bits))
-        reach = add(tau, mpf_shift(add(mpf_abs(t), tau), 2 - bits))  # 2 unit
-        lo = math.nextafter(_float(sub(t, reach)), -math.inf)
-        hi = math.nextafter(_float(add(t, reach)), math.inf)
-        one_t = add(t, fone)
-        if not (mpf_gt(sub(one_t, reach), fzero) and lo > -1):
-            with mp.workprec(bits):
-                raise _not_positive(pair, x, mp.make_mpf(sub(one_t, tau)))
-        u = mul(alpha, mpf_log1p(t, bits))
-        at = mul(alpha, t)
-        h = sub(mpf_expm1(u, bits), at)
-        value = (add if sign < 0 else sub)(value, h)
-        tail = add(tail, from_float(_rounding_bound(
-            _float(u), _float(at), _float(h), 2.0 ** (1 - bits))))
-        tail = add(tail, from_float(
-            _up(_slope_bound(_float(alpha), lo, hi) * _up(_float(tau)))))
-    tail = add(tail, mpf_shift(mpf_abs(value), 3 - bits))       # 4 unit |F|
-    return SeriesValue(mp.make_mpf(value), mp.make_mpf(tail))
-
-
-def _raw_ops(bits: int) -> tuple:
-    """mpf_add, mpf_sub and mpf_mul on raw values at bits, rounding to
-    nearest as mpf arithmetic does."""
-    return tuple(lambda a, b, op=op: op(a, b, bits, round_nearest)
-                 for op in (mpf_add, mpf_sub, mpf_mul))
-
-
-def _float(value: tuple) -> float:
-    """A raw mpf as the double that float() of its mpf is."""
-    return to_float(value, rnd=round_nearest)
-
-
-@lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _alpha_raw(pair: ExponentPair, precision_bits: int) -> tuple:
-    """alpha = p - 1 rounded once to precision_bits, as a raw mpf."""
-    with mp.workprec(precision_bits):
-        return to_mpf(pair.p_exact - 1)._mpf_
+        t, tau = eval_g(pair, x, sign, series_order)
+        reach = tau + 2 * unit * (abs(t) + tau)
+        lo, hi = t - reach, t + reach
+        if not (1 + t - reach > 0 and lo > -1):
+            raise _not_positive(pair, x, 1 + t - tau)
+        u = alpha * math.log1p(t)
+        at = alpha * t
+        h = math.expm1(u) - at
+        value -= sign * h
+        tail += _h_rounding(u, at, h)
+        tail += max(_h_slope(alpha, s) for s in (lo, hi)) * tau
+    return SeriesValue(value, tail + 4 * unit * abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -680,64 +494,112 @@ def check_EF_positive(pair: ExponentPair, x_grid) -> GridCheckReport:
     return _x_grid_check("positivity of E + F", pair, x_grid, point)
 
 
-def _bracket_slack(pair: ExponentPair, x, lhs, rhs, precision_bits: int) -> float:
-    """The decomposition check's rounding allowance, in doubles, rounded up:
+def _reference_bits(pair: ExponentPair, x_min: float) -> int:
+    """The decomposition's reference precision B for a grid whose smallest
+    x is x_min: 63 + REFERENCE_GUARD_BITS + log2(p q^2) + 4 log2(1/x_min),
+    rounded up.
 
-        64 eps (|p-1| + 1) (v+^(p-1)/v+ + v-^(p-1)/v-)
-            + 64 eps (|lhs| + |rhs| + 1),  eps = 2^(1-bits),
-
-    with v+ = 1 - (1-x)^(1/q) and v- = (1+x)^(1/q) - 1 the inner brackets:
-    the bracket powers amplify rounding by (p-1)/v near the fractional-power
-    branch.  v+ = -expm1((1/q) log1p(-x)) and v- = expm1((1/q) log1p(x))
-    come within 11 units of 2^-53 in doubles:
-    x converts within 1 unit, which log1p carries as at most 1.5 units
-    (|y|/((1+y) |log1p y|) <= 1.5 on |y| <= 1/2), log1p adds 2, 1/q and the
-    product 1 each, expm1 amplifies by at most e^z <= 1.5 and adds 2.
-    v^(p-1)/v = exp((p-2) log v): log v is off by 11 units plus 2 of
-    |log v|, so the exponent by |p-2| (11 + 4|log v|) units (p - 2 and the
-    product 1 unit of it each), and exp adds 2: that is each power's pad.
-    The rest, four conversions, two products and three sums, is covered by a
-    final pad of 8 units.
+    The bracket term of :func:`_bracket_slack` is about 128 p (q/x) eps,
+    eps = 2^(1-B), and the identity's sides are about a_2 x^3/q, with
+    a_2 = (3p - 1)/(8p) >= 1/4.  At B bits the first is
+    2^(63-B) p q^2/x^4 units 2^-53 of the second, that is 2^-GUARD units at
+    x = x_min, and fewer at every larger x.  A precision that fell short
+    would only widen the allowance: the allowance itself is derived point
+    by point.
     """
-    xf = float(x)
+    p, q = pair.p_exact, pair.q_exact
+    return 63 + REFERENCE_GUARD_BITS + math.ceil(
+        math.log2(float(p * q * q)) - 4 * math.log2(x_min))
+
+
+def _reference_sides(pair: ExponentPair, xs, precision_bits: int) -> list:
+    """(s, r) at each double x of xs, as mpf at precision_bits:
+    s = w(x) (q/x)^(p-1) from the closed-form column of
+    weights._improved_values, and r = s - x/q, the reference for E + F.
+    p and q are rounded once, as the closed form rounds them."""
+    with mp.workprec(precision_bits):
+        p = pair.p_mpf(precision_bits)
+        pm1 = p - 1
+        q = p / pm1
+        out = []
+        for x, w in zip(xs, _improved_values(pair, xs, precision_bits)):
+            s = mp.make_mpf(w) * (q / x) ** pm1
+            out.append((s, s - x / q))
+        return out
+
+
+def _bracket_slack(pair: ExponentPair, x: float, size: float,
+                   precision_bits: int) -> float:
+    """The rounding allowance of the reference r = w (q/x)^(p-1) - x/q and
+    of its difference from E + F, in doubles, rounded up:
+
+        64 eps (|p-1| + 1) (q/x) (y+^(p-2) + y-^(p-2)) + (2p + 68) eps size,
+
+    eps = 2^(1-bits), where size >= |s| + |r| + |E + F| and
+    y+ = (q/x)(1 - (1-x)^(1/q)) = 1 + g(-x), y- = (q/x)((1+x)^(1/q) - 1)
+    = 1 + g(x) are the inner brackets v+-, rescaled.
+
+    The closed form errs by 64 eps (|p-1| + 1) (v+^(p-1)/v+ + v-^(p-1)/v-)
+    + 64 eps |w|: the bracket powers amplify rounding by (p-1)/v near the
+    fractional-power branch.  Times (q/x)^(p-1), the first term is the one
+    above, since v^(p-2) (q/x)^(p-1) = (q/x) y^(p-2); its 64 units also
+    cover the rounding of p itself, which moves r by a few units of p and
+    is far below p (q/x) units (x/q <= 1/2), and the second is 64 eps |s|.
+    q/x errs by 2 units, so (q/x)^(p-1) by 2(p-1) + 2 and s by 2p + 1 more
+    units of |s|; x/q by 2 units of x/q <= |s| + |r|, and the subtractions
+    forming r and r - (E + F) by one unit each of |r| and |r| + |E + F|.
+    All are relative: no term survives where the quantities vanish.
+
+    In doubles (x is one exactly), v+ = -expm1((1/q) log1p(-x)) and
+    v- = expm1((1/q) log1p(x)) come within 11 units of 2^-53: log1p adds 2,
+    1/q and the product 1 each, expm1 amplifies by at most e^z <= 1.5 and
+    adds 2.  y = v (q/x) is within 14 units (q, the quotient and the
+    product one each), so log y is off by 14 units plus 2 of |log y|, the
+    exponent by |p-2| (15 + 4|log y|) units (p - 2 and the product 1 unit of
+    it each), and exp adds 2: that is each power's pad.  A final pad of 8
+    units covers the rest: the first term's q/x (2 units), conversion of
+    |p-1| + 1, sum of powers and two products (6 in all), the second's
+    conversion of 2p + 68, size (summed from doubles: 3) and product (5),
+    and their sum.
+    """
     const = _pair_constants(pair)
     s, e = const.inv_q, const.p_minus_2
+    q_x = const.q / x
     powers = 0.0
-    for v in (-math.expm1(s * math.log1p(-xf)), math.expm1(s * math.log1p(xf))):
-        log_v = math.log(v)
-        powers += _up(math.exp(e * log_v), abs(e) * (11 + 4 * abs(log_v)) + 2)
-    eps64 = 2.0 ** (7 - precision_bits)
-    return _up(eps64 * const.pm1_plus_1 * powers
-               + eps64 * (abs(float(lhs)) + abs(float(rhs)) + 1), 8)
+    for v in (-math.expm1(s * math.log1p(-x)), math.expm1(s * math.log1p(x))):
+        log_y = math.log(v * q_x)
+        powers += _up(math.exp(e * log_y), abs(e) * (15 + 4 * abs(log_y)) + 2)
+    eps = 2.0 ** (1 - precision_bits)
+    return _up(64 * eps * const.pm1_plus_1 * q_x * powers
+               + const.rescale_units * eps * size, 8)
 
 
 def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
-    """|w(x) - (x/q)^(p-1) (x/q + E + F)| <= tolerance for the closed-form
-    weight, at DECOMPOSITION_BITS.
+    """E + F = r at each x, with E and F from the double evaluators that
+    :func:`check_EF_positive` runs and r = w (q/x)^(p-1) - x/q from the
+    closed-form weight at :func:`_reference_bits`.
 
-    The tolerance is (x/q)^(p-1) times the tails of E and F plus the
-    rounding allowance of :func:`_bracket_slack`.
+    Since w = (x/q)^(p-1) (x/q + E + F), r is E + F exactly, which is
+    (x/q) a(x) for the correction series a of series.expand_correction.
+    The tolerance is the tails of E and F, the rounding of their double sum
+    (one unit 2^-53 of it) and :func:`_bracket_slack`; each point reports
+    E + F and r as its two sides.
     """
-    bits = DECOMPOSITION_BITS
-    add, sub, mul = _raw_ops(bits)
-    with mp.workprec(bits):
-        q = pair.q_mpf(bits)._mpf_
-        pm1 = (pair.p_mpf(bits) - 1)._mpf_
-        xms = [to_mpf(x) for x in x_grid]
-    rows = iter(zip(xms, _improved_values(pair, xms, bits)))
+    xs = [_check_x(x) for x in x_grid]
+    bits = _reference_bits(pair, min(xs))
+    rows = iter(zip(xs, _reference_sides(pair, xs, bits)))
 
     def point(x):
-        xm, lhs = next(rows)            # point runs once per x, in grid order
-        e = eval_E(pair, xm, DEFAULT_ORDER, bits)
-        f = eval_F(pair, xm, DEFAULT_ORDER, bits)
-        xq = mpf_div(xm._mpf_, q, bits, round_nearest)
-        prefactor = mpf_pow(xq, pm1, bits, round_nearest)
-        rhs = mul(prefactor, add(add(xq, e.value._mpf_), f.value._mpf_))
-        residual = mpf_abs(sub(lhs, rhs))
-        slack = _bracket_slack(pair, xm, _float(lhs), _float(rhs), bits)
-        tol = add(mul(prefactor, add(e.tail_bound._mpf_, f.tail_bound._mpf_)),
-                  from_float(slack))
-        return _float(sub(tol, residual)), _float(residual), _float(tol)
+        xf, (s, r) = next(rows)         # point runs once per x, in grid order
+        e = eval_E(pair, xf)
+        f = eval_F(pair, xf)
+        value = e.value + f.value
+        with mp.workprec(bits):
+            residual = abs(value - r)
+            size = abs(float(s)) + abs(float(r)) + abs(value)
+            tol = _up(e.tail_bound + f.tail_bound + _DOUBLE_UNIT * abs(value)
+                      + _bracket_slack(pair, xf, size, bits), 3)
+            return float(tol - residual), value, float(r)
     return _x_grid_check("bracket decomposition", pair, x_grid, point,
                          precision_bits=bits)
 

@@ -462,6 +462,39 @@ class TestEdgeInputs:
         assert err.endswith(f" needs {count} points; at most {count - 1} "
                             f"are accepted\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "--p", "2"],
+        ["series", "--p", "5/2", "--correction"],
+    ], ids=["table", "correction"])
+    def test_huge_series_order_is_refused(self, argv):
+        # Capped at 2 GB and 60 s: without the bound each is still forming
+        # coefficients when the timeout stops it.
+        result = run_phardy(*argv, "--order", self.HUGE,
+                            memory_limit=2 * 10 ** 9, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == (f"error: order {self.HUGE} is above the "
+                                 f"largest accepted, {cli.MAX_ORDER}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "--p", "2"],
+        ["series", "--p", "5/2", "--correction"],
+    ], ids=["table", "correction"])
+    def test_series_order_limit_is_inclusive(self, capsys, monkeypatch, argv):
+        # Accepted at the limit; one above it is refused before any
+        # coefficient is formed.
+        monkeypatch.setattr(cli, "MAX_ORDER", 6)
+        code, out, err = run_cli(capsys, *argv, "--order", "6")
+        assert code == 0 and out, err
+
+        def formed(*args):
+            raise AssertionError("a coefficient was formed")
+
+        monkeypatch.setattr(cli, "expand_correction", formed)
+        monkeypatch.setattr(cli, "expand_w_integer_p", formed)
+        code, out, err = run_cli(capsys, *argv, "--order", "7")
+        assert code == 2 and out == ""
+        assert err == "error: order 7 is above the largest accepted, 6\n"
+
     def test_large_p_rayleigh_does_not_overflow(self):
         # Q u^(p-1) exceeds the double range at most sites of the first
         # Newton step; the margin there is formed without overflow.

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,29 @@ def g_closed_form(pair, x, sign, bits=200):
         if sign < 0:
             return (q / xm) * (1 - (1 - xm) ** s) - 1
         return (q / xm) * ((1 + xm) ** s - 1) - 1
+
+
+def g_sum(pair, x, sign, order=200, bits=200):
+    """Reference: g(sign x) summed in mpf over g_series to the given order,
+    with the geometric tail bound a_order x^(order+1)/(1-x)."""
+    a = pm.g_series(pair, order)
+    with mp.workprec(bits):
+        xm = to_mpf(x)
+        y = -sign * xm
+        value = sum(to_mpf(c) * y ** k for k, c in enumerate(a) if k)
+        return value, to_mpf(a[order]) * xm ** (order + 1) / (1 - xm)
+
+
+def e_sum(pair, x, order=200, bits=200):
+    """Reference: E(x) = 2(p-1) sum_{odd k>=3} a_k x^k in mpf over g_series,
+    with its geometric tail bound."""
+    a = pm.g_series(pair, order)
+    with mp.workprec(bits):
+        xm = to_mpf(x)
+        two_pm1 = 2 * to_mpf(pair.p_exact - 1)
+        value = two_pm1 * sum(to_mpf(a[k]) * xm ** k
+                              for k in range(3, order + 1, 2))
+        return value, two_pm1 * to_mpf(a[order]) * xm ** (order + 1) / (1 - xm)
 
 
 def f_closed_form(pair, x, bits=400):
@@ -102,10 +124,12 @@ class TestEvalG:
             pm.eval_g(pair, 0.25, 2)
 
     def test_high_precision_path_agrees(self):
+        # Against g_series summed in mpf to order 200 at 200 bits.
         pair = ExponentPair(F(7, 2))
         lo, lo_tail = pm.eval_g(pair, 0.3, -1)
-        hi, hi_tail = pm.eval_g(pair, 0.3, -1, precision_bits=160)
-        assert abs(lo - float(hi)) <= lo_tail + float(hi_tail)
+        hi, hi_tail = g_sum(pair, 0.3, -1)
+        with mp.workprec(200):
+            assert abs(lo - hi) <= lo_tail + hi_tail
 
 
 class TestEvalE:
@@ -128,28 +152,17 @@ class TestEvalE:
         value, _ = pm.eval_E(pair, 1e-4)
         assert value / 1e-12 == pytest.approx(2 * (float(p) - 1) * a3, rel=1e-6)
 
-    @pytest.mark.parametrize("bits, scale", [
-        pytest.param(53, 1e-6, id="53"),
-        pytest.param(113, 1e-6, id="113"),
-        # Far below double resolution: only a tolerance at the working
-        # precision, with no fixed relative slack, can catch it.
-        pytest.param(113, 1e-13, id="113-rel1e-13"),
-        # Thousands of units of 2^-121, far below the 113-bit unit itself.
-        pytest.param(113, 1e-30, id="113-rel1e-30"),
-    ])
-    def test_cross_check_runs_at_every_precision(self, monkeypatch, bits, scale):
+    def test_cross_check_catches_a_bent_table(self, monkeypatch):
         honest = pm._e_binom_table
 
-        def corrupted(pair, order, precision_bits):
-            # Doubles up to 53 bits, fixed-point integers above.
-            table = list(honest(pair, order, precision_bits))
-            c = table[3]
-            table[3] = c + round(c * scale) if isinstance(c, int) else c * (1 + scale)
+        def corrupted(pair, order):
+            table = list(honest(pair, order))
+            table[3] *= 1 + 1e-6
             return tuple(table)
 
         monkeypatch.setattr(pm, "_e_binom_table", corrupted)
         with pytest.raises(pm.AgreementError):
-            pm.eval_E(ExponentPair(F(5, 2)), 0.3, precision_bits=bits)
+            pm.eval_E(ExponentPair(F(5, 2)), 0.3)
 
 
 class TestEvalF:
@@ -162,56 +175,50 @@ class TestEvalF:
             assert abs(value) < 1e-15
 
     def test_against_decomposition_residual_oracle(self):
-        # 50-digit closed-form oracle: F = w(x)/(x/q)^(p-1) - x/q - E
+        # 50-digit closed-form oracle: F = w(x)/(x/q)^(p-1) - x/q - E, with
+        # E summed in mpf over g_series to order 60.
         bits = 200
         pair = ExponentPair(3)
         x = 0.25
+        e_hi, e_tail = e_sum(pair, x, order=60, bits=bits)
         with mp.workprec(bits):
             xm = mpf(x)
             q = pair.q_mpf(bits)
             s = pair.inv_q_mpf(bits)
             w = (1 - (1 - xm) ** s) ** 2 - ((1 + xm) ** s - 1) ** 2
-            e_hi = pm.eval_E(pair, xm, order=60, precision_bits=bits)
-            oracle = w / (xm / q) ** 2 - xm / q - e_hi.value
+            oracle = w / (xm / q) ** 2 - xm / q - e_hi
         value, tail = pm.eval_F(pair, x)
-        assert abs(value - float(oracle)) <= tail + float(e_hi.tail_bound)
+        assert abs(value - float(oracle)) <= tail + float(e_tail)
 
-    @pytest.mark.parametrize("bits", [53, 113])
     @pytest.mark.parametrize("x", [0.001, 0.05, 0.25, 0.5])
     @pytest.mark.parametrize("p", [F("1.01"), F("1.1"), F(3, 2), F(2), F(3),
                                    F(7, 2), F(10)])
-    def test_within_tail_of_closed_form_reference(self, p, x, bits):
+    def test_within_tail_of_closed_form_reference(self, p, x):
         pair = ExponentPair(p)
-        value, tail = pm.eval_F(pair, x, precision_bits=bits)
+        value, tail = pm.eval_F(pair, x)
         with mp.workprec(400):
             # At mpmath's default 53 bits this subtraction would round to
             # about 1e-18 and hide every error below that.
             error = abs(mpf(value) - f_closed_form(pair, x))
         assert error <= tail
 
-    @pytest.mark.parametrize("bits", [53, 113])
     @pytest.mark.parametrize("x, tau", [(0.3, 0.02), (0.5, 0.2)])
     @pytest.mark.parametrize("shift_minus, shift_plus",
                              [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_inner_error_propagates(self, monkeypatch, shift_minus, shift_plus,
-                                    x, tau, bits):
+                                    x, tau):
         # Wide g tails: F from g values 0.9 tau off the truth must still
         # enclose the true F.  At tau = 0.2 the curvature of h matters: |h'|
         # taken at the computed g alone would not cover the error.
         pair = ExponentPair(F("1.1"))
         shifts = {-1: shift_minus, +1: shift_plus}
 
-        def shifted_g(pair, x, sign, order, precision_bits):
-            # In eval_g's arithmetic: doubles up to 53 bits, mpf above.
-            if precision_bits <= 53:
-                g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
-                return SeriesValue(float(g), tau)
-            with mp.workprec(precision_bits):
-                g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
-                return SeriesValue(+g, mpf(tau))
+        def shifted_g(pair, x, sign, order):
+            g = g_closed_form(pair, x, sign, 400) + shifts[sign] * 0.9 * tau
+            return SeriesValue(float(g), tau)
 
         monkeypatch.setattr(pm, "eval_g", shifted_g)
-        value, tail = pm.eval_F(pair, x, precision_bits=bits)
+        value, tail = pm.eval_F(pair, x)
         with mp.workprec(400):
             error = abs(mpf(value) - f_closed_form(pair, x))
         assert error <= tail
@@ -236,15 +243,16 @@ class TestEvalF:
         with pytest.raises(pm.AgreementError):
             pm.check_pairwise_positivity(ExponentPair(F(7, 2)), [0.3])
 
-    @pytest.mark.parametrize("bits", [53, 113])
-    def test_g_bound_at_minus_one_is_an_error(self, monkeypatch, bits):
+    def test_g_bound_at_minus_one_is_an_error(self, monkeypatch):
         # h'(t) diverges at t = -1 for p < 2, so F needs 1 + g - tail > 0.
         monkeypatch.setattr(pm, "eval_g", lambda *args, **kwargs: SeriesValue(
-            mpf(-0.99), mpf(0.02)))
+            -0.99, 0.02))
         with pytest.raises(pm.AgreementError, match="is not positive"):
-            pm.eval_F(ExponentPair(F(3, 2)), 0.3, precision_bits=bits)
+            pm.eval_F(ExponentPair(F(3, 2)), 0.3)
 
 
+# Reference precisions of the decomposition check, a point of (0, 1/2] that
+# is a power of 2, a double, an exact rational and the end, and exponents.
 FIXED_BITS = [64, 113, 200]
 FIXED_X = [2.0 ** -10, 0.001, F(1, 3), 0.5]
 FIXED_P = [F("1.01"), F("1.1"), F(3, 2), F(2), F(7, 2), F(10)]
@@ -266,249 +274,204 @@ def horner_exact(coeffs, x) -> Fraction:
     return acc
 
 
-class TestFixedPoint:
-    """Above 53 bits g and E are fixed-point sums: the returned tail must
-    cover the true error against the exact truncated sum."""
+class TestExactSums:
+    """The double evaluators' tails cover their error against the exact
+    truncated sums, and against the closed form."""
 
-    @pytest.mark.parametrize("bits", FIXED_BITS)
     @pytest.mark.parametrize("x", FIXED_X, ids=str)
     @pytest.mark.parametrize("p", FIXED_P, ids=str)
-    def test_within_tail_of_exact_sums(self, p, x, bits):
+    def test_within_tail_of_exact_sums(self, p, x):
         pair = ExponentPair(p)
         a = pm.g_series(pair, pm.DEFAULT_ORDER)
-        xq = Fraction(x)
+        xq = Fraction(float(x))
         for sign in (-1, +1):
-            value, tail = pm.eval_g(pair, x, sign, precision_bits=bits)
+            value, tail = pm.eval_g(pair, x, sign)
             truth = horner_exact(a, -sign * xq)    # a_k are g(-x)'s
             assert abs(exact(value) - truth) <= exact(tail)
-            # The tail also covers the truncation: against the closed form.
-            oracle = g_closed_form(pair, x, sign, 400)
+            oracle = g_closed_form(pair, float(x), sign, 400)
             with mp.workprec(400):
                 assert abs(value - oracle) <= tail
         odd = [c if k % 2 == 1 and k >= 3 else 0 for k, c in enumerate(a)]
-        value, tail = pm.eval_E(pair, x, precision_bits=bits)
+        value, tail = pm.eval_E(pair, x)
         truth = 2 * (p - 1) * horner_exact(odd, xq)
         assert abs(exact(value) - truth) <= exact(tail)
 
-    @pytest.mark.parametrize("bits", FIXED_BITS)
-    @pytest.mark.parametrize("p", FIXED_P, ids=str)
-    def test_tail_is_a_few_units(self, p, bits):
-        # At x = 2^-10 the truncation tail is far below 2^-bits, so what is
-        # left is rounding: well under one unit of the working precision.
-        pair = ExponentPair(p)
-        x = 2.0 ** -10
-        tails = [pm.eval_g(pair, x, sign, precision_bits=bits).tail_bound
-                 for sign in (-1, +1)]
-        tails.append(pm.eval_E(pair, x, precision_bits=bits).tail_bound)
-        assert all(0 < exact(tail) < Fraction(1, 2 ** bits) for tail in tails)
-
-    def test_tables_are_floors_of_the_exact_coefficients(self):
-        pair = ExponentPair(F(7, 2))
-        scale = 113 + pm.FIXED_GUARD_BITS
-        a = pm.g_series(pair, 12)
-        table = pm._a_table(pair, 12, 113)
-        assert all(t == math.floor(c * 2 ** scale) for t, c in zip(table, a))
-        # g(x)'s Horner table: highest order first, odd orders negated, and
-        # a closing 0 for the multiplication by x.
-        assert pm._g_table(pair, 12, 113, +1) == tuple(
-            (-1) ** k * table[k] for k in range(12, 0, -1)) + (0,)
-
 
 class TestPairConstants:
-    """The per-pair constants are the values eval_E and _bracket_slack
-    formed at each point before they were cached."""
+    """The per-pair constants are the values _bracket_slack would form from
+    p at each point."""
 
     @pytest.mark.parametrize("p", [Fraction("1.001"), Fraction(3, 2),
                                    Fraction(7, 3), Fraction(10)], ids=str)
     def test_same_values_and_decisions(self, p):
         pair = ExponentPair(p)
         const = pm._pair_constants(pair)
-        two_pm1 = 2 * (p - 1)
-        assert const.two_pm1 == two_pm1
-        for delta in (0, 1):
-            units = 3 + 2 * delta
-            assert const.e_units[delta] == math.ceil(two_pm1 * units) + 1
-            allowance = (two_pm1 + 1) * units + 1
-            for n in range(math.floor(allowance) - 2, math.ceil(allowance) + 3):
-                assert (n > const.e_agree[delta]) == (n > allowance)
-        assert (const.inv_q, const.p_minus_2, const.pm1_plus_1) == (
-            float(pair.inv_q_exact), float(p - 2), float(abs(p - 1) + 1))
+        assert const == (float(pair.q_exact), float(pair.inv_q_exact),
+                         float(p - 2), float(abs(p - 1) + 1),
+                         float(2 * p + 68))
         assert pm._pair_constants(ExponentPair(p)) is const
 
 
-class TestDoubleAllowances:
-    """Above 53 bits the allowances that only scale a tail are doubles; each
-    must be at least the same formula evaluated at 400 bits."""
+def reference_r(pair, x, bits=400):
+    """r = w (q/x)^(p-1) - x/q from the closed form at the exact p, at bits."""
+    with mp.workprec(bits):
+        xm = to_mpf(x)
+        s = to_mpf(pair.inv_q_exact)
+        pm1 = to_mpf(pair.p_exact - 1)
+        q = to_mpf(pair.q_exact)
+        w = (1 - (1 - xm) ** s) ** pm1 - ((1 + xm) ** s - 1) ** pm1
+        return w * (q / xm) ** pm1 - xm / q
 
-    @pytest.mark.parametrize("bits", FIXED_BITS)
+
+class TestDoubleAllowances:
+    """The allowances are doubles; each must be at least the quantity it
+    bounds, evaluated at 400 bits."""
+
     @pytest.mark.parametrize("x", FIXED_X, ids=str)
     @pytest.mark.parametrize("p", FIXED_P, ids=str)
-    def test_slope_and_h_rounding(self, p, x, bits):
+    def test_h_slope(self, p, x):
+        # At the ends eval_F takes it at, |h'| as a double bounds the exact
+        # alpha |(1+s)^(alpha-1) - 1|.
         pair = ExponentPair(p)
+        alpha = float(p - 1)
         for sign in (-1, +1):
-            t, tau = pm.eval_g(pair, x, sign, precision_bits=bits)
-            with mp.workprec(bits):
-                unit = mpf(2) ** (1 - bits)
-                alpha = to_mpf(p - 1)
-                reach = tau + 2 * unit * (abs(t) + tau)
-                ends = (t - reach, t + reach)
-                u = alpha * mp.log1p(t)
-                h = mp.expm1(u) - alpha * t
-            lo = math.nextafter(float(ends[0]), -math.inf)
-            hi = math.nextafter(float(ends[1]), math.inf)
-            slope = pm._slope_bound(float(alpha), lo, hi)
-            with mp.workprec(bits):
-                rounding = pm._rounding_bound(float(u), float(alpha * t),
-                                              float(h), float(unit))
-            with mp.workprec(400):
-                exact_alpha = to_mpf(p - 1)
-                exact_slope = max(
-                    abs(exact_alpha * ((1 + s) ** (exact_alpha - 1) - 1))
-                    for s in ends)
-                exact_rounding = 8 * unit * (abs(u) * mp.exp(abs(u))
-                                             + abs(alpha * t) + abs(h))
-                assert slope >= exact_slope
-                assert rounding >= exact_rounding
+            t, tau = pm.eval_g(pair, x, sign)
+            reach = tau + 2 * 2.0 ** -53 * (abs(t) + tau)
+            for s in (t - reach, t + reach):
+                slope = pm._h_slope(alpha, s)
+                with mp.workprec(400):
+                    a = to_mpf(p - 1)
+                    assert slope >= abs(a * ((1 + mpf(s)) ** (a - 1) - 1))
 
     @pytest.mark.parametrize("bits", FIXED_BITS)
     @pytest.mark.parametrize("x", FIXED_X, ids=str)
     @pytest.mark.parametrize("p", FIXED_P, ids=str)
     def test_bracket_slack(self, p, x, bits):
         pair = ExponentPair(p)
-        with mp.workprec(bits):
-            xm = to_mpf(x)
-            lhs = eval_w_closed_x(pair, xm, bits)
-            rhs = lhs * (1 + mpf(2) ** -100)
-        slack = pm._bracket_slack(pair, xm, lhs, rhs, bits)
+        xf = float(x)
+        (s, r), = pm._reference_sides(pair, [xf], bits)
+        size = abs(float(s)) + 2 * abs(float(r))
+        slack = pm._bracket_slack(pair, xf, size, bits)
         with mp.workprec(400):
-            s = to_mpf(pair.inv_q_exact)
-            pm1 = to_mpf(p - 1)
+            xm = mpf(xf)
+            inv_q = to_mpf(pair.inv_q_exact)
+            q_x = to_mpf(pair.q_exact) / xm
+            pm2 = to_mpf(p - 2)
             eps = mpf(2) ** (1 - bits)
-            v_plus = 1 - (1 - xm) ** s
-            v_minus = (1 + xm) ** s - 1
-            exact_slack = 64 * eps * (abs(pm1) + 1) * (
-                v_plus ** pm1 / v_plus + v_minus ** pm1 / v_minus)
-            exact_slack += 64 * eps * (abs(lhs) + abs(rhs) + 1)
+            y_plus = q_x * (1 - (1 - xm) ** inv_q)
+            y_minus = q_x * ((1 + xm) ** inv_q - 1)
+            exact_slack = 64 * eps * to_mpf(abs(p - 1) + 1) * q_x * (
+                y_plus ** pm2 + y_minus ** pm2)
+            exact_slack += to_mpf(2 * p + 68) * eps * size
             assert slack >= exact_slack
 
 
 # 25 points of (0, 1/2]: doubles, exact rationals and the ends.
 X_SAMPLE = ([0.001, 0.5, F(1, 3), F(1, 7), 2.0 ** -10]
             + [j / 40 for j in range(1, 20)] + [F(49, 100)])
-MPMATH_1_3 = mpmath.__version__.startswith("1.3.")
 
 
-def f_on_mpf_objects(pair, x, bits):
-    """eval_F above 53 bits as the same operations on mpf objects give it,
-    with mp.log1p and mp.expm1 (the derivation's arithmetic, term by
-    term)."""
-    with mp.workprec(bits):
-        unit = mpf(2) ** (1 - bits)
-        alpha = to_mpf(pair.p_exact - 1)
-        value = tail = mpf(0)
-        for sign in (-1, +1):
-            t, tau = pm.eval_g(pair, x, sign, pm.DEFAULT_ORDER, bits)
-            reach = tau + 2 * unit * (abs(t) + tau)
-            lo = math.nextafter(float(t - reach), -math.inf)
-            hi = math.nextafter(float(t + reach), math.inf)
-            u = alpha * mp.log1p(t)
-            h = mp.expm1(u) - alpha * t
-            value -= sign * h
-            tail += pm._rounding_bound(float(u), float(alpha * t), float(h),
-                                       float(unit))
-            tail += pm._up(pm._slope_bound(float(alpha), lo, hi)
-                           * pm._up(float(tau)))
-        return value, tail + 4 * unit * abs(value)
+class TestDecompositionReference:
+    """The reference side r of the decomposition check, at its precision."""
 
-
-class TestRawPaths:
-    """Above 53 bits F and the decomposition check run on raw libmp values;
-    they must give what the same operations on mpf objects give."""
-
-    @pytest.mark.skipif(not MPMATH_1_3, reason="the raw log1p and expm1 "
-                        "round as mpmath 1.3.x does")
-    @pytest.mark.parametrize("bits", [64, 113, 200])
-    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(7, 3), F(10)], ids=str)
-    def test_f_as_on_mpf_objects(self, p, bits):
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_allowance_covers_the_reference_error(self, p, bits):
+        # r at `bits` from the rounded p, against r at 400 bits from the
+        # exact p: the slack (with E + F = 0) must cover the difference.
         pair = ExponentPair(p)
-        for x in X_SAMPLE:
-            with mp.workprec(bits):
-                xm = to_mpf(x)
-            value, tail = pm.eval_F(pair, xm, precision_bits=bits)
-            assert (value, tail) == f_on_mpf_objects(pair, xm, bits)
+        xs = [float(x) for x in X_SAMPLE]
+        for x, (s, r) in zip(xs, pm._reference_sides(pair, xs, bits)):
+            slack = pm._bracket_slack(pair, x, abs(float(s)) + abs(float(r)),
+                                      bits)
+            with mp.workprec(400):
+                assert abs(r - reference_r(pair, x)) <= slack
 
-    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(10)], ids=str)
-    def test_decomposition_points_as_one_point_compositions(self, monkeypatch,
-                                                            p):
+    @pytest.mark.parametrize("x_min, p, bits", [
+        (0.001, F("1.01"), 125), (0.001, F(3, 2), 115), (0.001, F(2), 114),
+        (0.001, F(10), 115), (1e-8, F(3, 2), 182), (0.5, F(2), 78),
+    ], ids=str)
+    def test_precision_is_derived_from_p_and_the_smallest_x(self, x_min, p,
+                                                            bits):
+        assert pm._reference_bits(ExponentPair(p), x_min) == bits
+        report = pm.check_decomposition_identity(ExponentPair(p), [x_min, 0.5])
+        assert report.passed and report.grid["precision_bits"] == bits
+
+    def test_points_report_both_sides(self, monkeypatch):
+        # lhs is E + F from the double evaluators, rhs the reference r.
+        pair = ExponentPair(F(7, 2))
+        report = pm.check_decomposition_identity(pair, [0.25])
+        e, f = pm.eval_E(pair, 0.25), pm.eval_F(pair, 0.25)
+        bits = report.grid["precision_bits"]
+        (_, r), = pm._reference_sides(pair, [0.25], bits)
+        honest = pm._build_report
         seen = []
-        honest = pm._x_grid_check
-
-        def recording(description, pair, x_grid, point, **extra):
-            def recorded(x):
-                seen.append((x, point(x)))
-                return seen[-1][1]
-            return honest(description, pair, x_grid, recorded, **extra)
-
-        monkeypatch.setattr(pm, "_x_grid_check", recording)
-        pair = ExponentPair(p)
-        pm.check_decomposition_identity(pair, X_SAMPLE)
-        assert [x for x, _ in seen] == list(X_SAMPLE)
-        bits = pm.DECOMPOSITION_BITS
-        for x, got in seen:
-            with mp.workprec(bits):
-                xm = to_mpf(x)
-                q = pair.q_mpf(bits)
-                lhs = eval_w_closed_x(pair, xm, bits)
-                e = pm.eval_E(pair, xm, pm.DEFAULT_ORDER, bits)
-                f = pm.eval_F(pair, xm, pm.DEFAULT_ORDER, bits)
-                prefactor = (xm / q) ** (pair.p_mpf(bits) - 1)
-                rhs = prefactor * (xm / q + e.value + f.value)
-                residual = abs(lhs - rhs)
-                tol = (prefactor * (e.tail_bound + f.tail_bound)
-                       + pm._bracket_slack(pair, xm, lhs, rhs, bits))
-                assert got == (float(tol - residual), float(residual),
-                               float(tol))
+        monkeypatch.setattr(pm, "_build_report", lambda d, g, points:
+                            seen.extend(points) or honest(d, g, points))
+        pm.check_decomposition_identity(pair, [0.25])
+        (_, _, margin, lhs, rhs), = seen
+        assert (lhs, rhs) == (e.value + f.value, float(r))
+        assert margin == report.worst_margin > 0
 
 
 class TestDecompositionSensitivity:
-    """A weight off by a relative epsilon must fail the decomposition check:
-    the tolerance is tight enough to see it."""
+    """A weight or an evaluator off by a small relative error must fail the
+    decomposition check: the tolerance is tight enough to see it."""
 
     @staticmethod
-    def bent(monkeypatch, digits):
+    def bent(monkeypatch, relative):
         # The check reads its closed-form column from _improved_values.
         honest = pm._improved_values
 
         def bent(pair, xs, precision_bits):
             with mp.workprec(precision_bits):
-                factor = 1 + mpf(10) ** -digits
+                factor = 1 + mpf(relative)
                 return [(mp.make_mpf(w) * factor)._mpf_
                         for w in honest(pair, xs, precision_bits)]
 
         monkeypatch.setattr(pm, "_improved_values", bent)
 
-    @pytest.mark.parametrize("digits, p", [
-        *[(28, p) for p in (F(3, 2), F(2), F(7, 2))],
-        *[(24, p) for p in (F("1.01"), F(3, 2), F(2), F(7, 2), F(10))],
-    ], ids=str)
-    def test_relative_error_fails(self, monkeypatch, digits, p):
-        self.bent(monkeypatch, digits)
+    @pytest.mark.parametrize("p", pm.DEFAULT_P_GRID, ids=str)
+    def test_relative_error_fails(self, monkeypatch, p):
+        self.bent(monkeypatch, "1e-12")
         report = pm.check_decomposition_identity(ExponentPair(p),
                                                  pm.DEFAULT_X_GRID)
-        assert not report.passed
+        assert report.failure_count >= 450
         assert report.worst_margin < 0
 
-    def test_failures_are_capped(self, monkeypatch):
-        self.bent(monkeypatch, 24)
-        report = pm.check_decomposition_identity(ExponentPair(F(3, 2)),
+    def test_one_point_fails(self, monkeypatch):
+        # A relative 1e-6 at p = 10, x = 0.001 alone: an absolute floor in
+        # the allowance would hide it.
+        self.bent(monkeypatch, "1e-6")
+        assert not pm.check_decomposition_identity(ExponentPair(10),
+                                                   [0.001]).passed
+
+    @pytest.mark.parametrize("name", ["eval_E", "eval_F"])
+    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(3), F(10), F(20)],
+                             ids=str)
+    def test_bent_evaluator_fails(self, monkeypatch, name, p):
+        honest = getattr(pm, name)
+
+        def bent(pair, x, *args):
+            value, tail = honest(pair, x, *args)
+            return SeriesValue(value * (1 + 1e-10), tail)
+
+        monkeypatch.setattr(pm, name, bent)
+        report = pm.check_decomposition_identity(ExponentPair(p),
                                                  pm.DEFAULT_X_GRID)
-        assert report.failure_count == 284
+        assert report.failure_count >= 400
+
+    def test_failures_are_capped(self, monkeypatch):
+        self.bent(monkeypatch, "1e-12")
+        report = pm.check_decomposition_identity(ExponentPair(F("1.01")),
+                                                 pm.DEFAULT_X_GRID)
+        assert report.failure_count == 460
         assert len(report.failures) == pm.FAILURES_KEPT == 20
         margins = [f["margin"] for f in report.failures]
         assert margins == sorted(margins)
         assert report.worst_margin == margins[0]
         payload = report.to_json_dict()
-        assert payload["failure_count"] == 284
+        assert payload["failure_count"] == 460
         assert list(payload["failures"][0]) == ["p", "x", "margin", "lhs", "rhs"]
 
 
@@ -580,17 +543,22 @@ class TestGridChecks:
         assert report.passed and report.worst_margin > 0
 
     def test_decomposition_value_at_half(self):
-        # both sides equal the n = 2 weight: 2 - sqrt(1/2) - sqrt(3/2)
+        # Both sides equal the n = 2 weight: 2 - sqrt(1/2) - sqrt(3/2).  At
+        # p = 2, h(t) = 0, so F vanishes and the weight is (x/q)(x/q + E),
+        # with E from g_series summed in mpf or from the double evaluators.
+        pair = ExponentPair(2)
+        e_hi, e_tail = e_sum(pair, 0.5)
+        e, f = pm.eval_E(pair, 0.5), pm.eval_F(pair, 0.5)
         with mp.workprec(200):
             oracle = 2 - mp.sqrt(mpf(1) / 2) - mp.sqrt(mpf(3) / 2)
-            pair = ExponentPair(2)
+            x_q = mpf(1) / 4                     # x/q at x = 1/2, q = 2
             lhs = eval_w_closed_x(pair, mpf(1) / 2, 200)
-            e = pm.eval_E(pair, mpf(1) / 2, precision_bits=200)
-            f = pm.eval_F(pair, mpf(1) / 2, precision_bits=200)
-            q = pair.q_mpf(200)
-            rhs = (mpf(1) / 2 / q) * (mpf(1) / 2 / q + e.value + f.value)
             assert abs(lhs - oracle) < mpf(10) ** -50
-            assert abs(rhs - oracle) < float(e.tail_bound + f.tail_bound) + mpf(10) ** -40
+            assert (abs(x_q * (x_q + e_hi) - oracle)
+                    <= x_q * e_tail + mpf(10) ** -50)
+            rhs = x_q * (x_q + e.value + f.value)
+            assert (abs(rhs - oracle)
+                    <= x_q * (e.tail_bound + f.tail_bound) + mpf(10) ** -50)
 
     def test_n1_case_pass_and_example(self):
         report = pm.check_n1_case()

@@ -24,6 +24,7 @@ from phardy.series import (
     series_mul,
     series_pow_binomial,
 )
+from phardy.proof_machinery import g_series
 from phardy.weights import eval_w
 
 F = Fraction
@@ -294,3 +295,70 @@ class TestExpansionInvariantGuards:
                             PowerSeries((F(0), F(0), F(-1, 3))))
         with pytest.raises(InvariantViolation, match=r"c\[2\]"):
             expand_w_integer_p(3, 2)
+
+
+def _bracket_powers(a: tuple) -> list:
+    """(g(-x)^n, g(x)^n) for n = 1..K, K = len(a) - 1, from g(-x)'s
+    coefficients a (a_0 = 0) by Cauchy products."""
+    minus = PowerSeries(tuple(a))
+    plus = PowerSeries(tuple(c if k % 2 == 0 else -c for k, c in enumerate(a)))
+    powers = [(minus, plus)]
+    for _ in range(2, len(a)):
+        m, p = powers[-1]
+        powers.append((series_mul(m, minus), series_mul(p, plus)))
+    return powers
+
+
+def _e_plus_f(powers, binoms, q) -> list:
+    """Coefficients of E + F = sum_n binom(p-1, n) (g(-x)^n - g(x)^n) - x/q,
+    binoms[n - 1] = binom(p-1, n): the proof's sum over bracket powers."""
+    total = [F(0)] * len(powers[0][0].coeffs)
+    for b, (m, p) in zip(binoms, powers):
+        for k, (cm, cp) in enumerate(zip(m.coeffs, p.coeffs)):
+            total[k] += b * (cm - cp)
+    total[1] -= 1 / q
+    return total
+
+
+IDENTITY_ORDER = 40
+IDENTITY_P = [F(11, 10), F(3, 2), F(7, 3), F(7, 2)]
+
+
+class TestDecompositionIdentity:
+    """E + F = (x/q) a(x) as an identity of exact series: coefficient k + 1
+    of the sum over bracket powers of g_series equals a_k/q from Miller's
+    recurrence (expand_correction), for k <= IDENTITY_ORDER."""
+
+    @staticmethod
+    def routes(pair, bend=None):
+        """Both routes' coefficients, c_1..c_(K+1) by bracket powers and
+        a_0/q..a_K/q by Miller's recurrence, with at most one input bent
+        by 10^-40: ("g", k), ("binom", n) or ("a", k)."""
+        tiny = F(1, 10 ** 40)
+        order = IDENTITY_ORDER + 1
+        a = list(g_series(pair, order))
+        binoms = [binom_general_rational(pair.p_exact - 1, n)
+                  for n in range(order + 1)]
+        correction = list(expand_correction(pair, IDENTITY_ORDER).coeffs)
+        if bend:
+            kind, index = bend
+            {"g": a, "binom": binoms, "a": correction}[kind][index] += tiny
+        q = pair.q_exact
+        by_powers = _e_plus_f(_bracket_powers(tuple(a)), binoms[1:], q)
+        assert by_powers[0] == 0
+        return by_powers[1:], [c / q for c in correction]
+
+    @pytest.mark.parametrize("p", IDENTITY_P, ids=str)
+    def test_routes_agree_exactly(self, p):
+        by_powers, by_miller = self.routes(ExponentPair(p))
+        assert by_powers == by_miller
+        # The lowest nonzero coefficient: a_2/q, a_2 = 3/8 - 1/(8p).
+        assert by_powers[:2] == [0, 0]
+        assert by_powers[2] == (F(3, 8) - 1 / (8 * p)) / ExponentPair(p).q_exact
+
+    @pytest.mark.parametrize("bend", [("g", 5), ("g", 12), ("binom", 3),
+                                      ("binom", 20), ("a", 6), ("a", 40)],
+                             ids=str)
+    def test_one_bent_input_breaks_it(self, bend):
+        by_powers, by_miller = self.routes(ExponentPair(F(3, 2)), bend)
+        assert by_powers != by_miller
