@@ -172,6 +172,69 @@ class TestHornerFixed:
             assert abs(acc - exact * 2 ** scale) < bound
 
 
+class TestLog1pExpm1:
+    """math.log1p and math.expm1, which the double F path, its slope bound
+    and the decomposition's bracket slack call, against mpmath at 212 bits:
+    within the 2 units of 2^-53 relative that their error analyses take."""
+
+    @given(st.floats(min_value=-0.5, max_value=0.5, allow_subnormal=False),
+           st.floats(min_value=-40, max_value=40, allow_subnormal=False))
+    @settings(max_examples=300, deadline=None)
+    def test_within_the_stated_bound(self, t, u):
+        # The 212-bit references err by under 2^-209 relative.
+        with mp.workprec(212):
+            rel = mpf(2) ** -52 + mpf(2) ** -200
+            for got, reference in ((math.log1p(t), mp.log1p(mpf(t))),
+                                   (math.expm1(u), mp.expm1(mpf(u)))):
+                assert abs(got - reference) <= rel * abs(reference)
+
+
+def _short_series_argument(prec, mantissa, shift):
+    """A double of at most 53 bits below 2^-(prec+5) in magnitude: there
+    t^2/2 is under half an ulp of t, so log1p(t) and expm1(t) round to t."""
+    return math.ldexp(mantissa, -prec - 58 - shift)
+
+
+class TestLog1pExpm1BitForBit:
+    """At arguments about 2^-P, P >= 53, math.log1p and math.expm1 round as
+    mpmath's 4P-bit values rounded to a double do, bit for bit: to t."""
+
+    @staticmethod
+    def assert_as_mpmath(t, prec):
+        with mp.workprec(4 * prec):
+            assert math.log1p(t) == float(mp.log1p(mpf(t))) == t
+            assert math.expm1(t) == float(mp.expm1(mpf(t))) == t
+
+    @pytest.mark.parametrize("prec", [53, 64, 113, 200, 400])
+    def test_edge_arguments(self, prec):
+        cases = [
+            0.0,
+            # powers of 2, where the ulp below t is half the one above
+            math.ldexp(1, -prec - 5), math.ldexp(-1, -prec - 5),
+            math.ldexp(1, -prec - 13), math.ldexp(-1, -prec - 400),
+            # full 53-bit mantissas just under 2^-(P+5), and small odd ones
+            _short_series_argument(prec, (1 << 53) - 1, 0),
+            -_short_series_argument(prec, (1 << 53) - 1, 0),
+            _short_series_argument(prec, (1 << 52) + 1, 0),
+            math.ldexp(3, -prec - 13), math.ldexp(-5, -prec - 14),
+            math.ldexp(-7, -prec - 8),
+        ]
+        for t in cases:
+            self.assert_as_mpmath(t, prec)
+        with mp.workprec(4 * prec):
+            # Not t itself at 4P bits: only the rounding makes it t.
+            t = math.ldexp(1, -prec - 5)
+            assert mp.log1p(mpf(t)) < t < mp.expm1(mpf(t))
+
+    @given(st.integers(min_value=53, max_value=400),
+           st.integers(min_value=1, max_value=(1 << 53) - 1),
+           st.integers(min_value=0, max_value=400), st.sampled_from([-1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_arguments(self, prec, mantissa, shift, sign):
+        self.assert_as_mpmath(
+            sign * _short_series_argument(prec, mantissa, shift), prec)
+
+
 class TestExponentPair:
     def test_rejects_p_at_or_below_one(self):
         for bad in (1, Fraction(1), 0.5, "1"):

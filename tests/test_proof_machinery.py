@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from phardy import proof_machinery as pm
-from phardy.numerics import ExponentPair, to_mpf
+from phardy.numerics import ExponentPair, floor_scaled, horner_fixed, to_mpf
 from phardy.series import SeriesValue
 from phardy.weights import eval_w_closed_x
 
@@ -51,6 +51,13 @@ def e_sum(pair, x, order=200, bits=200):
         value = two_pm1 * sum(to_mpf(a[k]) * xm ** k
                               for k in range(3, order + 1, 2))
         return value, two_pm1 * to_mpf(a[order]) * xm ** (order + 1) / (1 - xm)
+
+
+def x_at(x, bits):
+    """x's decimal as an mpf at bits: the double x itself at 53 bits, and
+    above that a value the double evaluators round to that double."""
+    with mp.workprec(bits):
+        return mpf(repr(x))
 
 
 def f_closed_form(pair, x, bits=400):
@@ -152,7 +159,10 @@ class TestEvalE:
         value, _ = pm.eval_E(pair, 1e-4)
         assert value / 1e-12 == pytest.approx(2 * (float(p) - 1) * a3, rel=1e-6)
 
-    def test_cross_check_catches_a_bent_table(self, monkeypatch):
+    # x comes as an mpf at `bits`, under mpmath's working precision of
+    # `bits`: the cross-check runs in doubles whatever the caller's context.
+    @pytest.mark.parametrize("bits", [53, 113])
+    def test_cross_check_runs_at_every_precision(self, monkeypatch, bits):
         honest = pm._e_binom_table
 
         def corrupted(pair, order):
@@ -161,8 +171,8 @@ class TestEvalE:
             return tuple(table)
 
         monkeypatch.setattr(pm, "_e_binom_table", corrupted)
-        with pytest.raises(pm.AgreementError):
-            pm.eval_E(ExponentPair(F(5, 2)), 0.3)
+        with mp.workprec(bits), pytest.raises(pm.AgreementError):
+            pm.eval_E(ExponentPair(F(5, 2)), x_at(0.3, bits))
 
 
 class TestEvalF:
@@ -190,23 +200,29 @@ class TestEvalF:
         value, tail = pm.eval_F(pair, x)
         assert abs(value - float(oracle)) <= tail + float(e_tail)
 
+    # In these tests x comes as an mpf at `bits` (x_at), and eval_F runs
+    # under mpmath's working precision of `bits`: F is taken at the double
+    # nearest x whatever the caller's precision.
+    @pytest.mark.parametrize("bits", [53, 113])
     @pytest.mark.parametrize("x", [0.001, 0.05, 0.25, 0.5])
     @pytest.mark.parametrize("p", [F("1.01"), F("1.1"), F(3, 2), F(2), F(3),
                                    F(7, 2), F(10)])
-    def test_within_tail_of_closed_form_reference(self, p, x):
+    def test_within_tail_of_closed_form_reference(self, p, x, bits):
         pair = ExponentPair(p)
-        value, tail = pm.eval_F(pair, x)
+        with mp.workprec(bits):
+            value, tail = pm.eval_F(pair, x_at(x, bits))
         with mp.workprec(400):
             # At mpmath's default 53 bits this subtraction would round to
             # about 1e-18 and hide every error below that.
             error = abs(mpf(value) - f_closed_form(pair, x))
         assert error <= tail
 
+    @pytest.mark.parametrize("bits", [53, 113])
     @pytest.mark.parametrize("x, tau", [(0.3, 0.02), (0.5, 0.2)])
     @pytest.mark.parametrize("shift_minus, shift_plus",
                              [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     def test_inner_error_propagates(self, monkeypatch, shift_minus, shift_plus,
-                                    x, tau):
+                                    x, tau, bits):
         # Wide g tails: F from g values 0.9 tau off the truth must still
         # enclose the true F.  At tau = 0.2 the curvature of h matters: |h'|
         # taken at the computed g alone would not cover the error.
@@ -218,7 +234,9 @@ class TestEvalF:
             return SeriesValue(float(g), tau)
 
         monkeypatch.setattr(pm, "eval_g", shifted_g)
-        value, tail = pm.eval_F(pair, x)
+        x = x_at(x, bits)
+        with mp.workprec(bits):
+            value, tail = pm.eval_F(pair, x)
         with mp.workprec(400):
             error = abs(mpf(value) - f_closed_form(pair, x))
         assert error <= tail
@@ -243,12 +261,14 @@ class TestEvalF:
         with pytest.raises(pm.AgreementError):
             pm.check_pairwise_positivity(ExponentPair(F(7, 2)), [0.3])
 
-    def test_g_bound_at_minus_one_is_an_error(self, monkeypatch):
+    @pytest.mark.parametrize("bits", [53, 113])
+    def test_g_bound_at_minus_one_is_an_error(self, monkeypatch, bits):
         # h'(t) diverges at t = -1 for p < 2, so F needs 1 + g - tail > 0.
         monkeypatch.setattr(pm, "eval_g", lambda *args, **kwargs: SeriesValue(
             -0.99, 0.02))
-        with pytest.raises(pm.AgreementError, match="is not positive"):
-            pm.eval_F(ExponentPair(F(3, 2)), 0.3)
+        with mp.workprec(bits), pytest.raises(pm.AgreementError,
+                                              match="is not positive"):
+            pm.eval_F(ExponentPair(F(3, 2)), x_at(0.3, bits))
 
 
 # Reference precisions of the decomposition check, a point of (0, 1/2] that
@@ -297,6 +317,96 @@ class TestExactSums:
         assert abs(exact(value) - truth) <= exact(tail)
 
 
+# numerics.horner_fixed's scale is the precision plus these guard bits.
+FIXED_GUARD = 8
+
+
+def fixed_sum(coeffs, x, bits):
+    """numerics.horner_fixed over exact coeffs, highest order first, at
+    B = bits + FIXED_GUARD and y = floor(x 2^B), for an exact x >= 0:
+    (acc, truth, bound) in units of 2^-B, truth the exact sum and bound
+    the error lemma's, with t = x and delta = 1 unless x 2^B is an
+    integer."""
+    scale = bits + FIXED_GUARD
+    t = Fraction(x)
+    y = math.floor(t * 2 ** scale)
+    delta = 0 if y == t * 2 ** scale else 1
+    acc = horner_fixed([floor_scaled(c, scale) for c in coeffs], y, scale)
+    partial = bound = Fraction(0)
+    for c in coeffs:
+        floors = 1 if (c * 2 ** scale).denominator == 1 else 2
+        bound = t * bound + delta * abs(partial) + floors
+        partial = c + t * partial
+    return acc, partial * 2 ** scale, bound
+
+
+def fixed_tables(pair, order):
+    """The Horner tables, highest order first, of g(-x), g(x) and E(x):
+    g's with a closing 0 for the multiplication by x, E's zero at even k."""
+    a = pm.g_series(pair, order)
+    two_pm1 = 2 * (pair.p_exact - 1)
+    g_tables = [[(-sign) ** k * a[k] for k in range(order, 0, -1)] + [0]
+                for sign in (-1, +1)]
+    e_table = [two_pm1 * a[k] if k % 2 == 1 and k >= 3 else 0
+               for k in range(order, -1, -1)]
+    return g_tables + [e_table]
+
+
+class TestFixedPoint:
+    """numerics.horner_fixed, the weight kernel's fixed-point sum, on the
+    proof's own g and E tables at the decomposition's reference
+    precisions: its error lemma covers the true error against the exact
+    truncated sums, and with eval_g's truncation tail, the closed form."""
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("x", FIXED_X, ids=str)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_within_tail_of_exact_sums(self, p, x, bits):
+        pair = ExponentPair(p)
+        order = pm.DEFAULT_ORDER
+        unit = Fraction(1, 2 ** (bits + FIXED_GUARD))
+        a = pm.g_series(pair, order)
+        truncation = a[order] * Fraction(x) ** (order + 1) / (1 - Fraction(x))
+        tables = fixed_tables(pair, order)
+        for sign, table in ((-1, tables[0]), (+1, tables[1]), (0, tables[2])):
+            acc, truth, bound = fixed_sum(table, x, bits)
+            assert abs(acc - truth) < bound
+            if sign:
+                oracle = g_closed_form(pair, x, sign, 400)
+                with mp.workprec(400):
+                    assert (abs(to_mpf(acc * unit) - oracle)
+                            <= to_mpf(bound * unit + truncation))
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("p", FIXED_P, ids=str)
+    def test_tail_is_a_few_units(self, p, bits):
+        # At x = 2^-10 the truncation tail is far below 2^-bits, so what is
+        # left is rounding: well under one unit of 2^-bits.
+        pair = ExponentPair(p)
+        order = pm.DEFAULT_ORDER
+        x = Fraction(1, 2 ** 10)
+        a = pm.g_series(pair, order)
+        assert a[order] * x ** (order + 1) / (1 - x) < Fraction(1, 2 ** bits)
+        for table in fixed_tables(pair, order):
+            acc, truth, bound = fixed_sum(table, x, bits)
+            assert abs(acc - truth) < bound < 2 ** FIXED_GUARD
+
+    def test_tables_are_floors_of_the_exact_coefficients(self):
+        pair = ExponentPair(F(7, 2))
+        scale = 113 + FIXED_GUARD
+        a = pm.g_series(pair, 12)
+        assert [floor_scaled(c, scale) for c in a] == [
+            math.floor(c * 2 ** scale) for c in a]
+        # The double tables eval_g sums: each a_k rounded once, and g(x)'s
+        # Horner table highest order first, with odd orders negated.
+        table = pm._a_table(pair, 12)
+        assert table == tuple(float(c) for c in a)
+        assert pm._g_table(pair, 12, +1) == tuple(
+            (-1) ** k * table[k] for k in range(12, 0, -1))
+        assert pm._g_table(pair, 12, -1) == tuple(
+            table[k] for k in range(12, 0, -1))
+
+
 class TestPairConstants:
     """The per-pair constants are the values _bracket_slack would form from
     p at each point."""
@@ -325,13 +435,17 @@ def reference_r(pair, x, bits=400):
 
 class TestDoubleAllowances:
     """The allowances are doubles; each must be at least the quantity it
-    bounds, evaluated at 400 bits."""
+    bounds, evaluated at a higher precision."""
 
+    @pytest.mark.parametrize("bits", FIXED_BITS)
     @pytest.mark.parametrize("x", FIXED_X, ids=str)
     @pytest.mark.parametrize("p", FIXED_P, ids=str)
-    def test_h_slope(self, p, x):
+    def test_slope_and_h_rounding(self, p, x, bits):
         # At the ends eval_F takes it at, |h'| as a double bounds the exact
-        # alpha |(1+s)^(alpha-1) - 1|.
+        # alpha |(1+s)^(alpha-1) - 1|; at the computed g = t, h's rounding
+        # allowance bounds the error of h(t) formed in doubles.  The
+        # references are formed at `bits` without cancellation, and
+        # allowed 2^(8-bits) of what the allowances scale.
         pair = ExponentPair(p)
         alpha = float(p - 1)
         for sign in (-1, +1):
@@ -339,9 +453,19 @@ class TestDoubleAllowances:
             reach = tau + 2 * 2.0 ** -53 * (abs(t) + tau)
             for s in (t - reach, t + reach):
                 slope = pm._h_slope(alpha, s)
-                with mp.workprec(400):
+                with mp.workprec(bits):
                     a = to_mpf(p - 1)
-                    assert slope >= abs(a * ((1 + mpf(s)) ** (a - 1) - 1))
+                    exact_slope = abs(a * mp.expm1((a - 1) * mp.log1p(s)))
+                    assert slope >= exact_slope * (1 + mpf(2) ** (8 - bits))
+            u = alpha * math.log1p(t)
+            at = alpha * t
+            h = math.expm1(u) - at
+            with mp.workprec(bits):
+                exact_h = mp.expm1(alpha * mp.log1p(t)) - mpf(alpha) * t
+                reference_error = mpf(2) ** (8 - bits) * (
+                    abs(u) * mp.exp(abs(u)) + abs(at) + abs(h))
+                assert (abs(h - exact_h) + reference_error
+                        <= pm._h_rounding(u, at, h))
 
     @pytest.mark.parametrize("bits", FIXED_BITS)
     @pytest.mark.parametrize("x", FIXED_X, ids=str)
@@ -369,6 +493,58 @@ class TestDoubleAllowances:
 # 25 points of (0, 1/2]: doubles, exact rationals and the ends.
 X_SAMPLE = ([0.001, 0.5, F(1, 3), F(1, 7), 2.0 ** -10]
             + [j / 40 for j in range(1, 20)] + [F(49, 100)])
+
+
+class TestRawPaths:
+    """The decomposition reads its closed-form column as raw libmp values
+    (weights._improved_values, one precision context for the whole grid);
+    each point must give what the one-point weight on mpf objects gives."""
+
+    @pytest.mark.parametrize("bits", FIXED_BITS)
+    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(7, 3), F(10)], ids=str)
+    def test_f_as_on_mpf_objects(self, p, bits):
+        # s = w (q/x)^(p-1) and r = s - x/q, the reference for E + F, from
+        # weights.eval_w_closed_x, with p and q = p/(p-1) rounded once.
+        pair = ExponentPair(p)
+        xs = [float(x) for x in X_SAMPLE]
+        for x, got in zip(xs, pm._reference_sides(pair, xs, bits)):
+            with mp.workprec(bits):
+                xm = mpf(x)
+                p_mpf = pair.p_mpf(bits)
+                q = p_mpf / (p_mpf - 1)
+                s = eval_w_closed_x(pair, xm, bits) * (q / xm) ** (p_mpf - 1)
+                assert got == (s, s - xm / q)
+
+    @pytest.mark.parametrize("p", [F("1.01"), F(3, 2), F(10)], ids=str)
+    def test_decomposition_points_as_one_point_compositions(self, monkeypatch,
+                                                            p):
+        seen = []
+        honest = pm._x_grid_check
+
+        def recording(description, pair, x_grid, point, **extra):
+            def recorded(x):
+                seen.append((x, point(x)))
+                return seen[-1][1]
+            return honest(description, pair, x_grid, recorded, **extra)
+
+        monkeypatch.setattr(pm, "_x_grid_check", recording)
+        pair = ExponentPair(p)
+        report = pm.check_decomposition_identity(pair, X_SAMPLE)
+        assert [x for x, _ in seen] == list(X_SAMPLE)
+        bits = report.grid["precision_bits"]
+        assert bits == pm._reference_bits(pair, 2.0 ** -10)
+        for x, got in seen:
+            xf = float(x)
+            e, f = pm.eval_E(pair, xf), pm.eval_F(pair, xf)
+            (s, r), = pm._reference_sides(pair, [xf], bits)
+            value = e.value + f.value
+            with mp.workprec(bits):
+                residual = abs(value - r)
+                size = abs(float(s)) + abs(float(r)) + abs(value)
+                tol = pm._up(e.tail_bound + f.tail_bound
+                             + 2.0 ** -53 * abs(value)
+                             + pm._bracket_slack(pair, xf, size, bits), 3)
+                assert got == (float(tol - residual), value, float(r))
 
 
 class TestDecompositionReference:
@@ -431,8 +607,28 @@ class TestDecompositionSensitivity:
 
         monkeypatch.setattr(pm, "_improved_values", bent)
 
+    @pytest.mark.parametrize("digits, p", [
+        *[(28, p) for p in (F(3, 2), F(2), F(7, 2))],
+        *[(24, p) for p in (F("1.01"), F(3, 2), F(2), F(7, 2), F(10))],
+    ], ids=str)
+    def test_relative_error_fails(self, monkeypatch, digits, p):
+        # Far below double resolution E + F cannot see the bend, but the
+        # reference side's own allowance must: at the check's precision, r
+        # from the bent column lies outside _bracket_slack of the true r.
+        pair = ExponentPair(p)
+        xs = list(pm.DEFAULT_X_GRID)
+        bits = pm._reference_bits(pair, min(xs))
+        self.bent(monkeypatch, f"1e-{digits}")
+        outside = 0
+        for x, (s, r) in zip(xs, pm._reference_sides(pair, xs, bits)):
+            slack = pm._bracket_slack(pair, x, abs(float(s)) + abs(float(r)),
+                                      bits)
+            with mp.workprec(400):
+                outside += abs(r - reference_r(pair, x)) > slack
+        assert outside >= 450
+
     @pytest.mark.parametrize("p", pm.DEFAULT_P_GRID, ids=str)
-    def test_relative_error_fails(self, monkeypatch, p):
+    def test_bent_weight_fails(self, monkeypatch, p):
         self.bent(monkeypatch, "1e-12")
         report = pm.check_decomposition_identity(ExponentPair(p),
                                                  pm.DEFAULT_X_GRID)
