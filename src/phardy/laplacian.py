@@ -43,9 +43,15 @@ def weight_from_supersolution(u, pair: ExponentPair, indices: range,
     Evaluated in one precision context with p - 1 formed once.  The operator
     is left undefined at the ends of the grid rather than made one-sided, so
     an index outside 1..N-1 is refused, as is a u not positive at n.
+
+    With the signed flux F(m) = sgn(d)|d|^(p-1), d = u(m+1) - u(m), the
+    operator is lap(u)(n) = F(n-1) - F(n): the term of u(n) - u(n+1) is
+    -F(n) exactly, since a - b = -(b - a) under round-to-nearest.  So each
+    flux is formed once, and reused by the next index when it is n + 1.
     """
     last = len(u) - 1
     out = []
+    flux_at, flux = None, None
     with mp.workprec(precision_bits):
         pm1 = pair.p_mpf(precision_bits) - 1
         for n in indices:
@@ -55,7 +61,8 @@ def weight_from_supersolution(u, pair: ExponentPair, indices: range,
             un = u[n]
             if not un > 0:
                 raise ValueError(f"u must be positive at n={n}, got {un}")
-            lap = (_signed_power(un - u[n - 1], pm1)
-                   + _signed_power(un - u[n + 1], pm1))
-            out.append(lap / mpf(un) ** pm1)
+            left = (flux if flux_at == n - 1
+                    else _signed_power(un - u[n - 1], pm1))
+            flux_at, flux = n, _signed_power(u[n + 1] - un, pm1)
+            out.append((left - flux) / mpf(un) ** pm1)
     return out

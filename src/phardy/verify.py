@@ -8,8 +8,11 @@ and the rest go through the digit-contract route.  There is one table
 w(1..n) per (p, kind), which a longer request extends by the rows it lacks,
 so each row is computed once (see `_weight_array`).  A batch of random
 trials (`run_hardy_trials`) lays all its test functions out in one array,
-so its powers and products are formed once per batch and each trial costs
-little beyond its random draws (`_trial_sums`).  The quotient
+so its powers and products are formed once per batch, and it seeds the
+random streams of a block of trials in one pass over arrays (`_streams`),
+so each trial costs its draws and one re-seeding of a shared generator,
+with the same streams as np.random.default_rng (`_trial_sums`).  The
+quotient
 
     Q(phi) = sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
 
@@ -205,32 +208,42 @@ def random_compact(seed: int, N: int, distribution: str,
 
     distribution: "uniform" (on [-1,1]), "gaussian", or "sparse" (gaussian
     entries kept independently with the given density; at least one nonzero
-    entry is forced).
+    entry is forced).  The values come from the stream
+    np.random.default_rng([seed & 0x7FFFFFFF, N, code]), code the
+    distribution's number in _DIST_CODES.
     """
-    return CompactFunction(_random_values(seed, N, distribution, density))
-
-
-def _random_values(seed: int, N: int, distribution: str,
-                   density: float = 0.1) -> np.ndarray:
-    """The values phi(1..N) of `random_compact`."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, N,
+                                 _distribution_codes((distribution,))[0]])
+    return CompactFunction(_draw_values(rng, N, distribution, density))
+
+
+def _distribution_codes(distributions) -> list:
+    """The _DIST_CODES numbers of a nonempty sequence of distribution
+    names; an empty one or an unknown name is refused (ValueError)."""
+    if not distributions:
+        raise ValueError(f"distributions must name at least one of "
+                         f"{sorted(_DIST_CODES)}")
     try:
-        code = _DIST_CODES[distribution]
-    except KeyError:
-        raise ValueError(f"unknown distribution {distribution!r}; "
+        return [_DIST_CODES[name] for name in distributions]
+    except KeyError as exc:
+        raise ValueError(f"unknown distribution {exc.args[0]!r}; "
                          f"choose from {sorted(_DIST_CODES)}") from None
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, N, code])
+
+
+def _draw_values(rng: np.random.Generator, N: int, distribution: str,
+                 density: float = 0.1) -> np.ndarray:
+    """The values phi(1..N) of `random_compact`, drawn from rng."""
     if distribution == "uniform":
-        values = rng.uniform(-1.0, 1.0, size=N)
-    elif distribution == "gaussian":
-        values = rng.standard_normal(N)
-    else:
-        values = rng.standard_normal(N)
-        mask = rng.random(N) < density
-        values = values * mask
-        if not np.any(values):
-            values[int(rng.integers(N))] = 1.0
+        return rng.uniform(-1.0, 1.0, size=N)
+    if distribution == "gaussian":
+        return rng.standard_normal(N)
+    values = rng.standard_normal(N)
+    mask = rng.random(N) < density
+    values = values * mask
+    if not np.any(values):
+        values[int(rng.integers(N))] = 1.0
     return values
 
 
@@ -576,39 +589,174 @@ def _block_sums(functions, tables: dict, pf: float):
     return lhs, rhs
 
 
+# numpy's SeedSequence (bit_generator.pyx: a pool of four 32-bit words,
+# hashmix, mix and generate_state) and PCG64's seeding (pcg64.h: two steps
+# of the 128-bit LCG), as `_pcg64_states` runs them over many entropy rows.
+_WORD = 0xFFFFFFFF
+_POOL_WORDS = 4
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """Column of the count + 1 hash constants init * mult^k (mod 2^32)."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# The constants of the pool's 16 hashmix calls (INIT_A, MULT_A) and of
+# generate_state's 8 words (INIT_B, MULT_B).
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of values; row k takes constants
+    k and k + 1 of consts, as the k-th of consecutive calls would."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """Normalize four little-endian 32-bit limbs (rows, as uint64, each
+    below 2^63) in place, modulo 2^128."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+        limbs[k] &= _WORD
+    limbs[3] &= _WORD
+    return limbs
+
+
+def _mul_add(a: np.ndarray, m: int, c: np.ndarray) -> np.ndarray:
+    """a * m + c modulo 2^128 on normalized limbs.  Each limb product is
+    below 2^64, and a column gathers at most seven halves of them and a
+    limb of c, below 2^35."""
+    out = c.copy()
+    for j in range(4):
+        prod = a[:4 - j] * ((m >> 32 * j) & _WORD)
+        out[j:] += prod & _WORD
+        out[j + 1:] += prod[:3 - j] >> 32
+    return _carry(out)
+
+
+def _pcg64_states(columns, size: int) -> tuple:
+    """(states, increments): for each of size entropy rows, the 128-bit
+    state and increment of np.random.default_rng(row).bit_generator, as
+    Python ints.
+
+    columns holds the rows' words, one array of size entries or one int per
+    position.  This replays the hash of rows of at most four words, each
+    below 2^32: SeedSequence mixes the further words of a longer row into
+    its pool, and splits a word of 2^32 or more into several.  Any other
+    row is refused (ValueError), as numpy refuses a negative word.  The hash
+    constants do not depend on the entropy, so each step of the hash runs
+    over all rows at once in uint32 arithmetic, which wraps as the C code
+    does.  From generate_state(4, uint64) = (s0, s1, s2, s3), PCG64 takes
+    the seed s0 2^64 + s1 and the increment (s2 2^64 + s3) 2 + 1, and two
+    LCG steps from state 0 leave the state
+    ((increment + seed) * multiplier + increment) mod 2^128; these run on
+    32-bit limbs.
+    """
+    if len(columns) > _POOL_WORDS:
+        raise ValueError(f"at most {_POOL_WORDS} entropy words per row")
+    pool = np.zeros((_POOL_WORDS, size), dtype=np.uint32)
+    for row, column in zip(pool, columns):
+        column = np.asarray(column)
+        if column.min() < 0 or column.max() > _WORD:
+            raise ValueError("entropy words must lie in [0, 2^32)")
+        row[:] = column
+    pool = _hash(pool, _HASH_A[:5])
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k:k + 4]))
+    out = _hash(np.tile(pool, (2, 1)), _HASH_B)
+    # Eight 32-bit words, s_j = out[2j] + out[2j + 1] 2^32; limbs run from
+    # the least significant.
+    out = out.astype(np.uint64)
+    increment = out[[6, 7, 4, 5]] * 2
+    increment[0] += 1
+    increment = _carry(increment)
+    state = _mul_add(_carry(out[[2, 3, 0, 1]] + increment), _PCG_MULT,
+                     increment)
+
+    def as_ints(limbs):
+        halves = np.ascontiguousarray(limbs.T, dtype="<u4").view("<u8")
+        return [lo | hi << 64 for lo, hi in halves.tolist()]
+
+    return as_ints(state), as_ints(increment)
+
+
+def _streams(columns, count: int):
+    """For each of count entropy rows, in order, one Generator in the state
+    that np.random.default_rng(row) starts in (columns as in
+    `_pcg64_states`, arrays of count entries or ints).
+
+    The same Generator is yielded each time, re-seeded by setting its bit
+    generator's state, which costs about an eighth of building a new one.
+    The states are hashed TRIAL_BLOCK_VALUES rows at a time.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for first in range(0, count, TRIAL_BLOCK_VALUES):
+        size = min(TRIAL_BLOCK_VALUES, count - first)
+        block = [column[first:first + size] if np.ndim(column) else column
+                 for column in columns]
+        for state, inc in zip(*_pcg64_states(block, size)):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield generator
+
+
 def _trial_sums(pair: ExponentPair, trials: int, support: int, seed: int,
                 distributions):
     """(energy, {kind: weighted p-norm}): arrays over the trials, in trial
     order, equal bit for bit to `hardy_lhs` and `hardy_rhs` of each trial's
     test function.
 
-    Every trial's support size n and function seed are drawn first, from
-    that trial's own stream, and the weight tables are then filled once, up
-    to the largest n drawn.  The test functions are then drawn in trial
+    Trial t draws its support size n and function seed from the stream
+    default_rng([seed & 0x7FFFFFFF, t]), and its values as `random_compact`
+    of that seed, n and distributions[t % len(distributions)].  All sizes
+    and seeds are drawn first, and the weight tables are then filled once,
+    up to the largest n drawn.  The test functions are then drawn in trial
     order and summed in blocks of about TRIAL_BLOCK_VALUES values
-    (`_block_sums`).
+    (`_block_sums`).  Building two default_rng per trial would cost about
+    half a trial; here `_streams` hashes the seeds of a block of streams in
+    one pass, so what a trial costs is its draws, a re-seeding and its
+    share of the sums.
     """
+    codes = _distribution_codes(distributions)
     pf = pair.p_float()
-    draws = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed & 0x7FFFFFFF, t])
-        n = int(rng.integers(1, support + 1))
-        draws.append((n, int(rng.integers(2 ** 31))))
-    n_top = max(n for n, _ in draws)
-    tables = {kind: np.concatenate((_ZERO, _weight_array(pair, kind, n_top)))
+    sizes = np.empty(trials, dtype=np.int64)
+    phi_seeds = np.empty(trials, dtype=np.int64)
+    for t, rng in enumerate(_streams((seed & 0x7FFFFFFF, np.arange(trials)),
+                                     trials)):
+        sizes[t] = rng.integers(1, support + 1)
+        phi_seeds[t] = rng.integers(2 ** 31)
+    tables = {kind: np.concatenate((_ZERO, _weight_array(pair, kind,
+                                                         int(sizes.max()))))
               for kind in _KINDS}
+    streams = _streams((phi_seeds, sizes, np.resize(codes, trials)), trials)
     per_block = max(1, TRIAL_BLOCK_VALUES // support)
-    lhs, rhs = [], {kind: [] for kind in _KINDS}
+    lhs, rhs = np.empty(trials), {kind: np.empty(trials) for kind in _KINDS}
     for first in range(0, trials, per_block):
+        block = range(first, min(first + per_block, trials))
         functions = [
-            _random_values(phi_seed, n, distributions[t % len(distributions)])
-            for t, (n, phi_seed) in enumerate(draws[first:first + per_block],
-                                              first)]
+            _draw_values(next(streams), n, distributions[t % len(codes)])
+            for t, n in zip(block, sizes[block.start:block.stop].tolist())]
         block_lhs, block_rhs = _block_sums(functions, tables, pf)
-        lhs += block_lhs
+        lhs[block.start:block.stop] = block_lhs
         for kind in _KINDS:
-            rhs[kind] += block_rhs[kind]
-    return np.array(lhs), {kind: np.array(sums) for kind, sums in rhs.items()}
+            rhs[kind][block.start:block.stop] = block_rhs[kind]
+    return lhs, rhs
 
 
 def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
@@ -621,7 +769,9 @@ def run_hardy_trials(pair: ExponentPair, trials: int, support: int, seed: int,
     slack statistics and whether the improved weight's slack stayed below
     the classical one's on every trial, both over whole arrays with
     `check_hardy`'s pass rule.  The first trial whose sums leave the double
-    range is refused (PrecisionInfeasibleError), as in `check_hardy`.
+    range is refused (PrecisionInfeasibleError), as in `check_hardy`.  An
+    empty distributions, or an unknown name in it, is refused (ValueError)
+    before anything is drawn or tabulated.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")

@@ -773,6 +773,24 @@ class TestGoldenTrialOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # Recorded while each trial still built its two streams with
+    # np.random.default_rng; streams seeded a block at a time must print
+    # the same.
+    @pytest.mark.parametrize("argv, digest", [
+        (("--p", "5/2", "--trials", "2000", "--support", "300", "--seed", "7"),
+         "04be56686c5ff6c5c47c96775af5eced45234e516e8a06cca058a7bf5e6f412f"),
+        (("--p", "3/2", "--trials", "200", "--support", "40",
+          "--seed", "6442450949"),
+         "732433b0495674bd1f31217f0155a406a24ad0e1a6ac86f61b128ed5de496360"),
+        (("--p", "2", "--trials", "5000", "--support", "1", "--seed", "3"),
+         "a3b87ffac6acd6556aa63a837bea11142d4760e5bc11f00d9e94bd7dd8613d57"),
+    ], ids=["trials-several-blocks", "trials-seed-above-2^31",
+            "trials-support-1"])
+    def test_batch_seeded_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cold_and_warm_cache_agree(self, monkeypatch):
         pair = ExponentPair(Fraction(7, 3))
         monkeypatch.setattr(verify, "_WEIGHT_TABLES", OrderedDict())

@@ -169,6 +169,22 @@ class TestBatchedTransform:
             assert value == _at(u, p, n, bits)
             assert value == _one_point_transform(u, pair, n, bits)
 
+    @pytest.mark.parametrize("p", [F(3, 2), F(5, 2), F(41, 4)], ids=str)
+    @pytest.mark.parametrize("indices", [range(1, 40), range(1, 40, 2),
+                                         range(3, 38, 3), range(39, 0, -1)],
+                             ids=["step1", "step2", "step3", "descending"])
+    def test_shared_fluxes_match_two_powers_per_index(self, p, indices):
+        # Each flux is formed once and reused by the next index; on a u that
+        # rises and falls, and on ranges whose indices share no flux, every
+        # value is the per-index form's, bit for bit.
+        pair, bits = ExponentPair(p), 100
+        with mp.workprec(bits):
+            u = [mpf(0)] + [1 + mpf(n % 7) / 3 - mpf(n % 4) / 5
+                            for n in range(1, 40)] + [mpf(0)]
+        batch = weight_from_supersolution(u, pair, indices, bits)
+        assert [value._mpf_ for value in batch] == [
+            _one_point_transform(u, pair, n, bits)._mpf_ for n in indices]
+
     def test_range_checks_every_index(self):
         pair = ExponentPair(2)
         u = ground_state_grid(pair, 5, 64)

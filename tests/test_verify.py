@@ -536,6 +536,56 @@ def _trial_functions(trials, support, seed, dists):
                              dists[t % len(dists)])
 
 
+# Entropy words where the hash's arithmetic wraps or changes its length:
+# 0, 2^31 - 1, 2^32 - 1, and seeds masked as the trials mask them.
+ENTROPY_WORDS = st.one_of(
+    st.sampled_from([0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1]),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(-2 ** 70, 2 ** 70).map(lambda seed: seed & 0x7FFFFFFF))
+
+
+class TestBatchSeeding:
+    """The trials' streams are seeded for a block at a time by replaying
+    SeedSequence and PCG64's seeding over arrays; each must be the stream
+    np.random.default_rng(row) gives."""
+
+    @given(rows=st.integers(2, 3).flatmap(
+        lambda k: st.lists(st.lists(ENTROPY_WORDS, min_size=k, max_size=k),
+                           min_size=1, max_size=12)))
+    @settings(max_examples=60, deadline=None)
+    def test_states_equal_default_rng(self, rows):
+        columns = [np.array(column) for column in zip(*rows)]
+        states, incs = verify._pcg64_states(columns, len(rows))
+        for row, state, inc in zip(rows, states, incs):
+            reference = np.random.default_rng(row).bit_generator.state
+            assert reference["state"] == {"state": state, "inc": inc}, row
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_streams_draw_as_default_rng(self, monkeypatch, block):
+        # One int column and one array column, hashed in blocks of any size.
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_VALUES", block)
+        seeds = np.array([0, 2 ** 32 - 1, 7, 2 ** 31 - 1, 12345])
+        streams = verify._streams((2 ** 31 - 1, seeds), seeds.size)
+        for word, rng in zip(seeds.tolist(), streams):
+            reference = np.random.default_rng([2 ** 31 - 1, word])
+            assert rng.integers(1, 121) == reference.integers(1, 121)
+            assert np.array_equal(rng.standard_normal(9),
+                                  reference.standard_normal(9))
+
+    @pytest.mark.parametrize("word", [2 ** 32, 2 ** 40, -1])
+    def test_words_outside_32_bits_are_refused(self, word):
+        # SeedSequence splits a word of 2^32 or more into two words, which
+        # the batch hash does not model; numpy refuses a negative one.
+        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+            verify._pcg64_states((5, np.array([3, word])), 2)
+
+    def test_rows_beyond_the_pool_are_refused(self):
+        # SeedSequence mixes a fifth word in after its pool of four, which
+        # the batch hash does not replay.
+        with pytest.raises(ValueError, match="at most 4"):
+            verify._pcg64_states((1, 2, 3, 4, 5), 1)
+
+
 class TestTrials:
     def test_deterministic_summary(self):
         pair = ExponentPair(2)
@@ -594,6 +644,16 @@ class TestTrials:
         assert blocks[0].tobytes() == whole[0].tobytes()
         for kind, sums in whole[1].items():
             assert blocks[1][kind].tobytes() == sums.tobytes()
+
+    @pytest.mark.parametrize("dists", [(), ("uniform", "cauchy")],
+                             ids=["empty", "unknown"])
+    def test_distributions_are_checked_before_any_table(self, monkeypatch,
+                                                        dists):
+        tables = OrderedDict()
+        monkeypatch.setattr(verify, "_WEIGHT_TABLES", tables)
+        with pytest.raises(ValueError, match="distribution"):
+            run_hardy_trials(ExponentPair(F(7, 3)), 10, 20, 1, dists)
+        assert not tables
 
     @pytest.mark.parametrize("p", [700, 1000])
     def test_sums_beyond_doubles_are_refused(self, p):

@@ -2,6 +2,7 @@
 """SHA-256 of the stdout of every benchmark job, for output checks.
 
 Usage: python3 tools/job_digests.py ROOT WORKLOAD SEEDS
+       python3 tools/job_digests.py --against PARENT ROOT WORKLOAD SEEDS
 
 ROOT is a phardy checkout, WORKLOAD one of the benchmark's workloads and
 SEEDS a list such as ``0-3`` or ``1,5,9``.  The job lists come from
@@ -20,7 +21,15 @@ checkouts give the same outputs on those jobs exactly when the outputs of
     python3 tools/job_digests.py .      variational 0-3 > change.txt
     diff parent.txt change.txt
 
-are equal.
+are equal.  ``--against PARENT`` makes that check in one command: it runs
+the passes of both checkouts seed by seed, alternating which goes first
+(PARENT on the first seed listed), and prints only the jobs whose exit code or digest
+differ (or that only one checkout runs), one line each:
+
+    seed job PARENT-exit PARENT-sha256 ROOT-exit ROOT-sha256
+
+with ``-`` for a job that a checkout does not run, and a count of the jobs
+compared on stderr.  It exits 1 if any job differs and 0 if none does.
 """
 
 from __future__ import annotations
@@ -65,10 +74,42 @@ def run_pass(root: Path, workload: str, seed: int) -> None:
         print(f"{seed} {job.name} {code} {digest}", flush=True)
 
 
+def pass_digests(root: Path, workload: str, seed: int) -> dict:
+    """{job: (exit, sha256)} of one pass of root, run in a fresh process."""
+    result = subprocess.run([sys.executable, __file__, "--pass", str(root),
+                             workload, str(seed)],
+                            capture_output=True, text=True, check=True)
+    lines = (line.split() for line in result.stdout.splitlines())
+    return {job: (code, digest) for _, job, code, digest in lines}
+
+
+def compare(parent: Path, root: Path, workload: str, seeds: list) -> int:
+    """Print the jobs whose outputs differ between two checkouts."""
+    compared = differ = 0
+    for i, seed in enumerate(seeds):
+        order = (parent, root) if i % 2 == 0 else (root, parent)
+        runs = {checkout: pass_digests(checkout, workload, seed)
+                for checkout in order}
+        before, after = runs[parent], runs[root]
+        jobs = list(before) + [job for job in after if job not in before]
+        compared += len(jobs)
+        for job in jobs:
+            if before.get(job) != after.get(job):
+                differ += 1
+                print(seed, job, *before.get(job, ("-", "-")),
+                      *after.get(job, ("-", "-")), flush=True)
+    print(f"{workload}: {compared} jobs compared, {differ} differ",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main(argv) -> int:
     if len(argv) == 4 and argv[0] == "--pass":
         run_pass(Path(argv[1]).resolve(), argv[2], int(argv[3]))
         return 0
+    if len(argv) == 5 and argv[0] == "--against":
+        return compare(Path(argv[1]).resolve(), Path(argv[2]).resolve(),
+                       argv[3], parse_seeds(argv[4]))
     if len(argv) != 3:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
