@@ -45,8 +45,8 @@ EXIT_USAGE = 2
 # the tests, demos, README, benchmark and recorded timings use (10^5 weight
 # rows).  A size is counted before anything is allocated, so a larger one
 # is a usage error, not a MemoryError or a grid that is never done being
-# built.  A size below the limit may still take minutes and gigabytes:
-# 10^5 rows of `weight` at 15 digits peak near 0.2 GB.
+# built.  A size below the limit may still take minutes and a gigabyte:
+# 10^5 rows of `weight` at 15 digits peak at 115 MB (p = 2, JSON).
 MAX_POINTS = 10 ** 6
 # The largest `series --order`.  The exact coefficients' cost grows about as
 # the cube of the order (one-shot, 2-core VM: `series --correction --p 5/2`
@@ -106,11 +106,16 @@ def _parse_grid(text: str) -> list:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    """text to out_path, or to stdout; a file that cannot be written is a
+    usage error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _json_report(config: dict, body: dict) -> str:
@@ -302,8 +307,7 @@ def cmd_rayleigh(args) -> int:
         "converged": result.converged,
     }), args.out)
     if args.phi_out:
-        with open(args.phi_out, "w", newline="") as handle:
-            handle.write(result.minimizer.to_csv())
+        _emit(result.minimizer.to_csv(), args.phi_out)
     return EXIT_OK if result.quotient >= 1 - args.tol else EXIT_CHECK_FAILED
 
 

@@ -12,6 +12,7 @@ proven error run in Python-int fixed point (:func:`horner_fixed`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,13 @@ from mpmath import mp, mpf
 MAX_TARGET_DIGITS = 1_000_000
 
 _LOG2_10 = math.log2(10)
+
+# The largest working precision a weight budget may ask for, in bits: above
+# the 3,321,961 bits of MAX_TARGET_DIGITS at n = 1, with room for the
+# log2(1/(p-1)) bits of a p near 1.  A larger budget, such as p log2(n) bits
+# at a p far beyond desk scale, is refused rather than handed to mpmath,
+# which would fail deep inside with an OverflowError.
+MAX_PRECISION_BITS = 1 << 22
 
 # Entries kept by each cache keyed on an ExponentPair.  A run touches a few
 # pairs, orders and precisions, so the bound caps memory in a long-lived
@@ -144,10 +152,20 @@ class ExponentPair:
             p = self.p_mpf(precision_bits)
             return (p - 1) / p
 
+    def p_double(self) -> float:
+        """p rounded to a double, which may be 1; a p beyond the double range
+        is refused (PrecisionInfeasibleError), not left to overflow."""
+        try:
+            return float(self.p_exact)
+        except OverflowError:
+            raise PrecisionInfeasibleError(
+                f"p is beyond the double range: it exceeds "
+                f"{sys.float_info.max:.6g}") from None
+
     def p_float(self) -> float:
-        """p rounded to a double; a p that rounds to 1 is refused, as in
-        :meth:`p_mpf`."""
-        pf = float(self.p_exact)
+        """p rounded to a double, as :meth:`p_double`; a p that rounds to 1 is
+        refused too, as in :meth:`p_mpf`."""
+        pf = self.p_double()
         if not pf > 1:
             raise PrecisionInfeasibleError(
                 f"p = {self.p_exact} rounds to 1 in double precision")
@@ -221,7 +239,8 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
     when p < 2.  Forming p - 1 from the rounded p loses those log2(1/(p-1))
     bits as well (the classical weight is ((p-1)/p)^p n^-p).  So the budget
     is the decimal target plus max(p, 2)*log2(n), plus ceil(log2(1/(p-1)))
-    when p < 2, plus 32 guard bits.
+    when p < 2, plus 32 guard bits.  A budget above MAX_PRECISION_BITS is
+    refused (PrecisionInfeasibleError).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -230,10 +249,22 @@ def required_precision(pair: ExponentPair, n: int, target_decimal_digits: int) -
             f"target_decimal_digits must be in [1, {MAX_TARGET_DIGITS}], "
             f"got {target_decimal_digits}")
     p = pair.p_exact
-    cancel_bits = math.ceil(float(max(p, 2)) * math.log2(n)) if n > 1 else 0
+    top = max(p, 2)
+    if n == 1:
+        cancel_bits = 0
+    elif top > MAX_PRECISION_BITS:
+        # top log2(n) >= top: over the ceiling, and no double of p is formed.
+        cancel_bits = math.ceil(top)
+    else:
+        cancel_bits = math.ceil(float(top) * math.log2(n))
     if p < 2:
         # log2 of the integers, since 1/(p-1) may exceed the double range.
         pm1 = p - 1
         cancel_bits += math.ceil(math.log2(pm1.denominator)
                                  - math.log2(pm1.numerator))
-    return contract_bits(target_decimal_digits) + cancel_bits
+    bits = contract_bits(target_decimal_digits) + cancel_bits
+    if bits > MAX_PRECISION_BITS:
+        raise PrecisionInfeasibleError(
+            f"{target_decimal_digits} digits at n = {n} would need more than "
+            f"{MAX_PRECISION_BITS} bits of working precision")
+    return bits

@@ -406,11 +406,12 @@ def check_lemma_ak_lower(pair: ExponentPair) -> GridCheckReport:
     a = g_series(pair, DEFAULT_ORDER)
     p = pair.p_exact
     bounds = {k: 1 / (p * k * (k + 1)) for k in range(2, DEFAULT_ORDER + 1)}
-    points = [(float(p), float(k), float(a[k] - bound), float(a[k]), float(bound))
+    pf = pair.p_float()
+    points = [(pf, float(k), float(a[k] - bound), float(a[k]), float(bound))
               for k, bound in bounds.items()]
     return _build_report(
         "coefficient floor",
-        {"p": [pair.p_float()], "k_min": 2, "k_max": DEFAULT_ORDER}, points)
+        {"p": [pf], "k_min": 2, "k_max": DEFAULT_ORDER}, points)
 
 
 def check_lemma_binom_upper(pair: ExponentPair) -> GridCheckReport:

@@ -43,10 +43,11 @@ import io
 import json
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 
 from mpmath import iv, mp, mpf
@@ -379,32 +380,57 @@ class WeightRow:
 
 
 @dataclass(frozen=True)
+class _Rows(Sequence):
+    """A table's rows, each a WeightRow built when it is read; len() builds
+    none."""
+
+    table: WeightTable
+
+    def __len__(self) -> int:
+        return len(self.table.ns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        table, i = self.table, range(len(self))[index]
+        return WeightRow(table.ns[i], *(
+            PrecReal(mp.make_mpf(column[i]), table.precision_bits)
+            for column in table.columns), table.verified_positive[i])
+
+
+@dataclass(frozen=True)
 class WeightTable:
-    """Improvement table: per n, both weights and their relative excess.
+    """Improvement table: per n of ns, both weights and their relative
+    excess, as columns (w_improved, w_classical, ratio_minus_one) of raw mpf
+    values at precision_bits; ``rows`` gives them as WeightRows.
 
     ratio_minus_one is the relative improvement w/w_classical - 1 (this is
-    the correction term of the weight's asymptotics); each row carries a
-    flag stating the excess is positive at the table's stated precision.
+    the correction term of the weight's asymptotics); verified_positive
+    holds a flag per row stating the excess is positive at the table's
+    stated precision.
     """
 
     pair: ExponentPair
-    rows: list
+    ns: range
+    columns: tuple
+    verified_positive: list
     precision_bits: int
     target_digits: int
 
-    def all_verified_positive(self) -> bool:
-        return all(row.verified_positive for row in self.rows)
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self)
 
-    def _decimal_rows(self) -> list:
-        """(n, w_improved, w_classical, ratio_minus_one) per row, the values
-        as ``PrecReal.to_decimal`` writes them: ``mp.nstr`` of an mpf is
-        ``to_str`` of its raw value, called here directly."""
-        d = self.target_digits
-        return [(row.n,
-                 to_str(row.w_improved.value._mpf_, d, strip_zeros=False),
-                 to_str(row.w_classical.value._mpf_, d, strip_zeros=False),
-                 to_str(row.ratio_minus_one.value._mpf_, d, strip_zeros=False))
-                for row in self.rows]
+    def all_verified_positive(self) -> bool:
+        return all(self.verified_positive)
+
+    def _decimal_rows(self):
+        """(n, w_improved, w_classical, ratio_minus_one) per row, formed as
+        it is read, the values as ``PrecReal.to_decimal`` writes them:
+        ``mp.nstr`` of an mpf is ``to_str`` of its raw value, called here
+        directly."""
+        decimal = partial(to_str, dps=self.target_digits, strip_zeros=False)
+        return zip(self.ns, *(map(decimal, column) for column in self.columns))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -429,9 +455,10 @@ class WeightTable:
             f'{pad}  "w_classical": "{wc}",\n'
             f'{pad}  "ratio_minus_one": "{ratio}",\n'
             f'{pad}  "verified_positive": '
-            f'{"true" if row.verified_positive else "false"}\n{pad}}}'
-            for (n, w, wc, ratio), row in zip(self._decimal_rows(), self.rows))
-        rows = f"[\n{rows}\n{pad[2:]}]" if self.rows else "[]"
+            f'{"true" if positive else "false"}\n{pad}}}'
+            for (n, w, wc, ratio), positive in zip(self._decimal_rows(),
+                                                   self.verified_positive))
+        rows = f"[\n{rows}\n{pad[2:]}]" if self.ns else "[]"
         if config is None:
             return rows
         head = json.dumps({"config": config}, indent=2)[:-2]
@@ -464,7 +491,7 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     dense = 2 * len(ns) >= n_max
     kernel = _series_for(pair, ns, target_digits, dense)
     near = bisect_left(ns, kernel.start) if kernel else len(ns)
-    c2 = 3 / 8 - 1 / (8 * float(pair.p_exact))
+    c2 = 3 / 8 - 1 / (8 * pair.p_double())
     checked = dense and _bits_for(pair, ns, near, bits, contract, [
         (n, c2 / n ** 2) for n in ns[near - 1:near]])
     while checked:                  # else: the direct pows, below
@@ -480,15 +507,13 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     # Positivity of the excess is certified only above the precision floor.
     threshold = mpf_pow_int(from_int(10), 2 - target_digits, bits,
                             round_nearest)
-    rows = []
-    for n, w, wc, a in zip(ns, *columns):
+    for n, w in zip(ns, columns[0]):
         if not mpf_gt(w, fzero):
             raise ArithmeticError(f"improved weight not positive at n={n}: "
                                   f"{to_str(w, 15)}")
-        rows.append(WeightRow(n, *(PrecReal(mp.make_mpf(v), bits)
-                                   for v in (w, wc, a)), mpf_gt(a, threshold)))
-    return WeightTable(pair=pair, rows=rows, precision_bits=bits,
-                       target_digits=target_digits)
+    return WeightTable(pair, ns, columns,
+                       [mpf_gt(a, threshold) for a in columns[2]], bits,
+                       target_digits)
 
 
 def _bits_for(pair: ExponentPair, ns: range, near: int, bits: int,

@@ -392,13 +392,26 @@ class TestEdgeInputs:
           "--seed", "1"], 2, "p = 1000:"),
         # The starting ground state's u^p overflows: refused, not NaN.
         (["rayleigh", "--p", "1000", "--N", "10"], 2, "p = 1000:"),
+        # A budget of p log2(n) bits above the ceiling, with p in and
+        # beyond the double range; and at n = 1, where the budget holds,
+        # a p that no double can hold.
+        (["weight", "--p", "1e30", "--n", "1..2", "--digits", "15"], 2,
+         "bits of working precision"),
+        (["weight", "--p", "1e400", "--n", "1..2", "--digits", "15"], 2,
+         "bits of working precision"),
+        (["weight", "--p", "1e400", "--n", "1..1", "--digits", "15"], 2,
+         "beyond the double range"),
+        (["verify", "--supersolution", "--p", "1e300", "--n", "1..3",
+          "--digits", "15"], 2, "bits of working precision"),
     ], ids=["p-rounds-to-1", "p-near-1-series-rows",
             "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
             "rayleigh-tol-inf", "rayleigh-tol-negative",
             "rayleigh-negative-max-iters", "lemmas-p-rounds-to-1",
             "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1",
-            "verify-sums-beyond-doubles", "rayleigh-sums-beyond-doubles"])
+            "verify-sums-beyond-doubles", "rayleigh-sums-beyond-doubles",
+            "weight-budget-above-ceiling", "weight-budget-p-beyond-doubles",
+            "weight-n1-p-beyond-doubles", "supersolution-budget-above-ceiling"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr
@@ -408,6 +421,24 @@ class TestEdgeInputs:
         if text is not None:
             assert text in (result.stdout if expected == 0 else result.stderr)
 
+    @pytest.mark.parametrize("argv", [
+        ["weight", "--p", "2", "--n", "1..3"],
+        ["series", "--p", "2", "--order", "4"],
+        ["verify", "--p", "2", "--trials", "2", "--support", "3"],
+        ["lemmas", "--p", "3/2", "--only", "ak_lower"],
+        ["rayleigh", "--p", "2", "--N", "5"],
+        ["rayleigh", "--p", "2", "--N", "5", "--phi-out", "{missing}"],
+    ], ids=["weight", "series", "verify", "lemmas", "rayleigh",
+            "rayleigh-phi-out"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "missing" / "out.txt")
+        argv = [missing if arg == "{missing}" else arg for arg in argv]
+        if missing not in argv:
+            argv += ["--out", missing]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == (f"error: cannot write {missing}: No such file or "
+                       f"directory\n")
 
     HUGE = "100000000000"           # 10^11
 
