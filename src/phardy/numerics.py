@@ -109,15 +109,27 @@ class ExponentPair:
     converted exactly, a string may be "a/b" or a finite decimal), so q and
     1/q are exact too.  An mpf p is refused with a TypeError; pass ``str(x)``
     to have its decimal expansion parsed exactly.
+
+    The pair keys the caches of every layer, so its hash, which
+    ``Fraction`` forms in Python, is formed once; p is read-only, so that
+    hash cannot go stale.
     """
+
+    __slots__ = ("_p_exact", "_hash")
 
     def __init__(self, p):
         p_exact = Fraction(p)
         if not p_exact > 1:
             raise ValueError(f"p must exceed 1, got {p_exact}")
-        self.p_exact = p_exact
+        self._p_exact = p_exact
+        self._hash = hash(p_exact)
 
     # -- exact accessors -------------------------------------------------------
+
+    @property
+    def p_exact(self) -> Fraction:
+        """p, exact."""
+        return self._p_exact
 
     @property
     def q_exact(self) -> Fraction:
@@ -181,10 +193,10 @@ class ExponentPair:
     def __eq__(self, other):
         if not isinstance(other, ExponentPair):
             return NotImplemented
-        return self.p_exact == other.p_exact
+        return self._p_exact == other._p_exact
 
     def __hash__(self):
-        return hash(self.p_exact)
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "ExponentPair":

@@ -47,6 +47,7 @@ from mpmath import mp
 from .numerics import (
     PAIR_CACHE_SIZE,
     ExponentPair,
+    PrecisionInfeasibleError,
     binom_general_rational,
 )
 from .series import SeriesValue, _g_argument_series
@@ -140,22 +141,37 @@ def _e_binom_table(pair: ExponentPair, order: int) -> tuple:
     return tuple(out)
 
 
+def _beyond_doubles(what: str, pair: ExponentPair) -> PrecisionInfeasibleError:
+    return PrecisionInfeasibleError(
+        f"{what} is beyond the double range at p={pair.p_float()}")
+
+
 class _PairConstants(NamedTuple):
-    """What _bracket_slack derives from p alone, formed once per pair, as
-    doubles: q, 1/q, p - 2, |p - 1| + 1 and 2p + 68."""
+    """What the evaluators derive from p alone, formed once per pair, as
+    doubles.  For _bracket_slack: q, 1/q, p - 2, |p - 1| + 1 and 2p + 68,
+    each the exact value rounded once.  For eval_E: 2(p - 1) from the
+    rounded p.  For eval_F: alpha = p - 1 rounded once, which is not the
+    rounded p minus 1 (at p = 1.01, 0.01 against 0.010000000000000009).
+    """
     q: float
     inv_q: float
     p_minus_2: float
     pm1_plus_1: float
     rescale_units: float
+    two_pm1: float
+    alpha: float
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_constants(pair: ExponentPair) -> _PairConstants:
+    pf = pair.p_float()     # refuses a p beyond the doubles or rounding to 1
     p = pair.p_exact
-    return _PairConstants(float(pair.q_exact), float(pair.inv_q_exact),
-                          float(p - 2), float(abs(p - 1) + 1),
-                          float(2 * p + 68))
+    try:
+        return _PairConstants(float(pair.q_exact), float(pair.inv_q_exact),
+                              float(p - 2), float(abs(p - 1) + 1),
+                              float(2 * p + 68), 2 * (pf - 1), float(p - 1))
+    except OverflowError:
+        raise _beyond_doubles("2p + 68", pair) from None
 
 
 def _up(value: float, units: float = 0) -> float:
@@ -165,11 +181,12 @@ def _up(value: float, units: float = 0) -> float:
     value is enlarged by that many units and nudged up one ulp with
     math.nextafter; the ulp covers the rounding of the enlargement, which is
     at most half an ulp.  A bound outside the normal double range would have
-    lost the relative accuracy this rests on, so it is an error.
+    lost the relative accuracy this rests on, so it is refused
+    (PrecisionInfeasibleError).
     """
     bound = math.nextafter(value + value * (units * _DOUBLE_UNIT), math.inf)
     if not sys.float_info.min <= bound < math.inf:
-        raise ValueError(
+        raise PrecisionInfeasibleError(
             f"allowance {bound!r} lies outside the normal double range")
     return bound
 
@@ -230,19 +247,20 @@ def eval_E(pair: ExponentPair, x, order: int = DEFAULT_ORDER) -> SeriesValue:
     e_bin = _e_binom_table(pair, order)
     top = order if order % 2 == 1 else order - 1
     unit = _DOUBLE_UNIT
-    p = pair.p_float()
+    two_pm1 = _pair_constants(pair).two_pm1
     x2 = x * x
+    x3 = x ** 3
     acc = acc_b = 0
     for k in range(top, 2, -2):
         acc = acc * x2 + a[k]
         acc_b = acc_b * x2 + e_bin[k]
-    value = 2 * (p - 1) * acc * x ** 3
-    tail = 2 * (p - 1) * a[order] * x ** (order + 1) / (1 - x)
+    value = two_pm1 * acc * x3
+    tail = two_pm1 * a[order] * x ** (order + 1) / (1 - x)
     # Everything is scaled by x^3 at the end, so rounding is too.
     tail += (8 * (order + 2) * unit * (1 + abs(acc))
-             * max(1, 2 * (p - 1)) * x ** 3)
-    value_b = acc_b * x ** 3
-    agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x ** 3
+             * max(1, two_pm1) * x3)
+    value_b = acc_b * x3
+    agree_tol = 64 * (order + 2) * unit * (1 + abs(acc) + abs(acc_b)) * x3
     if abs(value - value_b) > agree_tol:
         raise AgreementError(
             f"E formulas disagree at p={pair.p_float()}, x={x}: "
@@ -292,22 +310,29 @@ def eval_F(pair: ExponentPair, x,
 
     The final subtraction adds 4 units of |F|.  h' diverges at t = -1 when
     p < 2, so 1 + g - tail not positive (either sign) raises AgreementError.
+    An allowance beyond the double range (at p = 1e30, say) is refused
+    (PrecisionInfeasibleError).
     """
     unit = _DOUBLE_UNIT
-    alpha = float(pair.p_exact - 1)
+    alpha = _pair_constants(pair).alpha
     value = tail = 0.0
-    for sign in (-1, +1):
-        t, tau = eval_g(pair, x, sign, series_order)
-        reach = tau + 2 * unit * (abs(t) + tau)
-        lo, hi = t - reach, t + reach
-        if not (1 + t - reach > 0 and lo > -1):
-            raise _not_positive(pair, x, 1 + t - tau)
-        u = alpha * math.log1p(t)
-        at = alpha * t
-        h = math.expm1(u) - at
-        value -= sign * h
-        tail += _h_rounding(u, at, h)
-        tail += max(_h_slope(alpha, s) for s in (lo, hi)) * tau
+    try:
+        for sign in (-1, +1):
+            t, tau = eval_g(pair, x, sign, series_order)
+            reach = tau + 2 * unit * (abs(t) + tau)
+            lo, hi = t - reach, t + reach
+            if not (1 + t - reach > 0 and lo > -1):
+                raise _not_positive(pair, x, 1 + t - tau)
+            u = alpha * math.log1p(t)
+            at = alpha * t
+            h = math.expm1(u) - at
+            value -= sign * h
+            tail += _h_rounding(u, at, h)
+            tail += max(_h_slope(alpha, lo), _h_slope(alpha, hi)) * tau
+    except OverflowError:
+        tail = math.inf
+    if not tail < math.inf:
+        raise _beyond_doubles("F's allowance", pair)
     return SeriesValue(value, tail + 4 * unit * abs(value))
 
 
@@ -452,6 +477,8 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid) -> GridCheckReport:
     if not _between_odd_and_even(pf):
         raise ValueError(
             f"p={pf} does not lie between an odd and an even integer")
+    binoms = [(n, _binom_float(pf - 1, n), _binom_float(pf - 1, n + 1))
+              for n in range(1, PAIRWISE_N_MAX + 1, 2)]
 
     def point(x):
         gm, tm = eval_g(pair, x, -1)
@@ -459,9 +486,7 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid) -> GridCheckReport:
         gm_hi = _below_one(gm + tm, pair, x)
         tau = tm + tp
         worst = None
-        for n in range(1, PAIRWISE_N_MAX + 1, 2):
-            b_n = _binom_float(pf - 1, n)
-            b_n1 = _binom_float(pf - 1, n + 1)
+        for n, b_n, b_n1 in binoms:
             value = b_n * (gm ** n - gp ** n) + b_n1 * (gm ** (n + 1) - gp ** (n + 1))
             allow = (abs(b_n) * n * gm_hi ** (n - 1)
                      + abs(b_n1) * (n + 1) * gm_hi ** n) * tau
@@ -508,9 +533,11 @@ def _reference_bits(pair: ExponentPair, x_min: float) -> int:
     would only widen the allowance: the allowance itself is derived point
     by point.
     """
-    p, q = pair.p_exact, pair.q_exact
+    pq2 = pair.p_exact * pair.q_exact ** 2
+    # log2 of the integers, since p q^2 may exceed the double range.
     return 63 + REFERENCE_GUARD_BITS + math.ceil(
-        math.log2(float(p * q * q)) - 4 * math.log2(x_min))
+        math.log2(pq2.numerator) - math.log2(pq2.denominator)
+        - 4 * math.log2(x_min))
 
 
 def _reference_sides(pair: ExponentPair, xs, precision_bits: int) -> list:
@@ -586,6 +613,7 @@ def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
     (one unit 2^-53 of it) and :func:`_bracket_slack`; each point reports
     E + F and r as its two sides.
     """
+    pair.p_float()      # refuses a p no double holds before the reference
     xs = [_check_x(x) for x in x_grid]
     bits = _reference_bits(pair, min(xs))
     rows = iter(zip(xs, _reference_sides(pair, xs, bits)))
@@ -595,14 +623,14 @@ def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
         e = eval_E(pair, xf)
         f = eval_F(pair, xf)
         value = e.value + f.value
-        with mp.workprec(bits):
-            residual = abs(value - r)
-            size = abs(float(s)) + abs(float(r)) + abs(value)
-            tol = _up(e.tail_bound + f.tail_bound + _DOUBLE_UNIT * abs(value)
-                      + _bracket_slack(pair, xf, size, bits), 3)
-            return float(tol - residual), value, float(r)
-    return _x_grid_check("bracket decomposition", pair, x_grid, point,
-                         precision_bits=bits)
+        residual = abs(value - r)
+        size = abs(float(s)) + abs(float(r)) + abs(value)
+        tol = _up(e.tail_bound + f.tail_bound + _DOUBLE_UNIT * abs(value)
+                  + _bracket_slack(pair, xf, size, bits), 3)
+        return float(tol - residual), value, float(r)
+    with mp.workprec(bits):             # the mpf steps of every point
+        return _x_grid_check("bracket decomposition", pair, x_grid, point,
+                             precision_bits=bits)
 
 
 def check_n1_case() -> GridCheckReport:
@@ -646,8 +674,8 @@ def merge_reports(reports) -> GridCheckReport:
         failure_count=failure_count)
 
 
-def _between_odd_and_even(p: Fraction | float) -> bool:
-    pf = float(p)
+def _between_odd_and_even(pf: float) -> bool:
+    """Whether the double pf lies in [2k - 1, 2k] for an integer k."""
     k = math.ceil(pf / 2)
     return 2 * k - 1 <= pf <= 2 * k
 
@@ -657,13 +685,13 @@ class Lemma(NamedTuple):
 
     ``check(pair, x_grid)`` runs the predicate for one exponent; its reports
     carry the lemma's description, and the suite merges them over p.
-    ``applies(p)`` is the hypothesis on the exact p, and ``needs`` the error
+    ``applies(pair)`` is the hypothesis on p, and ``needs`` the error
     raised when a single-lemma run has no p satisfying it.  The n = 1
     special value has no per-p check: it runs once on its own p-grid.
     """
 
     check: Callable | None
-    applies: Callable = lambda p: True
+    applies: Callable = lambda pair: True
     needs: str = ""
 
 
@@ -675,12 +703,12 @@ LEMMAS = {
     "gpm": Lemma(lambda pair, xs: check_lemma_gpm(pair, xs)),
     "ak_lower": Lemma(lambda pair, xs: check_lemma_ak_lower(pair)),
     "binom_upper": Lemma(lambda pair, xs: check_lemma_binom_upper(pair),
-                         lambda p: p < BINOM_K[-1],
+                         lambda pair: pair.p_exact < BINOM_K[-1],
                          "the binomial-coefficient cap needs at least one p "
                          f"below {BINOM_K[-1]}"),
     "g_linear": Lemma(lambda pair, xs: check_lemma_g_linear(pair, xs)),
     "pairwise": Lemma(lambda pair, xs: check_pairwise_positivity(pair, xs),
-                      _between_odd_and_even,
+                      lambda pair: _between_odd_and_even(pair.p_double()),
                       "pairwise positivity needs at least one p between an "
                       "odd and an even integer"),
     "ef": Lemma(lambda pair, xs: check_EF_positive(pair, xs)),
@@ -696,7 +724,7 @@ def run_lemma(name: str, pairs, x_grid) -> GridCheckReport:
     lemma = LEMMAS[name]
     if lemma.check is None:
         return check_n1_case()
-    qualifying = [pair for pair in pairs if lemma.applies(pair.p_exact)]
+    qualifying = [pair for pair in pairs if lemma.applies(pair)]
     if not qualifying:
         raise ValueError(lemma.needs)
     return merge_reports(lemma.check(pair, x_grid) for pair in qualifying)
@@ -714,4 +742,4 @@ def run_default_suite(p_grid=DEFAULT_P_GRID, x_grid=DEFAULT_X_GRID) -> dict:
     pairs = [ExponentPair(p) for p in p_grid]
     return {name: run_lemma(name, pairs, x_grid)
             for name, lemma in LEMMAS.items()
-            if any(lemma.applies(pair.p_exact) for pair in pairs)}
+            if any(lemma.applies(pair) for pair in pairs)}

@@ -403,6 +403,17 @@ class TestEdgeInputs:
          "beyond the double range"),
         (["verify", "--supersolution", "--p", "1e300", "--n", "1..3",
           "--digits", "15"], 2, "bits of working precision"),
+        # The lemma grids: F's allowance beyond the doubles at p = 1e30 (on
+        # its own and in the full suite at 1e300), and a p no double holds
+        # where the pairwise window and the reference precision read it.
+        (["lemmas", "--p", "1e30", "--only", "ef"], 2,
+         "beyond the double range"),
+        (["lemmas", "--p", "1e300"], 2, "beyond the double range"),
+        (["lemmas", "--p", "1e400", "--only", "pairwise"], 2,
+         "beyond the double range"),
+        (["lemmas", "--p", "1e400", "--only", "decomposition"], 2,
+         "beyond the double range"),
+        (["lemmas", "--p", "1e30", "--only", "pairwise"], 0, None),
     ], ids=["p-rounds-to-1", "p-near-1-series-rows",
             "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
@@ -411,7 +422,12 @@ class TestEdgeInputs:
             "lemmas-ef-p-rounds-to-1", "verify-p-rounds-to-1",
             "verify-sums-beyond-doubles", "rayleigh-sums-beyond-doubles",
             "weight-budget-above-ceiling", "weight-budget-p-beyond-doubles",
-            "weight-n1-p-beyond-doubles", "supersolution-budget-above-ceiling"])
+            "weight-n1-p-beyond-doubles", "supersolution-budget-above-ceiling",
+            "lemmas-ef-allowance-beyond-doubles",
+            "lemmas-suite-allowance-beyond-doubles",
+            "lemmas-pairwise-p-beyond-doubles",
+            "lemmas-decomposition-p-beyond-doubles",
+            "lemmas-pairwise-p-1e30"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr

@@ -274,6 +274,14 @@ class TestExponentPair:
         with mp.workprec(128):
             assert pair.p_mpf(128) - 1 > 0
 
+    def test_p_is_read_only(self):
+        # The hash is formed once, from p; p cannot change under it.
+        pair = ExponentPair(3)
+        with pytest.raises(AttributeError):
+            pair.p_exact = Fraction(5, 2)
+        assert pair.p_exact == 3 and hash(pair) == hash(Fraction(3))
+        assert {ExponentPair("3/2"), ExponentPair(1.5)} == {ExponentPair(Fraction(3, 2))}
+
     def test_serialization_helpers(self):
         # p is read with Fraction and written with str, both exact.
         assert str(ExponentPair.parse("69/64").p_exact) == "69/64"

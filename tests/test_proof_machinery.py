@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from phardy import proof_machinery as pm
-from phardy.numerics import ExponentPair, floor_scaled, horner_fixed, to_mpf
+from phardy.numerics import (
+    ExponentPair,
+    PrecisionInfeasibleError,
+    floor_scaled,
+    horner_fixed,
+    to_mpf,
+)
 from phardy.series import SeriesValue
 from phardy.weights import eval_w_closed_x
 
@@ -183,6 +189,12 @@ class TestEvalF:
             value, tail = pm.eval_F(pair, x)
             assert abs(value) <= tail
             assert abs(value) < 1e-15
+
+    @pytest.mark.parametrize("p", [10 ** 30, 10 ** 300], ids=str)
+    def test_allowance_beyond_doubles_is_refused(self, p):
+        # alpha log1p(t) is far beyond log of the largest double.
+        with pytest.raises(PrecisionInfeasibleError, match="F's allowance"):
+            pm.eval_F(ExponentPair(p), 0.25)
 
     def test_against_decomposition_residual_oracle(self):
         # 50-digit closed-form oracle: F = w(x)/(x/q)^(p-1) - x/q - E, with
@@ -408,18 +420,27 @@ class TestFixedPoint:
 
 
 class TestPairConstants:
-    """The per-pair constants are the values _bracket_slack would form from
-    p at each point."""
+    """The per-pair constants are the values _bracket_slack, eval_E and
+    eval_F would form from p at each point."""
 
-    @pytest.mark.parametrize("p", [Fraction("1.001"), Fraction(3, 2),
-                                   Fraction(7, 3), Fraction(10)], ids=str)
+    @pytest.mark.parametrize("p", [Fraction("1.001"), Fraction("1.01"),
+                                   Fraction(3, 2), Fraction(7, 3),
+                                   Fraction(10)], ids=str)
     def test_same_values_and_decisions(self, p):
         pair = ExponentPair(p)
         const = pm._pair_constants(pair)
         assert const == (float(pair.q_exact), float(pair.inv_q_exact),
                          float(p - 2), float(abs(p - 1) + 1),
-                         float(2 * p + 68))
+                         float(2 * p + 68), 2 * (pair.p_float() - 1),
+                         float(p - 1))
         assert pm._pair_constants(ExponentPair(p)) is const
+
+    @pytest.mark.parametrize("p", ["3/2", Fraction(3, 2), 1.5], ids=repr)
+    def test_one_entry_per_pair(self, p):
+        pair = ExponentPair(p)
+        assert hash(pair) == hash(Fraction(3, 2))
+        assert pm._pair_constants(pair) is pm._pair_constants(
+            ExponentPair(Fraction(3, 2)))
 
 
 def reference_r(pair, x, bits=400):
@@ -572,6 +593,14 @@ class TestDecompositionReference:
         assert pm._reference_bits(ExponentPair(p), x_min) == bits
         report = pm.check_decomposition_identity(ExponentPair(p), [x_min, 0.5])
         assert report.passed and report.grid["precision_bits"] == bits
+
+    def test_precision_needs_no_double_of_p(self):
+        # log2(p q^2) = 400 log2(10) + 2 log2(q), q - 1 = 1/(p - 1).
+        pair = ExponentPair(10 ** 400)
+        assert pm._reference_bits(pair, 0.5) == 71 + math.ceil(
+            400 * math.log2(10) + 4)
+        with pytest.raises(PrecisionInfeasibleError, match="double range"):
+            pm.check_decomposition_identity(pair, [0.5])
 
     def test_points_report_both_sides(self, monkeypatch):
         # lhs is E + F from the double evaluators, rhs the reference r.
@@ -727,6 +756,17 @@ class TestGridChecks:
     def test_pairwise_rejects_even_window(self):
         with pytest.raises(ValueError):
             pm.check_pairwise_positivity(ExponentPair(F(5, 2)), SMALL_X)
+
+    def test_pairwise_binomials_formed_once_per_pair(self, monkeypatch):
+        # Two per odd n <= PAIRWISE_N_MAX, whatever the grid's size.
+        calls = []
+        binom = pm._binom_float
+        monkeypatch.setattr(pm, "_binom_float",
+                            lambda alpha, k: calls.append(k) or binom(alpha, k))
+        report = pm.check_pairwise_positivity(ExponentPair(F(7, 2)),
+                                              pm.DEFAULT_X_GRID)
+        assert report.passed and report.grid["points"] == 500
+        assert sorted(calls) == list(range(1, pm.PAIRWISE_N_MAX + 2))
 
     @pytest.mark.parametrize("p", P_SAMPLE)
     def test_ef_positive_pass(self, p):
