@@ -471,7 +471,9 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid) -> GridCheckReport:
     For odd n <= PAIRWISE_N_MAX: binom(p-1,n)(g^n(-x) - g^n(x)) +
     binom(p-1,n+1)(g^(n+1)(-x) - g^(n+1)(x)) >= 0.  Nonnegativity is checked
     up to the evaluation tolerance (the quantity vanishes identically for
-    integer p and n > p).  The margin at x is the smallest over n.
+    integer p and n > p).  The margin at x is the smallest over n.  A
+    binomial beyond the double range (from n = 11 at p = 1e30) would make
+    every margin infinite, so it is refused (PrecisionInfeasibleError).
     """
     pf = pair.p_float()
     if not _between_odd_and_even(pf):
@@ -479,6 +481,10 @@ def check_pairwise_positivity(pair: ExponentPair, x_grid) -> GridCheckReport:
             f"p={pf} does not lie between an odd and an even integer")
     binoms = [(n, _binom_float(pf - 1, n), _binom_float(pf - 1, n + 1))
               for n in range(1, PAIRWISE_N_MAX + 1, 2)]
+    if not all(math.isfinite(b) for _, b_n, b_n1 in binoms
+               for b in (b_n, b_n1)):
+        raise _beyond_doubles(f"binom(p-1, n), n <= {PAIRWISE_N_MAX + 1},",
+                              pair)
 
     def point(x):
         gm, tm = eval_g(pair, x, -1)
@@ -615,13 +621,15 @@ def check_decomposition_identity(pair: ExponentPair, x_grid) -> GridCheckReport:
     """
     pair.p_float()      # refuses a p no double holds before the reference
     xs = [_check_x(x) for x in x_grid]
+    # E and F first, so that an allowance beyond the doubles is refused
+    # before the reference column, whose (q/x)^(p-1) at a huge p takes
+    # tens of seconds (at p = 1e300).
+    sides = [(eval_E(pair, xf), eval_F(pair, xf)) for xf in xs]
     bits = _reference_bits(pair, min(xs))
-    rows = iter(zip(xs, _reference_sides(pair, xs, bits)))
+    rows = iter(zip(xs, sides, _reference_sides(pair, xs, bits)))
 
     def point(x):
-        xf, (s, r) = next(rows)         # point runs once per x, in grid order
-        e = eval_E(pair, xf)
-        f = eval_F(pair, xf)
+        xf, (e, f), (s, r) = next(rows)     # once per x, in grid order
         value = e.value + f.value
         residual = abs(value - r)
         size = abs(float(s)) + abs(float(r)) + abs(value)

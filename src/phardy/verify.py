@@ -8,10 +8,11 @@ and the rest go through the digit-contract route.  There is one table
 w(1..n) per (p, kind), which a longer request extends by the rows it lacks,
 so each row is computed once (see `_weight_array`).  A batch of random
 trials (`run_hardy_trials`) lays all its test functions out in one array,
-so its powers and products are formed once per batch, and it seeds the
-random streams of a block of trials in one pass over arrays (`_streams`),
-so each trial costs its draws and one re-seeding of a shared generator,
-with the same streams as np.random.default_rng (`_trial_sums`).  The
+so its powers and products are formed once per batch.  Its sizes and
+function seeds are drawn as two arrays from one batch stream, and each
+function's values from a counter-based Philox stream keyed by its seed,
+size and distribution, set on one reused generator with no seed to hash,
+so each trial costs its draws (`_trial_sums`, `random_compact`).  The
 quotient
 
     Q(phi) = sum |phi(n) - phi(n-1)|^p  /  sum w(n) |phi(n)|^p
@@ -208,15 +209,34 @@ def random_compact(seed: int, N: int, distribution: str,
 
     distribution: "uniform" (on [-1,1]), "gaussian", or "sparse" (gaussian
     entries kept independently with the given density; at least one nonzero
-    entry is forced).  The values come from the stream
-    np.random.default_rng([seed & 0x7FFFFFFF, N, code]), code the
-    distribution's number in _DIST_CODES.
+    entry is forced).  The values come from the counter-based stream
+    np.random.Generator(np.random.Philox(key=k)) with the 128-bit key
+    k = (seed & 0x7FFFFFFF) | code << 32 | N << 64, code the distribution's
+    number in _DIST_CODES: a key and a counter from 0, with no seed hash.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, N,
-                                 _distribution_codes((distribution,))[0]])
+    code = _distribution_codes((distribution,))[0]
+    rng = _keyed(np.random.Generator(np.random.Philox(key=0)),
+                 seed & 0x7FFFFFFF, N, code)
     return CompactFunction(_draw_values(rng, N, distribution, density))
+
+
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def _keyed(generator: np.random.Generator, seed: int, N: int,
+           code: int) -> np.random.Generator:
+    """generator, its Philox bit generator set to key (seed | code << 32, N)
+    and counter 0 with nothing buffered: the stream of `random_compact`
+    for a seed below 2^31.  Setting the state builds nothing, so a batch
+    reuses one generator for all its functions."""
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed | code << 32, N)},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return generator
 
 
 def _distribution_codes(distributions) -> list:
@@ -589,173 +609,47 @@ def _block_sums(functions, tables: dict, pf: float):
     return lhs, rhs
 
 
-# numpy's SeedSequence (bit_generator.pyx: a pool of four 32-bit words,
-# hashmix, mix and generate_state) and PCG64's seeding (pcg64.h: two steps
-# of the 128-bit LCG), as `_pcg64_states` runs them over many entropy rows.
-_WORD = 0xFFFFFFFF
-_POOL_WORDS = 4
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """Column of the count + 1 hash constants init * mult^k (mod 2^32)."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _WORD)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-# The constants of the pool's 16 hashmix calls (INIT_A, MULT_A) and of
-# generate_state's 8 words (INIT_B, MULT_B).
-_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of values; row k takes constants
-    k and k + 1 of consts, as the k-th of consecutive calls would."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> 16)
-
-
-def _carry(limbs: np.ndarray) -> np.ndarray:
-    """Normalize four little-endian 32-bit limbs (rows, as uint64, each
-    below 2^63) in place, modulo 2^128."""
-    for k in range(3):
-        limbs[k + 1] += limbs[k] >> 32
-        limbs[k] &= _WORD
-    limbs[3] &= _WORD
-    return limbs
-
-
-def _mul_add(a: np.ndarray, m: int, c: np.ndarray) -> np.ndarray:
-    """a * m + c modulo 2^128 on normalized limbs.  Each limb product is
-    below 2^64, and a column gathers at most seven halves of them and a
-    limb of c, below 2^35."""
-    out = c.copy()
-    for j in range(4):
-        prod = a[:4 - j] * ((m >> 32 * j) & _WORD)
-        out[j:] += prod & _WORD
-        out[j + 1:] += prod[:3 - j] >> 32
-    return _carry(out)
-
-
-def _pcg64_states(columns, size: int) -> tuple:
-    """(states, increments): for each of size entropy rows, the 128-bit
-    state and increment of np.random.default_rng(row).bit_generator, as
-    Python ints.
-
-    columns holds the rows' words, one array of size entries or one int per
-    position.  This replays the hash of rows of at most four words, each
-    below 2^32: SeedSequence mixes the further words of a longer row into
-    its pool, and splits a word of 2^32 or more into several.  Any other
-    row is refused (ValueError), as numpy refuses a negative word.  The hash
-    constants do not depend on the entropy, so each step of the hash runs
-    over all rows at once in uint32 arithmetic, which wraps as the C code
-    does.  From generate_state(4, uint64) = (s0, s1, s2, s3), PCG64 takes
-    the seed s0 2^64 + s1 and the increment (s2 2^64 + s3) 2 + 1, and two
-    LCG steps from state 0 leave the state
-    ((increment + seed) * multiplier + increment) mod 2^128; these run on
-    32-bit limbs.
-    """
-    if len(columns) > _POOL_WORDS:
-        raise ValueError(f"at most {_POOL_WORDS} entropy words per row")
-    pool = np.zeros((_POOL_WORDS, size), dtype=np.uint32)
-    for row, column in zip(pool, columns):
-        column = np.asarray(column)
-        if column.min() < 0 or column.max() > _WORD:
-            raise ValueError("entropy words must lie in [0, 2^32)")
-        row[:] = column
-    pool = _hash(pool, _HASH_A[:5])
-    for src in range(_POOL_WORDS):
-        dst = [d for d in range(_POOL_WORDS) if d != src]
-        k = 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k:k + 4]))
-    out = _hash(np.tile(pool, (2, 1)), _HASH_B)
-    # Eight 32-bit words, s_j = out[2j] + out[2j + 1] 2^32; limbs run from
-    # the least significant.
-    out = out.astype(np.uint64)
-    increment = out[[6, 7, 4, 5]] * 2
-    increment[0] += 1
-    increment = _carry(increment)
-    state = _mul_add(_carry(out[[2, 3, 0, 1]] + increment), _PCG_MULT,
-                     increment)
-
-    def as_ints(limbs):
-        halves = np.ascontiguousarray(limbs.T, dtype="<u4").view("<u8")
-        return [lo | hi << 64 for lo, hi in halves.tolist()]
-
-    return as_ints(state), as_ints(increment)
-
-
-def _streams(columns, count: int):
-    """For each of count entropy rows, in order, one Generator in the state
-    that np.random.default_rng(row) starts in (columns as in
-    `_pcg64_states`, arrays of count entries or ints).
-
-    The same Generator is yielded each time, re-seeded by setting its bit
-    generator's state, which costs about an eighth of building a new one.
-    The states are hashed TRIAL_BLOCK_VALUES rows at a time.
-    """
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for first in range(0, count, TRIAL_BLOCK_VALUES):
-        size = min(TRIAL_BLOCK_VALUES, count - first)
-        block = [column[first:first + size] if np.ndim(column) else column
-                 for column in columns]
-        for state, inc in zip(*_pcg64_states(block, size)):
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-            yield generator
-
-
 def _trial_sums(pair: ExponentPair, trials: int, support: int, seed: int,
                 distributions):
     """(energy, {kind: weighted p-norm}): arrays over the trials, in trial
     order, equal bit for bit to `hardy_lhs` and `hardy_rhs` of each trial's
     test function.
 
-    Trial t draws its support size n and function seed from the stream
-    default_rng([seed & 0x7FFFFFFF, t]), and its values as `random_compact`
-    of that seed, n and distributions[t % len(distributions)].  All sizes
-    and seeds are drawn first, and the weight tables are then filled once,
-    up to the largest n drawn.  The test functions are then drawn in trial
-    order and summed in blocks of about TRIAL_BLOCK_VALUES values
-    (`_block_sums`).  Building two default_rng per trial would cost about
-    half a trial; here `_streams` hashes the seeds of a block of streams in
-    one pass, so what a trial costs is its draws, a re-seeding and its
-    share of the sums.
+    One batch stream, np.random.default_rng(seed & 0x7FFFFFFF), draws the
+    trials' support sizes n, integers(1, support + 1, size=trials), and
+    then their function seeds, integers(2^31, size=trials).  Trial t's
+    values are `random_compact` of its seed, its n and
+    distributions[t % len(distributions)].  The weight tables are filled
+    once, up to the largest n drawn, and the test functions are then drawn
+    in trial order and summed in blocks of about TRIAL_BLOCK_VALUES values
+    (`_block_sums`).  Each function's keyed stream is set on one reused
+    Philox generator (`_keyed`), with no seed to hash, so what a trial
+    costs is its draws and its share of the sums.
     """
     codes = _distribution_codes(distributions)
     pf = pair.p_float()
-    sizes = np.empty(trials, dtype=np.int64)
-    phi_seeds = np.empty(trials, dtype=np.int64)
-    for t, rng in enumerate(_streams((seed & 0x7FFFFFFF, np.arange(trials)),
-                                     trials)):
-        sizes[t] = rng.integers(1, support + 1)
-        phi_seeds[t] = rng.integers(2 ** 31)
+    batch = np.random.default_rng(seed & 0x7FFFFFFF)
+    sizes = batch.integers(1, support + 1, size=trials)
+    phi_seeds = batch.integers(2 ** 31, size=trials)
     tables = {kind: np.concatenate((_ZERO, _weight_array(pair, kind,
                                                          int(sizes.max()))))
               for kind in _KINDS}
-    streams = _streams((phi_seeds, sizes, np.resize(codes, trials)), trials)
+    generator = np.random.Generator(np.random.Philox(key=0))
     per_block = max(1, TRIAL_BLOCK_VALUES // support)
     lhs, rhs = np.empty(trials), {kind: np.empty(trials) for kind in _KINDS}
     for first in range(0, trials, per_block):
-        block = range(first, min(first + per_block, trials))
-        functions = [
-            _draw_values(next(streams), n, distributions[t % len(codes)])
-            for t, n in zip(block, sizes[block.start:block.stop].tolist())]
+        block = slice(first, min(first + per_block, trials))
+        functions = []
+        for t, n, phi_seed in zip(range(block.start, block.stop),
+                                  sizes[block].tolist(),
+                                  phi_seeds[block].tolist()):
+            k = t % len(codes)
+            rng = _keyed(generator, phi_seed, n, codes[k])
+            functions.append(_draw_values(rng, n, distributions[k]))
         block_lhs, block_rhs = _block_sums(functions, tables, pf)
-        lhs[block.start:block.stop] = block_lhs
+        lhs[block] = block_lhs
         for kind in _KINDS:
-            rhs[kind][block.start:block.stop] = block_rhs[kind]
+            rhs[kind][block] = block_rhs[kind]
     return lhs, rhs
 
 

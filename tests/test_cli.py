@@ -413,7 +413,11 @@ class TestEdgeInputs:
          "beyond the double range"),
         (["lemmas", "--p", "1e400", "--only", "decomposition"], 2,
          "beyond the double range"),
-        (["lemmas", "--p", "1e30", "--only", "pairwise"], 0, None),
+        (["lemmas", "--p", "1e30", "--only", "pairwise"], 2,
+         "beyond the double range"),
+        # The README's overflow example.
+        (["verify", "--p", "700", "--trials", "30", "--support", "20",
+          "--seed", "1"], 2, "p = 700:"),
     ], ids=["p-rounds-to-1", "p-near-1-series-rows",
             "digits-beyond-series-reach", "supersolution-D340", "digits-0", "n-from-0",
             "negative-order", "rayleigh-N1", "rayleigh-tol-nan",
@@ -427,7 +431,7 @@ class TestEdgeInputs:
             "lemmas-suite-allowance-beyond-doubles",
             "lemmas-pairwise-p-beyond-doubles",
             "lemmas-decomposition-p-beyond-doubles",
-            "lemmas-pairwise-p-1e30"])
+            "lemmas-pairwise-p-1e30", "verify-readme-overflow-p700"])
     def test_exit_code(self, argv, expected, text):
         result = run_phardy(*argv)
         assert "Traceback" not in result.stderr, result.stderr
@@ -796,21 +800,22 @@ class TestGoldenWeightOutput:
 
 
 class TestGoldenTrialOutput:
-    """SHA-256 of stdout for trial batches and one Rayleigh bracket,
-    recorded while every float weight table was still recomputed whole at
-    each power-of-two size; a table grown row range by row range must print
-    the same."""
+    """SHA-256 of stdout for trial batches and one Rayleigh bracket.  The
+    Rayleigh digest was recorded while every float weight table was still
+    recomputed whole at each power-of-two size, and the trial digests with
+    the keyed Philox streams; a table grown row range by row range must
+    print the same."""
 
     @pytest.mark.parametrize("argv, digest", [
         (("verify", "--p", "1.003", "--trials", "300", "--support", "200",
           "--seed", "11"),
-         "1ccb8ba937e732bfd67a83e4e6b47cc73256f7f1111c24e7fe1007154469fc19"),
+         "7bcf5e4f12a06f625f86da25148713d1721bf9ce43b8bc834a1c347af7730dc5"),
         (("verify", "--p", "7/3", "--trials", "300", "--support", "150",
           "--seed", "5"),
-         "dfb5671f1d234e4f65178dc690b0c6f9cf2e10028ae642467bd73e66ac65030d"),
+         "ff9b5b91ca71a973ddca801896850fd002f7516aa6bd748b7ab986e0e1adea44"),
         (("verify", "--p", "73/4", "--trials", "300", "--support", "200",
           "--seed", "2"),
-         "32127317e331f135437abf73d525cd80628222066fab712c1d7f15d894435c2c"),
+         "b48c8d38eabb2aa8d851952ffd41992a1a8b1ccc0db1eeb8a43353c770c8d2af"),
         (("rayleigh", "--p", "3", "--weight", "improved", "--N", "100"),
          "304f80135a2c16f456eb396c4f8d4f0e6f9678ced48a8abc40ad2beb29a559bc"),
     ], ids=["trials-p1.003", "trials-p7_3", "trials-p73_4",
@@ -820,17 +825,16 @@ class TestGoldenTrialOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # Recorded while each trial still built its two streams with
-    # np.random.default_rng; streams seeded a block at a time must print
-    # the same.
+    # Batches over many blocks, with a seed above 2^31 (masked to 31 bits)
+    # and with support 1.
     @pytest.mark.parametrize("argv, digest", [
         (("--p", "5/2", "--trials", "2000", "--support", "300", "--seed", "7"),
-         "04be56686c5ff6c5c47c96775af5eced45234e516e8a06cca058a7bf5e6f412f"),
+         "852cba8f9a25cf1a054363e5e868764e0f5aff1f934f285a8476ac60543804fc"),
         (("--p", "3/2", "--trials", "200", "--support", "40",
           "--seed", "6442450949"),
-         "732433b0495674bd1f31217f0155a406a24ad0e1a6ac86f61b128ed5de496360"),
+         "78051a785902fb72e7906e9b4b3aa9011268b000584cb8359965ea5666a26ede"),
         (("--p", "2", "--trials", "5000", "--support", "1", "--seed", "3"),
-         "a3b87ffac6acd6556aa63a837bea11142d4760e5bc11f00d9e94bd7dd8613d57"),
+         "79dbdd3c17e26a2ea0f6e6e0137e234e149342d54c96156af73db50ce6c48d5e"),
     ], ids=["trials-several-blocks", "trials-seed-above-2^31",
             "trials-support-1"])
     def test_batch_seeded_stdout_digest(self, capsys, argv, digest):

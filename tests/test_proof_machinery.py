@@ -602,6 +602,17 @@ class TestDecompositionReference:
         with pytest.raises(PrecisionInfeasibleError, match="double range"):
             pm.check_decomposition_identity(pair, [0.5])
 
+    def test_allowance_is_refused_before_the_reference(self, monkeypatch):
+        # At p = 1e300 F's allowance leaves the doubles; forming the
+        # reference column first would take tens of seconds.
+        def unreachable(*args):
+            raise AssertionError("the reference column was formed")
+
+        monkeypatch.setattr(pm, "_reference_sides", unreachable)
+        with pytest.raises(PrecisionInfeasibleError, match="F's allowance"):
+            pm.check_decomposition_identity(ExponentPair(10 ** 300),
+                                            pm.DEFAULT_X_GRID)
+
     def test_points_report_both_sides(self, monkeypatch):
         # lhs is E + F from the double evaluators, rhs the reference r.
         pair = ExponentPair(F(7, 2))

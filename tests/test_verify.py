@@ -528,62 +528,48 @@ def test_not_above_capped_descent(p, kind, N):
 
 
 def _trial_functions(trials, support, seed, dists):
-    """Each trial's test function, drawn as a batch draws it."""
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        n = int(rng.integers(1, support + 1))
-        yield random_compact(int(rng.integers(2 ** 31)), n,
-                             dists[t % len(dists)])
+    """Each trial's test function, drawn as a batch draws it: the sizes and
+    then the function seeds as arrays from one default_rng(seed)."""
+    batch = np.random.default_rng(seed)
+    sizes = batch.integers(1, support + 1, size=trials)
+    phi_seeds = batch.integers(2 ** 31, size=trials)
+    for t, (n, phi_seed) in enumerate(zip(sizes.tolist(), phi_seeds.tolist())):
+        yield random_compact(phi_seed, n, dists[t % len(dists)])
 
 
-# Entropy words where the hash's arithmetic wraps or changes its length:
-# 0, 2^31 - 1, 2^32 - 1, and seeds masked as the trials mask them.
-ENTROPY_WORDS = st.one_of(
-    st.sampled_from([0, 1, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1]),
-    st.integers(0, 2 ** 32 - 1),
-    st.integers(-2 ** 70, 2 ** 70).map(lambda seed: seed & 0x7FFFFFFF))
+class TestKeyedStreams:
+    @pytest.mark.parametrize("dist", ["uniform", "gaussian", "sparse"])
+    def test_state_set_on_a_reused_generator_draws_as_a_fresh_one(self,
+                                                                  dist):
+        # A state set on a generator that has already drawn (part of a
+        # buffered word included) starts the keyed stream afresh.
+        generator = np.random.Generator(np.random.Philox(key=0))
+        generator.random(3)
+        generator.integers(2 ** 31, dtype=np.uint32)
+        code = verify._DIST_CODES[dist]
+        for seed, n in [(0, 1), (2 ** 31 - 1, 37), (12345, 10 ** 6)]:
+            fresh = np.random.Generator(
+                np.random.Philox(key=seed | code << 32 | n << 64))
+            reused = verify._keyed(generator, seed, n, code)
+            assert reused is generator
+            size = min(n, 500)
+            assert np.array_equal(verify._draw_values(reused, size, dist),
+                                  verify._draw_values(fresh, size, dist))
+            assert reused.random() == fresh.random()
 
-
-class TestBatchSeeding:
-    """The trials' streams are seeded for a block at a time by replaying
-    SeedSequence and PCG64's seeding over arrays; each must be the stream
-    np.random.default_rng(row) gives."""
-
-    @given(rows=st.integers(2, 3).flatmap(
-        lambda k: st.lists(st.lists(ENTROPY_WORDS, min_size=k, max_size=k),
-                           min_size=1, max_size=12)))
-    @settings(max_examples=60, deadline=None)
-    def test_states_equal_default_rng(self, rows):
-        columns = [np.array(column) for column in zip(*rows)]
-        states, incs = verify._pcg64_states(columns, len(rows))
-        for row, state, inc in zip(rows, states, incs):
-            reference = np.random.default_rng(row).bit_generator.state
-            assert reference["state"] == {"state": state, "inc": inc}, row
-
-    @pytest.mark.parametrize("block", [1, 3, 4096])
-    def test_streams_draw_as_default_rng(self, monkeypatch, block):
-        # One int column and one array column, hashed in blocks of any size.
-        monkeypatch.setattr(verify, "TRIAL_BLOCK_VALUES", block)
-        seeds = np.array([0, 2 ** 32 - 1, 7, 2 ** 31 - 1, 12345])
-        streams = verify._streams((2 ** 31 - 1, seeds), seeds.size)
-        for word, rng in zip(seeds.tolist(), streams):
-            reference = np.random.default_rng([2 ** 31 - 1, word])
-            assert rng.integers(1, 121) == reference.integers(1, 121)
-            assert np.array_equal(rng.standard_normal(9),
-                                  reference.standard_normal(9))
-
-    @pytest.mark.parametrize("word", [2 ** 32, 2 ** 40, -1])
-    def test_words_outside_32_bits_are_refused(self, word):
-        # SeedSequence splits a word of 2^32 or more into two words, which
-        # the batch hash does not model; numpy refuses a negative one.
-        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
-            verify._pcg64_states((5, np.array([3, word])), 2)
-
-    def test_rows_beyond_the_pool_are_refused(self):
-        # SeedSequence mixes a fifth word in after its pool of four, which
-        # the batch hash does not replay.
-        with pytest.raises(ValueError, match="at most 4"):
-            verify._pcg64_states((1, 2, 3, 4, 5), 1)
+    def test_random_compact_is_each_trial_across_blocks(self, monkeypatch):
+        # Batches summed over several blocks still draw trial t's function
+        # as random_compact does on its own.
+        monkeypatch.setattr(verify, "TRIAL_BLOCK_VALUES", 130)
+        pair, trials, support, seed = ExponentPair(F(7, 3)), 40, 60, 2 ** 31 + 8
+        dists = ("uniform", "gaussian", "sparse")
+        lhs, rhs = _trial_sums(pair, trials, support, seed, dists)
+        functions = list(_trial_functions(trials, support, 8, dists))
+        assert sum(phi.support_bound for phi in functions) > 4 * 130
+        for t, phi in enumerate(functions):
+            assert lhs[t] == hardy_lhs(phi, pair), t
+            for kind in (WeightKind.IMPROVED, WeightKind.CLASSICAL):
+                assert rhs[kind][t] == hardy_rhs(phi, pair, kind), t
 
 
 class TestTrials:
