@@ -34,7 +34,7 @@ from .series import (
     expand_w_integer_p,
     nonpositive_even_positions,
 )
-from .weights import WeightKind, compare_weights, eval_w
+from .weights import WeightKind, compare_weights
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,9 +50,10 @@ EXIT_USAGE = 2
 MAX_POINTS = 10 ** 6
 # The largest `series --order`.  The exact coefficients' cost grows about as
 # the cube of the order (one-shot, 2-core VM: `series --correction --p 5/2`
-# 0.97 s at order 300 and 34 s at 1000, still running at 120 s at 2000;
-# `series --p 2` 3.2 s at 1000 and 38 s at 2000), so a size limit in
-# points would not bound it.  The benchmark reads order 80 at most.
+# 0.36 s at order 300 and 13.7 s at 1000, and the series alone still running
+# at 125 s at 2000; `series --p 2` 2.0 s at 1000, and 11 s for its series at
+# 2000), so a size limit in points would not bound it.  The benchmark reads
+# order 80 at most.
 MAX_ORDER = 1000
 
 
@@ -217,15 +218,16 @@ def cmd_verify(args) -> int:
         tolerance = 10.0 ** (-(digits - 12))
         indices = range(n_min, n_max + 1)
         lhs = weight_from_supersolution(u, pair, indices, bits)
-        rhs = eval_w(pair, indices, digits)
+        # The reference column is the weight table's, correct to D digits.
+        rhs = compare_weights(pair, n_min, n_max, digits).columns[0]
         worst = 0.0
         worst_relative = mpf(0)
-        for left, right in zip(lhs, rhs):
-            diff = left - right.value
+        for left, right in zip(lhs, map(mp.make_mpf, rhs)):
+            diff = left - right
             worst = max(worst, abs(float(diff)))
             # w(n) > 0, so a computed 0 has lost every digit: it fails.
-            worst_relative = max(worst_relative, abs(diff / right.value)
-                                 if right.value else mp.inf)
+            worst_relative = max(worst_relative, abs(diff / right)
+                                 if right else mp.inf)
         config = {"subcommand": "verify", "mode": "supersolution",
                   "p": str(p), "n": settings["n"], "digits": digits}
         # |w(n)| < 1, so the relative residual bounds the absolute one; an

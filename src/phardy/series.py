@@ -26,8 +26,9 @@ DEFAULT_ORDER = 40
 class InvariantViolation(RuntimeError):
     """A structural invariant of the expansion failed.
 
-    This signals an implementation bug, never a data condition: the parity
-    cancellation and positivity of the integer-p expansion are theorems.
+    This signals an implementation bug, never a data condition: the
+    vanishing constant term of the correction and the positivity of the
+    integer-p expansion are theorems.
     """
 
 
@@ -142,8 +143,9 @@ def expand_w_integer_p(p: int, order: int) -> WeightExpansion:
     With x = 1/n the weight is (x/q)^p (1 + a(x)), a the correction series
     of `expand_correction`, so c[k] = c[0] ([k = 0] + a[k]) with
     c[0] = (1/q)^p = ((p-1)/p)^p.  `expand_correction` asserts that a[0]
-    and the odd a[k] vanish; the paper's theorem, that every even c[k] is
-    positive for integer p, is asserted here.
+    vanishes, and its odd a[k] are zero by construction; the paper's
+    theorem, that every even c[k] is positive for integer p, is asserted
+    here.
     """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
@@ -172,29 +174,45 @@ def _g_argument_series(pair: ExponentPair, sign: int, order: int) -> PowerSeries
 def expand_correction(pair: ExponentPair, order: int) -> PowerSeries:
     """Series of the relative correction a(x): weight * (q/x)^p - 1.
 
-    Computed from the bracket difference D = (1+g(-x))^(p-1) - (1+g(x))^(p-1)
-    via the generalized binomial series; a(x) = (q/x) * D(x) - 1, exact.
-    Odd positions vanish.
+    With f(x) = (1+g(x))^(p-1), the weight's bracket difference is
+    D(x) = f(-x) - f(x) and a(x) = (q/x) D(x) - 1.  The coefficients of
+    f(-x) are (-1)^j f_j, so D_j = ((-1)^j - 1) f_j: it is -2 f_j at odd j
+    and 0 at even j.  One Miller run for f to order + 1 thus gives
+    a_k = -2 q f_(k+1) at even k, and a_k = 0 at odd k, exactly.  The
+    constant term a_0 = -2 q (p-1) g_1 - 1 vanishes for every p
+    (g_1 = -1/(2p)), which is asserted.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     inner_order = order + 1
-    alpha = pair.p_exact - 1
-    d_minus = series_pow_binomial(_g_argument_series(pair, -1, inner_order),
-                                  alpha, inner_order)
-    d_plus = series_pow_binomial(_g_argument_series(pair, +1, inner_order),
-                                 alpha, inner_order)
-    q = pair.q_exact
-    out = [q * (d_minus[k + 1] - d_plus[k + 1]) for k in range(order + 1)]
+    f = series_pow_binomial(_g_argument_series(pair, +1, inner_order),
+                            pair.p_exact - 1, inner_order)
+    q2 = -2 * pair.q_exact
+    out = [Fraction(0) if k % 2 else q2 * f[k + 1] for k in range(order + 1)]
     out[0] -= 1
     if out[0] != 0:
         raise InvariantViolation(
             f"constant term of the correction must vanish, got {out[0]}")
-    for k in range(1, order + 1, 2):
-        if out[k] != 0:
-            raise InvariantViolation(
-                f"odd coefficient a[{k}] must vanish, got {out[k]}")
     return PowerSeries(tuple(out))
+
+
+def correction_c2(pair: ExponentPair) -> Fraction:
+    """a_2 = (3p - 1)/(8p), the leading coefficient of the correction
+    series, exact.
+
+    By `expand_correction`, a_2 = -2 q f_3 with f = (1+g)^(p-1), and
+    f_3 = beta g_3 + beta (beta - 1) g_1 g_2 + binom(beta, 3) g_1^3 for
+    beta = p - 1.  With s = 1/q, s - 1 = -1/p, so g_k = q binom(s, k+1)
+    gives g_1 = -1/(2p), g_2 = (p+1)/(6p^2) and
+    g_3 = -(p+1)(2p+1)/(24p^3).  So
+    f_3/beta = g_3 + (p-2) g_1 g_2 + (p-2)(p-3) g_1^3/6
+             = -(2(p+1)(2p+1) + 4(p-2)(p+1) + (p-2)(p-3))/(48p^3)
+             = -(3p-1)/(16p^2),
+    the numerator summing to 9p^2 - 3p, and -2 q f_3 with q = p/(p-1) is
+    (3p-1)/(8p).
+    """
+    p = pair.p_exact
+    return (3 * p - 1) / (8 * p)
 
 
 def correction_positivity_report(pair: ExponentPair, order: int) -> dict:

@@ -66,7 +66,7 @@ from .numerics import (
     required_precision,
     to_mpf,
 )
-from .series import expand_correction
+from .series import correction_c2, expand_correction
 
 
 class WeightKind(enum.Enum):
@@ -108,15 +108,17 @@ SERIES_RADIUS = Fraction(1, 2)
 # proven tail meets the contract from some n0 <= SERIES_MAX_START on.
 SERIES_MAX_ORDER = 48
 SERIES_MAX_START = 64
-# Cost model of that choice, measured on a 2-core VM at D = 15..60
-# (K = 18..48, 120-300 bits): the exact c_2..c_K cost 6-80 ms, and a row from
-# them 6-20 us.  A closed-form row by direct pows costs 55-87 us, so the
-# coefficients repay themselves after 5 K to 11 K rows n >= n0, and a table
-# takes the series from 10 K such rows on; four times more where a
-# closed-form row is cheaper, at p = 2 (two square roots, 19-27 us) and in a
-# dense table, integer p included (the sieve passes, 19-47 us; break-even
-# 24 K to 51 K rows).
-SERIES_ROWS_PER_ORDER = 10
+# Cost model of that choice, measured on a 2-core VM with cold caches (best
+# of 5, D = 15..55, K = 18..46): the reach, the exact c_2..c_K and the kernel
+# cost 0.8-4.8 ms, and a row from them 4-15 us.  A closed-form row by direct
+# pows costs 60-140 us (other integer p 34-63 us, p = 2 19-24 us), so there
+# the series breaks even after 0.9-1.4 K rows n >= n0 (p = 2: 2.8 K), and a
+# table takes it from K such rows on.  The sieve passes cost 19-43 us a row
+# (integer p 9-17 us, p = 2 5-6 us), and a table's budget for them falls
+# once its last rows come from the series, so a dense table 1..N breaks even
+# after 2.8-4.6 K rows (integer p 5-9 K; p = 2 18 K at D = 15, more than
+# 43 K at D = 41): four times more rows for each of these cheaper cases.
+SERIES_ROWS_PER_ORDER = 1
 SERIES_ROWS_FACTOR_CHEAP = 4
 
 
@@ -167,7 +169,7 @@ def _series_constants(pair: ExponentPair):
                              * m / r)._mpi_[1]
     if sign or not man:                # negative, zero, or not finite
         return None
-    return man * Fraction(2) ** exp, expand_correction(pair, 2)[2]
+    return man * Fraction(2) ** exp, correction_c2(pair)
 
 
 def _tail_meets_contract(pair: ExponentPair, order: int, n: int,
@@ -264,23 +266,34 @@ def _series_kernel(pair: ExponentPair, contract: int) -> _SeriesKernel:
 def _series_for(pair: ExponentPair, ns, target_digits: int,
                 dense: bool = False):
     """The series kernel for the ascending indices ns at target_digits, or
-    None where the rows n >= n0 among them cannot repay its coefficients
-    (or no order reaches the contract): those tables keep the closed
-    form, from the sieve passes if dense, else by direct pows.  The rows
-    are counted, so a sparse list of indices, such as the rows a rounding
-    test leaves, is judged by its size, not its span."""
+    None where the rows it would serve cannot repay its coefficients (or no
+    order reaches the contract): those tables keep the closed form, from
+    the sieve passes if dense, else by direct pows.
+
+    Priced before the majorant or the reach is formed: at the least order
+    K the contract admits, where the reach's search starts (and almost
+    always ends), over the rows from SERIES_MAX_START on.  A list of
+    indices, such as the rows a rounding test leaves, counts its rows, not
+    its span; a dense table counts all of 1..n_max, which its passes
+    sieve.  The series is taken from SERIES_ROWS_PER_ORDER K such rows on,
+    times SERIES_ROWS_FACTOR_CHEAP for each way the closed form is cheaper:
+    the sieve passes, an integer p in them (integer flux powers), and
+    p = 2 (square roots, one sieve for both powers of n).
+    """
     contract = contract_bits(target_digits)
-    least = _least_order(contract)
-    if least > SERIES_MAX_ORDER or len(ns) < SERIES_ROWS_PER_ORDER * least:
+    order = _least_order(contract)
+    if order > SERIES_MAX_ORDER:
         return None
-    reach = _series_reach(pair, contract)
-    if reach is None:
+    if dense:
+        rows = ns[-1] + 1 - SERIES_MAX_START
+    else:
+        rows = len(ns) - bisect_left(ns, SERIES_MAX_START)
+    p = pair.p_exact
+    cheap = dense * (1 + (p.denominator == 1)) + (p == 2)
+    if rows < (SERIES_ROWS_PER_ORDER * order
+               * SERIES_ROWS_FACTOR_CHEAP ** cheap):
         return None
-    order, start, _ = reach
-    rows = SERIES_ROWS_PER_ORDER * order
-    if dense or pair.p_exact == 2:
-        rows *= SERIES_ROWS_FACTOR_CHEAP
-    if len(ns) - bisect_left(ns, start) < rows:
+    if _series_reach(pair, contract) is None:
         return None
     return _series_kernel(pair, contract)
 
@@ -477,9 +490,10 @@ def compare_weights(pair: ExponentPair, n_min: int, n_max: int,
     at least half of 1..n_max) takes the others from the sieve passes, at
     the least precision from that budget up at which every cell's bound
     meets ``contract_bits`` (`_bits_for`), chosen at a = c_2/n^2 (a n^2
-    falls to c_2 = 3/8 - 1/(8p) for every p tried) and checked at the
-    computed a.  Sparse tables, such as an edge row at n = 10^12, and any
-    with a bound that is not finite, take the direct pows of `eval_w`."""
+    falls to its limit c_2 = (3p - 1)/(8p), `series.correction_c2`) and
+    checked at the computed a.  Sparse tables, such as an edge row at
+    n = 10^12, and any with a bound that is not finite, take the direct
+    pows of `eval_w`."""
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     bits = (required_precision(pair, n_max, target_digits)

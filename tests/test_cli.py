@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -201,14 +202,16 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_supersolution_fails_on_a_zero_weight(self, capsys, monkeypatch):
-        original = cli.eval_w
+        # The reference column (the weight table's w) reads 0 at the last n.
+        original = cli.compare_weights
 
-        def zero_at_last(pair, n, digits):
-            values = original(pair, n, digits)
-            last = values[-1]
-            return values[:-1] + [type(last)(mpf(0), last.precision_bits)]
+        def zero_at_last(pair, n_min, n_max, digits):
+            table = original(pair, n_min, n_max, digits)
+            improved = list(table.columns[0][:-1]) + [mpf(0)._mpf_]
+            return dataclasses.replace(
+                table, columns=(improved, *table.columns[1:]))
 
-        monkeypatch.setattr(cli, "eval_w", zero_at_last)
+        monkeypatch.setattr(cli, "compare_weights", zero_at_last)
         code, out, _ = run_cli(capsys, "verify", "--supersolution", "--p",
                                "3", "--n", "1..20", "--digits", "20")
         payload = json.loads(out)

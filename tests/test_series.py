@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from phardy.numerics import (
@@ -17,6 +19,7 @@ from phardy.series import (
     InvariantViolation,
     PowerSeries,
     coefficients_csv,
+    correction_c2,
     correction_positivity_report,
     expand_correction,
     expand_w_integer_p,
@@ -259,6 +262,72 @@ class TestCorrectionSeries:
         report = correction_positivity_report(ExponentPair(F(3, 2)), 10)
         assert set(report) >= {"p", "order", "even_coefficients",
                                "all_even_positive", "nonpositive_positions"}
+
+
+def _two_run_correction(pair: ExponentPair, order: int) -> tuple:
+    """a(x) = (q/x) ((1+g(-x))^(p-1) - (1+g(x))^(p-1)) - 1 from two Miller
+    runs, one per sign of the argument: the definition that
+    expand_correction shortens by f(-x)'s coefficients being (-1)^j f_j."""
+    q, alpha = pair.q_exact, pair.p_exact - 1
+    binom = binom_rational_sequence(pair.inv_q_exact, order + 2)
+    brackets = []
+    for sign in (-1, 1):
+        g = PowerSeries((F(0),) + tuple(q * binom[k + 1] * sign ** k
+                                        for k in range(1, order + 2)))
+        brackets.append(series_pow_binomial(g, alpha, order + 1))
+    minus, plus = brackets
+    out = [q * (minus[k + 1] - plus[k + 1]) for k in range(order + 1)]
+    out[0] -= 1
+    return tuple(out)
+
+
+REFERENCE_P = [F("1.001"), F(11, 10), F(3, 2), F(2), F(7, 3), F(5, 2),
+               F(10), F(27, 2)]
+
+
+class TestOneRunCorrection:
+    """expand_correction's single Miller run against the two-run
+    definition, exactly."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 9, 80])
+    @pytest.mark.parametrize("p", REFERENCE_P)
+    def test_equals_the_two_run_definition(self, p, order):
+        series = expand_correction(ExponentPair(p), order)
+        assert series.coeffs == _two_run_correction(ExponentPair(p), order)
+        assert all(type(c) is Fraction for c in series.coeffs)
+
+    @pytest.mark.parametrize("p", REFERENCE_P)
+    def test_odd_coefficients_are_exactly_zero(self, p):
+        coeffs = expand_correction(ExponentPair(p), 41).coeffs
+        for c in coeffs[1::2]:
+            assert type(c) is Fraction and c == Fraction(0)
+        assert all(c != 0 for c in coeffs[2::2])
+
+    def test_bent_first_coefficient_is_refused(self, monkeypatch):
+        # f_1 = (p - 1) g_1 carries the constant term; bent by 10^-40 it no
+        # longer cancels the -1.
+        import phardy.series as series
+        original = series.series_pow_binomial
+
+        def bent(h, alpha, order):
+            f = list(original(h, alpha, order).coeffs)
+            f[1] *= 1 + F(1, 10 ** 40)
+            return PowerSeries(tuple(f))
+
+        monkeypatch.setattr(series, "series_pow_binomial", bent)
+        with pytest.raises(InvariantViolation, match="constant term"):
+            expand_correction(ExponentPair(F(7, 3)), 6)
+
+
+class TestLeadingCoefficient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.fractions(min_value=1, max_value=3, max_denominator=10 ** 6),
+        st.fractions(min_value=3, max_value=10 ** 9, max_denominator=1000),
+        st.integers(2, 10 ** 30).map(F)).filter(lambda p: p > 1))
+    def test_closed_form_equals_the_series(self, p):
+        pair = ExponentPair(p)
+        assert correction_c2(pair) == expand_correction(pair, 2)[2]
 
 
 class TestSeriesEval:

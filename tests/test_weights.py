@@ -162,13 +162,16 @@ class TestColumnTable:
             monkeypatch.setattr(cls, "__init__", counted)
         return counts
 
-    # 300 rows each: a dense table from the sieve passes, and a sparse one
-    # from direct pows and the series kernel.
-    @pytest.mark.parametrize("n_min, dense", [(1, True), (1001, False)],
+    # 300 rows each: a dense table from the sieve passes (at D = 80, which
+    # no series order reaches), and a sparse one from direct pows and the
+    # series kernel.
+    @pytest.mark.parametrize("n_min, digits, dense",
+                             [(1, 80, True), (1001, 15, False)],
                              ids=["sieve", "pows-and-series"])
-    def test_tabulate_and_export_build_no_row(self, built, n_min, dense):
-        table = compare_weights(self.PAIR, n_min, n_min + 299, 15)
-        kernel = _series_for(self.PAIR, table.ns, 15, dense)
+    def test_tabulate_and_export_build_no_row(self, built, n_min, digits,
+                                              dense):
+        table = compare_weights(self.PAIR, n_min, n_min + 299, digits)
+        kernel = _series_for(self.PAIR, table.ns, digits, dense)
         assert (kernel is None) == dense
         table.to_json({"subcommand": "weight"})
         table.to_csv()
@@ -176,10 +179,10 @@ class TestColumnTable:
         assert len(table.rows) == 300
         assert not built
 
-    @pytest.mark.parametrize("n_min", [1, 1001], ids=["sieve",
-                                                     "pows-and-series"])
-    def test_rows_equal_the_columns_bit_for_bit(self, built, n_min):
-        table = compare_weights(self.PAIR, n_min, n_min + 299, 15)
+    @pytest.mark.parametrize("n_min, digits", [(1, 80), (1001, 15)],
+                             ids=["sieve", "pows-and-series"])
+    def test_rows_equal_the_columns_bit_for_bit(self, built, n_min, digits):
+        table = compare_weights(self.PAIR, n_min, n_min + 299, digits)
         rows = list(table.rows)
         assert built == {"WeightRow": 300, "PrecReal": 900}
         for i, row in enumerate(rows):
@@ -264,23 +267,25 @@ def _one_point_classical(pair, n, bits):
 class TestTableKernel:
     @pytest.mark.parametrize("p", KERNEL_P)
     def test_compare_weights_rows_equal_one_point(self, p):
-        # A sparse table takes the direct pows: its rows equal the one-point
-        # closed form bit for bit.  A dense one takes the sieve passes, too
-        # cheap for the series kernel to repay at this size (by direct pows
-        # the rows 7..300 would take it, except at p = 2): every cell is
-        # within 2^-B relative of a 4x-precision reference,
-        # B = contract_bits(D), at no fewer bits than the budget.
+        # A sparse table too short to repay the series takes the direct
+        # pows: its rows equal the one-point closed form bit for bit.  A
+        # dense one takes the sieve passes, too cheap for the series kernel
+        # to repay at this size (by direct pows the rows 7..120 would take
+        # it, except at p = 2): every cell is within 2^-B relative of a
+        # 4x-precision reference, B = contract_bits(D), at no fewer bits
+        # than the budget.
         pair = ExponentPair(p)
         digits = 20
-        kernel = _series_for(pair, range(7, 301), digits)
+        kernel = _series_for(pair, range(7, 121), digits)
         assert (kernel is None) == (p == 2)
-        assert _series_for(pair, range(7, 301), digits, dense=True) is None
-        dense = compare_weights(pair, 7, 300, digits)
-        assert [row.n for row in dense.rows] == list(range(7, 301))
-        assert dense.precision_bits >= (required_precision(pair, 300, digits)
-                                        + math.ceil(2 * math.log2(300)))
+        assert _series_for(pair, range(7, 121), digits, dense=True) is None
+        dense = compare_weights(pair, 7, 120, digits)
+        assert [row.n for row in dense.rows] == list(range(7, 121))
+        assert dense.precision_bits >= (required_precision(pair, 120, digits)
+                                        + math.ceil(2 * math.log2(120)))
         _assert_cells_meet_contract(dense)
-        sparse = compare_weights(pair, 200, 300, digits)
+        assert _series_for(pair, range(286, 301), digits) is None
+        sparse = compare_weights(pair, 286, 300, digits)
         bits = sparse.precision_bits
         with mp.workprec(bits):
             threshold = mpf(10) ** -18
@@ -520,13 +525,13 @@ class TestDenseTables:
         monkeypatch.setattr(weights, "_improved_values", counted_closed)
         weights._shared_powers.cache_clear()
         pair = ExponentPair(F(7, 3))
-        compare_weights(pair, 100, 160, 20)           # 61 rows of 1..160
-        assert not pows and len(closed) == 61
+        compare_weights(pair, 145, 160, 20)           # 16 rows of 1..160
+        assert not pows and len(closed) == 16
         del closed[:]
-        compare_weights(pair, 1, 160, 20)
+        compare_weights(pair, 1, 120, 20)
         # One flux pow per row, one pow per prime for each of n^s, n^(s
         # beta) and n^-p, and s^p; the direct route takes four per row.
-        assert not closed and 160 < len(pows) < 2 * 160
+        assert not closed and 120 < len(pows) < 2 * 120
 
 
 TAIL_P = [1 + F(1, 1000), F(1137, 1000), F(3, 2), F(2), F(5, 2), F(16, 5),
@@ -587,10 +592,10 @@ class TestSeriesChoice:
     @pytest.mark.parametrize("p, n_min, n_max, digits", [
         ("1.001", 10 ** 12, 10 ** 12, 15),      # a one-row edge job
         ("2", 1, 100, 20),                      # a Rayleigh table
-        ("3/2", 1, 100, 20),
+        ("3/2", 1, 80, 20),
         ("5/2", 1, 40, 300),                    # a deep table
         ("5/2", 1, 20000, 80),                  # no order <= 48 reaches it
-        ("2", 1, 400, 15),                      # p = 2: cheap closed form
+        ("2", 1, 120, 15),                      # p = 2: cheap closed form
     ])
     def test_closed_form_tables(self, p, n_min, n_max, digits):
         assert _series_for(ExponentPair(F(p)), range(n_min, n_max + 1),
@@ -600,7 +605,7 @@ class TestSeriesChoice:
         # A few rows spread over 1..10^4, as a rounding test leaves them,
         # cannot repay the coefficients; the whole range can.
         pair = ExponentPair(F("1.137"))
-        assert _series_for(pair, list(range(1, 10 ** 4 + 1, 500)), 15) is None
+        assert _series_for(pair, list(range(1, 10 ** 4 + 1, 1000)), 15) is None
         assert _series_for(pair, range(1, 10 ** 4 + 1), 15) is not None
 
     @pytest.mark.parametrize("p, n_max", [("1.137", 10 ** 4), ("2", 10 ** 4),
@@ -610,9 +615,12 @@ class TestSeriesChoice:
         assert kernel is not None and kernel.start <= SERIES_MAX_START
 
     @pytest.mark.parametrize("p, n_max, digits, series", [
-        ("19/4", 608, 41, False),       # a mid table: the passes are cheaper
-        ("27/2", 4000, 15, True),       # a wide table: the series repays
-        ("3", 4000, 15, True),          # integer p: the same 40 K rows
+        ("19/4", 200, 41, False),       # a small table: the passes are cheaper
+        ("19/4", 608, 41, True),        # a mid table: the series repays
+        ("27/2", 4000, 15, True),       # a wide table
+        ("3", 300, 15, False),          # integer p: four times the rows
+        ("3", 4000, 15, True),
+        ("2", 1000, 15, False),         # p = 2: four times more again
     ])
     def test_dense_tables_weigh_the_sieve_passes(self, p, n_max, digits,
                                                   series):
@@ -620,6 +628,28 @@ class TestSeriesChoice:
         pair, ns = ExponentPair(F(p)), range(1, n_max + 1)
         assert _series_for(pair, ns, digits) is not None
         assert (_series_for(pair, ns, digits, dense=True) is not None) == series
+
+    def test_small_table_forms_no_majorant(self, monkeypatch):
+        # The price is settled before the majorant or the reach is formed:
+        # a 125-row dense table at D = 41 (K = 36) cannot repay the series
+        # and forms neither, while a 250-row one takes the series.
+        calls = Counter()
+        for name in ("_series_constants", "_series_reach", "_series_kernel"):
+            original = getattr(weights, name)
+            original.cache_clear()
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(weights, name, counted)
+        pair = ExponentPair(F(57, 20))
+        compare_weights(pair, 1, 125, 41)
+        assert not calls
+        table = compare_weights(pair, 1, 250, 41)
+        assert set(calls) == {"_series_constants", "_series_reach",
+                              "_series_kernel"}
+        _assert_cells_meet_contract(table, 11)
 
     def test_contract_out_of_reach_keeps_the_closed_form(self):
         # Every row from the closed form: the ground-state pass in a dense
